@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kp_bulk
-from ._parallel import map_ordered
-from .elasticity import StrainState, superpose, uniaxial_strain
+from .elasticity import StrainState, uniaxial_sweep
 from .kp_bulk import (HH_INDICES, LH_INDICES, SO_INDICES, SpinorState,
-                      bloch_orbital_matrix, validate_doublet)
+                      _doublet_stack, _full8, bloch_orbital_matrix,
+                      validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -137,15 +136,11 @@ def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
     return [SpinorState(w[:, j]) for j in range(8)]
 
 
-def _as_full8(state: SpinorState) -> np.ndarray:
-    c = state.coefficients
-    if c.shape == (8,):
-        return c
-    if c.shape == (6,):
-        full = np.zeros(8, dtype=complex)
-        full[kp_bulk.VB_SLICE] = c
-        return full
-    raise ValueError("projection needs 6- or 8-component states")
+def _doublet_weights(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Weights (1/2) sum_j |b^dagger psi_j|^2, shape (..., n_b), of each
+    column b of ``basis`` (..., m, n_b) over the columns of ``psi``."""
+    overlap = np.conj(np.swapaxes(basis, -1, -2)) @ psi
+    return 0.5 * np.sum(np.abs(overlap) ** 2, axis=-1)
 
 
 def project_hgs(doublet, axis: QuantizationAxis, *,
@@ -156,16 +151,16 @@ def project_hgs(doublet, axis: QuantizationAxis, *,
     pair, so the result does not depend on how the degenerate subspace
     was split by the eigensolver.
     """
-    a, b = doublet
-    validate_doublet(a, b, degeneracy_atol=degeneracy_atol)
-    w = _rotation_matrix(axis)
-    psi = np.column_stack([_as_full8(a), _as_full8(b)])
-    overlap2 = np.abs(w.conj().T @ psi) ** 2  # (basis, doublet)
-    weight = 0.5 * overlap2.sum(axis=1)
-    return ProjectionResult(
-        p_hh=float(weight[list(HH_INDICES)].sum()),
-        p_lh=float(weight[list(LH_INDICES)].sum()),
-        p_so=float(weight[list(SO_INDICES)].sum()))
+    psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
+    return ProjectionResult(*_project(psi, axis).tolist())
+
+
+def _project(psi: np.ndarray, axis: QuantizationAxis) -> np.ndarray:
+    """(p_hh, p_lh, p_so), last axis, of states psi (..., 6 or 8, j),
+    averaged over the j columns; each is the weight of a rotated pair."""
+    weight = _doublet_weights(_rotation_matrix(axis), _full8(psi))
+    pairs = weight[..., HH_INDICES + LH_INDICES + SO_INDICES]
+    return pairs.reshape(weight.shape[:-1] + (3, 2)).sum(axis=-1)
 
 
 def commutator_norm(j: np.ndarray, h4: np.ndarray) -> float:
@@ -180,17 +175,9 @@ def default_theta_grid(steps: int = 61) -> np.ndarray:
     return np.linspace(0.0, math.pi / 2.0, steps)
 
 
-def _total_strain(sigma_xx: float, prestress: StrainState | None,
-                  p: MaterialParams) -> StrainState:
-    strain = uniaxial_strain(sigma_xx, p)
-    if prestress is not None:
-        strain = superpose(prestress, strain)
-    return strain
-
-
 def mixing_curve(stresses_gpa, prestress: StrainState | None,
                  axis: QuantizationAxis, p: MaterialParams, *,
-                 abscissa: str = "total", threads: int = 1) -> np.ndarray:
+                 abscissa: str = "total") -> np.ndarray:
     """HH/LH/SO character of the hole ground state along a uniaxial
     stress sweep, one row (strain_xx, p_hh, p_lh, p_so) per stress.
 
@@ -200,21 +187,14 @@ def mixing_curve(stresses_gpa, prestress: StrainState | None,
     """
     if abscissa not in ("total", "uniaxial"):
         raise ValueError("abscissa must be 'total' or 'uniaxial'")
-
-    def one(sigma: float):
-        strain = _total_strain(sigma, prestress, p)
-        doublet = kp_bulk.top_valence_doublet(strain, p)
-        proj = project_hgs(doublet, axis)
-        exx = strain.exx if abscissa == "total" \
-            else uniaxial_strain(sigma, p).exx
-        return exx, proj.p_hh, proj.p_lh, proj.p_so
-
-    return np.array(map_ordered(one, stresses_gpa, threads))
+    uniaxial, total = uniaxial_sweep(stresses_gpa, p, prestress)
+    _, psi = _doublet_stack(total, p)
+    exx = (total if abscissa == "total" else uniaxial)[:, :1]
+    return np.hstack([exx, _project(psi, axis)])
 
 
 def mixing_map(stresses_gpa, prestress: StrainState | None,
-               p: MaterialParams, *, thetas=None, phi: float = 0.0,
-               threads: int = 1):
+               p: MaterialParams, *, thetas=None, phi: float = 0.0):
     """p_hh of the hole ground state over a (theta, strain) grid.
 
     Returns ``(thetas, strain_xx, p_hh_map)`` with the map indexed as
@@ -222,22 +202,14 @@ def mixing_map(stresses_gpa, prestress: StrainState | None,
     columns coincide with mixing_curve for the z and in-plane axes.
     """
     thetas = default_theta_grid() if thetas is None else np.asarray(thetas)
-    stresses = list(stresses_gpa)
-    if thetas.size == 0 or not stresses:
+    stresses = np.asarray(stresses_gpa, dtype=float)
+    if thetas.size == 0 or stresses.size == 0:
         raise ValueError("theta and stress grids must be nonempty")
-    ws = [_rotation_matrix(QuantizationAxis(t, phi)) for t in thetas]
-    hh = list(HH_INDICES)
-
-    def one(sigma: float):
-        strain = _total_strain(sigma, prestress, p)
-        a, b = kp_bulk.top_valence_doublet(strain, p)
-        psi = np.column_stack([_as_full8(a), _as_full8(b)])
-        col = np.empty(len(ws))
-        for i, w in enumerate(ws):
-            col[i] = 0.5 * np.sum(np.abs(w[:, hh].conj().T @ psi) ** 2)
-        return strain.exx, col
-
-    rows = map_ordered(one, stresses, threads)
-    strain_xx = np.array([r[0] for r in rows])
-    phh = np.column_stack([r[1] for r in rows])
-    return thetas, strain_xx, phh
+    # project on the two HH columns only, so the overlaps of the whole
+    # grid stay (theta, stress, 2, 2) instead of (theta, stress, 8, 2)
+    hh = np.stack([_rotation_matrix(QuantizationAxis(t, phi))[:, HH_INDICES]
+                   for t in thetas])
+    _, total = uniaxial_sweep(stresses, p, prestress)
+    _, psi = _doublet_stack(total, p)
+    phh = _doublet_weights(hh[:, None], psi[None]).sum(axis=-1)
+    return thetas, total[:, 0], phh

@@ -12,16 +12,15 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import axis as axis_mod
 from . import kp_bulk, optics, qw
-from ._parallel import map_ordered
 from .elasticity import (ActuatorGeometry, StrainState, actuator_strain,
-                         biaxial_strain, superpose, uniaxial_strain)
+                         biaxial_strain, uniaxial_sweep)
 from .kp_bulk import NonHermitianError
 from .materials import (MaterialParams, ParameterLoadError,
                         default_parameter_table, load_parameter_table)
@@ -38,22 +37,8 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-# section -> {key: default}; units are spelled out in the key names
-_DEFAULTS = {
-    "run": {"material": "GaAs", "output_format": "csv",
-            "parameter_file": ""},
-    "prestress": {"biaxial_stress_gpa": "-0.12"},
-    "sweep": {"stress_min_gpa": "-2.0", "stress_max_gpa": "2.0",
-              "steps": "201"},
-    "axis": {"theta_steps": "61", "phi_deg": "0.0"},
-    "qw": {"thicknesses_nm": "12, 4", "barrier_thickness_nm": "20.0",
-           "barrier_al_fraction": "0.4", "grid_points": "301",
-           "sweep_steps": "21"},
-    "emulation": {"cb_shift_mev": "52.8", "hh_shift_mev": "9.1",
-                  "lh_shift_mev": "10.0", "transition_steps": "201"},
-    "calibration": {"reference_lifetime_ps": "250.0"},
-    "dipoles": {"snapshot_stresses_gpa": ""},
-}
+def _parse_str(section: str, key: str, raw: str) -> str:
+    return raw.strip()
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -83,6 +68,35 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
                  for item in raw.split(","))
 
 
+# (section, key) -> (RunConfig field, parser); units are spelled out in the
+# key names, defaults are the RunConfig field defaults
+_KEYS = {
+    ("run", "material"): ("material", _parse_str),
+    ("run", "output_format"): ("output_format", _parse_str),
+    ("run", "parameter_file"): ("parameter_file", _parse_str),
+    ("prestress", "biaxial_stress_gpa"): ("prestress_biaxial_gpa",
+                                          _parse_float),
+    ("sweep", "stress_min_gpa"): ("stress_min_gpa", _parse_float),
+    ("sweep", "stress_max_gpa"): ("stress_max_gpa", _parse_float),
+    ("sweep", "steps"): ("steps", _parse_int),
+    ("axis", "theta_steps"): ("theta_steps", _parse_int),
+    ("axis", "phi_deg"): ("phi_deg", _parse_float),
+    ("qw", "thicknesses_nm"): ("qw_thicknesses_nm", _parse_float_list),
+    ("qw", "barrier_thickness_nm"): ("qw_barrier_nm", _parse_float),
+    ("qw", "barrier_al_fraction"): ("qw_barrier_al_fraction", _parse_float),
+    ("qw", "grid_points"): ("qw_grid_points", _parse_int),
+    ("qw", "sweep_steps"): ("qw_sweep_steps", _parse_int),
+    ("emulation", "cb_shift_mev"): ("emulation_cb_mev", _parse_float),
+    ("emulation", "hh_shift_mev"): ("emulation_hh_mev", _parse_float),
+    ("emulation", "lh_shift_mev"): ("emulation_lh_mev", _parse_float),
+    ("emulation", "transition_steps"): ("transition_steps", _parse_int),
+    ("calibration", "reference_lifetime_ps"): ("lifetime_ps", _parse_float),
+    ("dipoles", "snapshot_stresses_gpa"): ("snapshot_stresses_gpa",
+                                           _parse_float_list),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
 @dataclass
 class RunConfig:
     material: str = "GaAs"
@@ -108,7 +122,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: Path | None) -> "RunConfig":
-        values = {s: dict(keys) for s, keys in _DEFAULTS.items()}
+        raw = {}
         if path is not None:
             cp = configparser.ConfigParser()
             try:
@@ -122,61 +136,16 @@ class RunConfig:
                 raise ConfigError(f"cannot parse config {path}: {exc}") \
                     from exc
             for section in cp.sections():
-                if section not in values:
+                if section not in _SECTIONS:
                     raise ConfigError(f"unknown config section [{section}]")
-                for key, raw in cp[section].items():
-                    if key not in values[section]:
+                for key, value in cp[section].items():
+                    if (section, key) not in _KEYS:
                         raise ConfigError(
                             f"unknown config key {key!r} in [{section}]")
-                    values[section][key] = raw
-        cfg = cls(
-            material=values["run"]["material"].strip(),
-            output_format=values["run"]["output_format"].strip(),
-            parameter_file=values["run"]["parameter_file"].strip(),
-            prestress_biaxial_gpa=_parse_float(
-                "prestress", "biaxial_stress_gpa",
-                values["prestress"]["biaxial_stress_gpa"]),
-            stress_min_gpa=_parse_float(
-                "sweep", "stress_min_gpa", values["sweep"]["stress_min_gpa"]),
-            stress_max_gpa=_parse_float(
-                "sweep", "stress_max_gpa", values["sweep"]["stress_max_gpa"]),
-            steps=_parse_int("sweep", "steps", values["sweep"]["steps"]),
-            theta_steps=_parse_int(
-                "axis", "theta_steps", values["axis"]["theta_steps"]),
-            phi_deg=_parse_float(
-                "axis", "phi_deg", values["axis"]["phi_deg"]),
-            qw_thicknesses_nm=_parse_float_list(
-                "qw", "thicknesses_nm", values["qw"]["thicknesses_nm"]),
-            qw_barrier_nm=_parse_float(
-                "qw", "barrier_thickness_nm",
-                values["qw"]["barrier_thickness_nm"]),
-            qw_barrier_al_fraction=_parse_float(
-                "qw", "barrier_al_fraction",
-                values["qw"]["barrier_al_fraction"]),
-            qw_grid_points=_parse_int(
-                "qw", "grid_points", values["qw"]["grid_points"]),
-            qw_sweep_steps=_parse_int(
-                "qw", "sweep_steps", values["qw"]["sweep_steps"]),
-            emulation_cb_mev=_parse_float(
-                "emulation", "cb_shift_mev",
-                values["emulation"]["cb_shift_mev"]),
-            emulation_hh_mev=_parse_float(
-                "emulation", "hh_shift_mev",
-                values["emulation"]["hh_shift_mev"]),
-            emulation_lh_mev=_parse_float(
-                "emulation", "lh_shift_mev",
-                values["emulation"]["lh_shift_mev"]),
-            transition_steps=_parse_int(
-                "emulation", "transition_steps",
-                values["emulation"]["transition_steps"]),
-            lifetime_ps=_parse_float(
-                "calibration", "reference_lifetime_ps",
-                values["calibration"]["reference_lifetime_ps"]),
-            snapshot_stresses_gpa=_parse_float_list(
-                "dipoles", "snapshot_stresses_gpa",
-                values["dipoles"]["snapshot_stresses_gpa"]),
-        )
-        return cfg
+                    raw[section, key] = value
+        return cls(**{field: parse(*where, raw[where])
+                      for where, (field, parse) in _KEYS.items()
+                      if where in raw})
 
     def validate(self) -> None:
         if self.output_format not in ("csv", "json"):
@@ -253,13 +222,11 @@ def cmd_mixing_curve(cfg: RunConfig, out: Path, fmt: str, threads: int,
     p = table[cfg.material]
     stresses = cfg.stress_sweep(steps)
     pre = _prestress(cfg, p)
-    results = []
-    for name, ax in (("z", axis_mod.QuantizationAxis(0.0)),
-                     ("x", axis_mod.QuantizationAxis(math.pi / 2.0))):
-        rows = axis_mod.mixing_curve(stresses, pre, ax, p, threads=threads)
-        results.append((f"mixing_curve_{name}", rows))
-    for stem, rows in results:
-        _write_table(_outfile(out, stem, fmt),
+    curves = {name: axis_mod.mixing_curve(
+        stresses, pre, axis_mod.QuantizationAxis(theta), p)
+        for name, theta in (("z", 0.0), ("x", math.pi / 2.0))}
+    for name, rows in curves.items():
+        _write_table(_outfile(out, f"mixing_curve_{name}", fmt),
                      axis_mod.MIXING_CURVE_COLUMNS, rows, fmt)
     return EXIT_OK
 
@@ -272,8 +239,7 @@ def cmd_mixing_map(cfg: RunConfig, out: Path, fmt: str, threads: int,
     thetas = axis_mod.default_theta_grid(cfg.theta_steps)
     phi = math.radians(cfg.phi_deg)
     th, strain_xx, phh = axis_mod.mixing_map(
-        stresses, _prestress(cfg, p), p, thetas=thetas, phi=phi,
-        threads=threads)
+        stresses, _prestress(cfg, p), p, thetas=thetas, phi=phi)
     rows = [(th[i], strain_xx[j], phh[i, j])
             for i in range(len(th)) for j in range(len(strain_xx))]
     _write_table(_outfile(out, "mixing_map", fmt),
@@ -288,49 +254,42 @@ _QW_COLUMNS = ("strain_xx", "p_hh_z", "p_lh_z", "p_so_z",
 def cmd_qw(cfg: RunConfig, out: Path, fmt: str, threads: int,
            steps: int | None) -> int:
     table = cfg.load_table()
-    p = table[cfg.material]
-    ax_z = axis_mod.QuantizationAxis(0.0)
-    ax_x = axis_mod.QuantizationAxis(math.pi / 2.0)
+    if cfg.material != "GaAs":
+        raise ConfigError(
+            f"[run] material: qw models a GaAs well, got {cfg.material!r}")
+    gaas = table["GaAs"]
     stresses = cfg.stress_sweep(steps if steps is not None
                                 else cfg.qw_sweep_steps)
+    curves = qw.qw_mixing_vs_strain(
+        cfg.qw_thicknesses_nm, stresses,
+        (axis_mod.QuantizationAxis(0.0),
+         axis_mod.QuantizationAxis(math.pi / 2.0)), table,
+        barrier_thickness_nm=cfg.qw_barrier_nm,
+        barrier_al_fraction=cfg.qw_barrier_al_fraction,
+        grid_points=cfg.qw_grid_points, threads=threads)
     results = []
     for t in cfg.qw_thicknesses_nm:
         geometry = qw.QwGeometry(t, cfg.qw_barrier_nm,
                                  cfg.qw_barrier_al_fraction,
                                  cfg.qw_grid_points)
-        doubled = qw.QwGeometry(t, cfg.qw_barrier_nm,
-                                cfg.qw_barrier_al_fraction,
-                                2 * cfg.qw_grid_points + 1)
+        doubled = replace(geometry, grid_points=2 * cfg.qw_grid_points + 1)
         e_base = qw.solve_qw(geometry, StrainState(), table, 2)[0].energy
         e_fine = qw.solve_qw(doubled, StrainState(), table, 2)[0].energy
         converged = 1.0 if abs(e_base - e_fine) < 1e-4 else 0.0
-
-        def one(sigma, geometry=geometry, converged=converged):
-            strain = uniaxial_strain(sigma, p)
-            states = qw.solve_qw(geometry, strain, table, 2)
-            pz = qw.envelope_projection(states[:2], ax_z)
-            px = qw.envelope_projection(states[:2], ax_x)
-            return (strain.exx, pz.p_hh, pz.p_lh, pz.p_so,
-                    px.p_hh, px.p_lh, px.p_so, converged)
-
-        rows = map_ordered(one, stresses, threads)
-        results.append((f"qw_mixing_{t:g}nm", rows))
+        rows = curves[float(t)]
+        rows = np.hstack([rows, np.full((len(rows), 1), converged)])
+        results.append((f"qw_mixing_{t:g}nm", _QW_COLUMNS, rows))
 
     offsets = qw.EmulationOffsets(cfg.emulation_cb_mev * 1e-3,
                                   cfg.emulation_hh_mev * 1e-3,
                                   cfg.emulation_lh_mev * 1e-3)
+    _, strains = uniaxial_sweep(cfg.stress_sweep(cfg.transition_steps), gaas)
+    trans = [(e[0], qw.transition_energy(offsets, StrainState(*e), table))
+             for e in strains]
+    results.append(("qw_transition_energy", ("strain_xx", "transition_ev"),
+                    trans))
 
-    def one_transition(sigma):
-        strain = uniaxial_strain(sigma, p)
-        return (strain.exx, qw.transition_energy(offsets, strain, table))
-
-    trans = map_ordered(one_transition, cfg.stress_sweep(
-        cfg.transition_steps), threads)
-    results.append(("qw_transition_energy", trans))
-
-    for stem, rows in results:
-        columns = _QW_COLUMNS if stem.startswith("qw_mixing") \
-            else ("strain_xx", "transition_ev")
+    for stem, columns, rows in results:
         _write_table(_outfile(out, stem, fmt), columns, rows, fmt)
     return EXIT_OK
 
@@ -341,13 +300,12 @@ def cmd_dipoles(cfg: RunConfig, out: Path, fmt: str, threads: int,
     p = table[cfg.material]
     pre = _prestress(cfg, p)
     calibration = optics.RateCalibration(cfg.lifetime_ps)
-    rows = optics.dipole_sweep(cfg.stress_sweep(steps), pre, p, calibration,
-                               threads=threads)
+    rows = optics.dipole_sweep(cfg.stress_sweep(steps), pre, p, calibration)
     results = [("dipole_sweep", optics.DIPOLE_SWEEP_COLUMNS, rows)]
 
-    for sigma in cfg.snapshot_stresses_gpa:
-        strain = superpose(pre, uniaxial_strain(sigma, p))
-        doublet = kp_bulk.top_valence_doublet(strain, p)
+    _, snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
+    for sigma, strain in zip(cfg.snapshot_stresses_gpa, snapshots):
+        doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
         densities = [optics.angular_density(s) for s in doublet]
         # doublet-averaged density is basis independent; normalize on
         # the grid before export
@@ -383,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (overrides config)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="worker threads for the qw sweep points")
     common.add_argument("--steps", type=int, default=None,
                         help="override the sweep step count")
 

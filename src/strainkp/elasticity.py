@@ -25,6 +25,7 @@ __all__ = [
     "stress_from_strain",
     "superpose",
     "uniaxial_strain",
+    "uniaxial_sweep",
 ]
 
 STRAIN_SANITY_BOUND = 0.1  # far beyond the ~1.7% fracture strain
@@ -148,16 +149,36 @@ def strain_from_stress(stress: StressTensor, p: MaterialParams) \
 
 
 def uniaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
-    """Strain for uniaxial stress along [100].
+    """Strain for uniaxial stress along [100] (see ``uniaxial_sweep``)."""
+    stress = StressTensor(sxx=sxx_gpa)
+    return StrainState(*uniaxial_sweep([sxx_gpa], p)[0][0], stress=stress)
+
+
+def uniaxial_sweep(stresses_gpa, p: MaterialParams,
+                   prestress: StrainState | None = None) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Voigt strains (n, 6) along a sweep of uniaxial [100] stress: the
+    uniaxial part alone and the total with ``prestress`` superposed.
 
     e_yy = e_zz = -nu * e_xx with nu = c12/(c11+c12); e_xx = s/E with the
-    [100] Young modulus E = (c11-c12)(c11+2c12)/(c11+c12).
+    [100] Young modulus E = (c11-c12)(c11+2c12)/(c11+c12).  Every point
+    passes the checks of ``StrainState``; the first failing one raises.
     """
     _check_stability(p)
     young = (p.c11 - p.c12) * (p.c11 + 2.0 * p.c12) / (p.c11 + p.c12)
-    exx = sxx_gpa / young
-    eyy = -p.poisson_ratio_100 * exx
-    return StrainState(exx, eyy, eyy, stress=StressTensor(sxx=sxx_gpa))
+    exx = np.asarray(stresses_gpa, dtype=float) / young
+    uniaxial = np.zeros((exx.size, 6))
+    uniaxial[:, 0] = exx
+    uniaxial[:, 1] = uniaxial[:, 2] = -p.poisson_ratio_100 * exx
+    total = uniaxial if prestress is None \
+        else prestress.as_voigt() + uniaxial
+    # per point, the uniaxial part is checked before the total
+    stack = np.stack([uniaxial, total], axis=1).reshape(-1, 6)
+    bad = np.flatnonzero(~np.all(np.abs(stack) < STRAIN_SANITY_BOUND,
+                                 axis=1))
+    if bad.size:
+        StrainState(*stack[bad[0]])
+    return uniaxial, total
 
 
 def biaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:

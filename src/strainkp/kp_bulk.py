@@ -79,6 +79,10 @@ SO_INDICES = (6, 7)
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 _SQ32 = math.sqrt(1.5)
+# (row, column) of the diagonal and the nonzero upper entries of _vb_hole
+_ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
+                         (0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
+                         (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]).T
 
 
 class NonHermitianError(ValueError):
@@ -138,13 +142,13 @@ def _kvec(k) -> np.ndarray:
     return arr
 
 
-def _scalars(k, strain: StrainState, p: MaterialParams):
-    """Hole-picture scalar entries (C is returned in the electron picture)."""
+def _scalars(k, voigt, p: MaterialParams):
+    """Hole-picture scalar entries (C is returned in the electron picture)
+    for Voigt strains of shape (..., 6); each entry has the batch shape."""
     kx, ky, kz = _kvec(k)
     k2 = kx * kx + ky * ky + kz * kz
-    tr = strain.trace()
-    exx, eyy, ezz = strain.exx, strain.eyy, strain.ezz
-    eyz, exz, exy = strain.eyz, strain.exz, strain.exy
+    exx, eyy, ezz, eyz, exz, exy = np.moveaxis(voigt, -1, 0)
+    tr = exx + eyy + ezz
     kin = HBAR2_OVER_2M0
 
     c_elec = p.vb_edge + p.eg + kin * k2 / p.me + p.ac * tr
@@ -159,32 +163,23 @@ def _scalars(k, strain: StrainState, p: MaterialParams):
     return c_elec, pp, qq, rr, ss
 
 
-def _vb_hole(k, strain, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
-    """Hole-picture 6x6 VB matrix; shifts are hole-picture diagonal adds."""
-    _, pp, qq, rr, ss = _scalars(k, strain, p)
+def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
+    """Hole-picture VB matrices of shape (..., 6, 6) for Voigt strains of
+    shape (..., 6); shifts are hole-picture diagonal adds."""
+    _, pp, qq, rr, ss = _scalars(k, voigt, p)
     sc, rc = np.conj(ss), np.conj(rr)
     dso = p.delta
-    h = np.zeros((6, 6), dtype=complex)
-    h[0, 0] = pp + qq + hh_shift
-    h[1, 1] = pp - qq + lh_shift
-    h[2, 2] = pp - qq + lh_shift
-    h[3, 3] = pp + qq + hh_shift
-    h[4, 4] = pp + dso
-    h[5, 5] = pp + dso
-    h[0, 1] = -ss
-    h[0, 2] = rr
-    h[0, 4] = -ss / _SQ2
-    h[0, 5] = _SQ2 * rr
-    h[1, 3] = rr
-    h[1, 4] = -_SQ2 * qq
-    h[1, 5] = _SQ32 * ss
-    h[2, 3] = ss
-    h[2, 4] = _SQ32 * sc
-    h[2, 5] = _SQ2 * qq
-    h[3, 4] = -_SQ2 * rc
-    h[3, 5] = -sc / _SQ2
-    iu = np.triu_indices(6, k=1)
-    h[(iu[1], iu[0])] = np.conj(h[iu])
+    upper = np.array([
+        pp + qq + hh_shift, pp - qq + lh_shift, pp - qq + lh_shift,
+        pp + qq + hh_shift, pp + dso, pp + dso,
+        -ss, rr, -ss / _SQ2, _SQ2 * rr,
+        rr, -_SQ2 * qq, _SQ32 * ss,
+        ss, _SQ32 * sc, _SQ2 * qq,
+        -_SQ2 * rc, -sc / _SQ2], dtype=complex)
+    upper = np.moveaxis(upper, 0, -1)
+    h = np.zeros(upper.shape[:-1] + (6, 6), dtype=complex)
+    h[..., _COLS, _ROWS] = np.conj(upper)
+    h[..., _ROWS, _COLS] = upper
     return h
 
 
@@ -195,12 +190,12 @@ def h6_vb(k, strain: StrainState, p: MaterialParams, *,
     ``hh_shift``/``lh_shift`` add to the electron-picture HH and LH
     diagonal entries (used to emulate confinement energies).
     """
-    return -_vb_hole(k, strain, p, hh_shift=-hh_shift, lh_shift=-lh_shift)
+    return -_vb_hole(k, strain.as_voigt(), p, -hh_shift, -lh_shift)
 
 
 def build_h8(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     """Full 8x8 Hamiltonian (eV), CB block decoupled from the VB block."""
-    c_elec = _scalars(k, strain, p)[0]
+    c_elec = _scalars(k, strain.as_voigt(), p)[0]
     h = np.zeros((8, 8), dtype=complex)
     h[0, 0] = h[1, 1] = c_elec
     h[VB_SLICE, VB_SLICE] = h6_vb(k, strain, p)
@@ -212,11 +207,34 @@ def h4_topmost(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     return h6_vb(k, strain, p)[:4, :4]
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(vec) > 1e-10)
-    pivot = idx[0] if idx.size else int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    return vec / phase
+def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Energies (..., m), descending, and phase-fixed unit eigenvectors
+    (..., m, m), one per column, of Hermitian matrices (..., m, m).
+
+    Each matrix passes the checks of ``eigensolve`` and ``SpinorState``;
+    the first one (in stack order) that fails raises their error.
+    """
+    h = np.asarray(h, dtype=complex)
+    h_dag = np.conj(np.swapaxes(h, -1, -2))
+    resid = np.abs(h - h_dag).max(axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(resid > hermitian_atol)
+    if bad.size:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
+            f"{hermitian_atol:g}")
+    energies, vectors = np.linalg.eigh((h + h_dag) / 2.0)
+    vectors = vectors[..., ::-1]
+    # phase: the first coefficient above 1e-10 of each column (a unit
+    # column always has one) is made real and positive
+    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, pivot, axis=-2)
+    vectors = vectors / (lead / np.abs(lead))
+    drift = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) > 1e-10
+    if drift.any():
+        columns = np.moveaxis(vectors, -1, -2).reshape(-1, h.shape[-1])
+        SpinorState(columns[np.flatnonzero(drift)[0]])
+    return energies[..., ::-1], vectors
 
 
 def eigensolve(h: np.ndarray, *, hermitian_atol: float = 1e-12) \
@@ -230,50 +248,76 @@ def eigensolve(h: np.ndarray, *, hermitian_atol: float = 1e-12) \
     Raises NonHermitianError if ``max|h - h^dagger|`` exceeds the
     tolerance.
     """
-    h = np.asarray(h, dtype=complex)
-    resid = np.max(np.abs(h - h.conj().T))
-    if resid > hermitian_atol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: residual {resid:g} exceeds "
-            f"{hermitian_atol:g}")
-    energies, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
-    out = []
-    for i in range(energies.size - 1, -1, -1):
-        out.append(SpinorState(_fix_phase(vectors[:, i]),
-                               energy=float(energies[i])))
-    return out
+    energies, vectors = _eigh_descending(h, hermitian_atol)
+    return [SpinorState(vectors[:, i], energy=float(energies[i]))
+            for i in range(energies.size)]
+
+
+def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
+                   hh_shift: float = 0.0, lh_shift: float = 0.0) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Topmost VB doublets of Voigt strains (..., 6) from one batched
+    eigensolve: energies (..., 2) and 8-component states (..., 8, 2).
+    Every doublet passes the checks of ``eigensolve`` and
+    ``validate_doublet``."""
+    energies, vectors = _eigh_descending(
+        -_vb_hole(k, voigt, p, -hh_shift, -lh_shift))
+    states = _full8(vectors[..., :2])
+    _check_doublets(energies[..., :2], states)
+    return energies[..., :2], states
 
 
 def top_valence_doublet(strain: StrainState, p: MaterialParams, k=(0, 0, 0),
                         *, hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[SpinorState, SpinorState]:
     """Topmost (Kramers-degenerate) VB doublet, as 8-component states."""
-    states = eigensolve(h6_vb(k, strain, p,
-                              hh_shift=hh_shift, lh_shift=lh_shift))
-    out = []
-    for s in states[:2]:
-        full = np.zeros(8, dtype=complex)
-        full[VB_SLICE] = s.coefficients
-        out.append(SpinorState(full, energy=s.energy))
-    return out[0], out[1]
+    energies, states = _doublet_stack(strain.as_voigt(), p, k,
+                                      hh_shift=hh_shift, lh_shift=lh_shift)
+    return tuple(SpinorState(c, energy=float(e))
+                 for c, e in zip(states.T, energies))
+
+
+def _full8(states: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 6 or 8, j) padded to the full 8-band basis."""
+    if states.shape[-2] == 8:
+        return states
+    if states.shape[-2] == 6:
+        full = np.zeros(states.shape[:-2] + (8, states.shape[-1]),
+                        dtype=complex)
+        full[..., VB_SLICE, :] = states
+        return full
+    raise ValueError("projection needs 6- or 8-component states")
+
+
+def _check_doublets(energies: np.ndarray, states: np.ndarray,
+                    *, degeneracy_atol: float = 1e-6) -> None:
+    """Check that pairs, energies (..., 2) and states (..., m, 2), are
+    degenerate and orthogonal; the first failing pair raises."""
+    gap = np.abs(energies[..., 0] - energies[..., 1]).ravel()
+    gram = np.conj(np.swapaxes(states, -1, -2)) @ states
+    overlap = np.abs(gram[..., 0, 1]).ravel()
+    bad = np.flatnonzero((gap > degeneracy_atol) | (overlap > 1e-8))
+    if bad.size and gap[bad[0]] > degeneracy_atol:
+        raise ValueError(
+            f"states are not degenerate: |dE| = {gap[bad[0]]:g} eV exceeds "
+            f"{degeneracy_atol:g} eV")
+    if bad.size:
+        raise ValueError(f"doublet states are not orthogonal "
+                         f"(|overlap| = {overlap[bad[0]]:g})")
 
 
 def validate_doublet(a: SpinorState, b: SpinorState,
-                     *, degeneracy_atol: float = 1e-6) -> None:
-    """Check that two states form a degenerate orthonormal pair."""
+                     *, degeneracy_atol: float = 1e-6) -> np.ndarray:
+    """Check that two states form a degenerate orthonormal pair; returns
+    their coefficients as the columns of an (m, 2) array."""
     if a.energy is None or b.energy is None:
         raise ValueError("doublet states need energies attached")
-    gap = abs(a.energy - b.energy)
-    if gap > degeneracy_atol:
-        raise ValueError(
-            f"states are not degenerate: |dE| = {gap:g} eV exceeds "
-            f"{degeneracy_atol:g} eV")
     if a.coefficients.shape != b.coefficients.shape:
         raise ValueError("doublet states live in different bases")
-    overlap = abs(np.vdot(a.coefficients, b.coefficients))
-    if overlap > 1e-8:
-        raise ValueError(f"doublet states are not orthogonal "
-                         f"(|overlap| = {overlap:g})")
+    psi = np.array([a.coefficients, b.coefficients]).T
+    _check_doublets(np.array([a.energy, b.energy]), psi,
+                    degeneracy_atol=degeneracy_atol)
+    return psi
 
 
 def bloch_orbital_matrix() -> np.ndarray:

@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kp_bulk
-from ._parallel import map_ordered
-from .axis import _as_full8
-from .elasticity import StrainState, superpose, uniaxial_strain
-from .kp_bulk import SpinorState, bloch_orbital_matrix, validate_doublet
+from .axis import _doublet_weights
+from .elasticity import StrainState, uniaxial_sweep
+from .kp_bulk import (SpinorState, _doublet_stack, _full8,
+                      bloch_orbital_matrix, validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -40,8 +39,10 @@ DIPOLE_SWEEP_COLUMNS = ("strain_xx", "s_x", "s_y", "s_z",
 
 _U0 = bloch_orbital_matrix()
 # rows of the product representation holding X/Y/Z content per spin
-_ORBITAL_ROWS = {"x": (1, 5), "y": (2, 6), "z": (3, 7)}
+_XYZ_UP, _XYZ_DN = [1, 2, 3], [5, 6, 7]
 _S_ROWS = (0, 4)
+# (X, Y, Z) x (up, dn) product states in the Bloch basis, spin-major
+_PRODUCT_XYZ = _U0.conj().T[:, _XYZ_UP + _XYZ_DN]
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,11 @@ class RateCalibration:
         if not self.reference_lifetime_ps > 0:
             raise ValueError("reference lifetime must be positive")
 
+    @property
+    def ghz_per_strength(self) -> float:
+        """Rate of a unit dipole strength, 1/(s_bright tau_ref)."""
+        return 1e3 / (0.5 * self.reference_lifetime_ps)
+
 
 class Polarization(NamedTuple):
     """Degree of linear polarization and the in-plane angle of maximal
@@ -100,10 +106,6 @@ class AngularDensity:
         return float(np.sum(self.density * self.weights))
 
 
-def _product_coeffs(state: SpinorState) -> np.ndarray:
-    return _U0 @ _as_full8(state)
-
-
 def angular_density(state: SpinorState, n_theta: int = 90,
                     n_phi: int = 180) -> AngularDensity:
     """Angular probability density of a valence state's Bloch part.
@@ -114,7 +116,7 @@ def angular_density(state: SpinorState, n_theta: int = 90,
     quadrature error of the cell-centered grid (about 1e-3 at the
     default resolution); exported files are normalized downstream.
     """
-    v = _product_coeffs(state)
+    v = _U0 @ _full8(state.coefficients[:, None])[:, 0]
     s_weight = sum(abs(v[i]) ** 2 for i in _S_ROWS)
     if s_weight > 1e-9:
         raise ValueError("angular density is defined for VB states only")
@@ -126,13 +128,23 @@ def angular_density(state: SpinorState, n_theta: int = 90,
                          norm * np.sin(tt) * np.sin(pp),
                          norm * np.cos(tt)])
     density = np.zeros_like(tt)
-    for spin_rows in ((1, 2, 3), (5, 6, 7)):
-        amp = np.tensordot(v[list(spin_rows)], orbitals, axes=(0, 0))
+    for spin_rows in (_XYZ_UP, _XYZ_DN):
+        amp = np.tensordot(v[spin_rows], orbitals, axes=(0, 0))
         density += np.abs(amp) ** 2
     dth = math.pi / n_theta
     dph = 2.0 * math.pi / n_phi
     weights = np.sin(tt) * dth * dph
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
+
+
+def _strengths(psi: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+    """(s_x, s_y, s_z), last axis, of doublets ``psi`` (..., 8, 2)."""
+    basis = _PRODUCT_XYZ
+    if frame is not None:
+        rot = np.asarray(frame).T
+        basis = np.hstack([basis[:, :3] @ rot, basis[:, 3:] @ rot])
+    weight = _doublet_weights(basis, psi)
+    return weight[..., :3] + weight[..., 3:]
 
 
 def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
@@ -144,16 +156,8 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
     weights are invariant under unitary remixing of the doublet and sum
     to one for valence states.
     """
-    a, b = doublet
-    validate_doublet(a, b, degeneracy_atol=degeneracy_atol)
-    s = np.zeros(3)
-    for state in (a, b):
-        v = _product_coeffs(state)
-        xyz = np.stack([v[[1, 2, 3]], v[[5, 6, 7]]])  # (spin, orbital)
-        if frame is not None:
-            xyz = xyz @ np.asarray(frame).T
-        s += np.sum(np.abs(xyz) ** 2, axis=0)
-    s *= 0.5
+    psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
+    s = _strengths(_full8(psi), frame)
     return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))
 
 
@@ -165,14 +169,14 @@ def rates(strengths: DipoleStrengths, calibration: RateCalibration) \
     4 GHz for tau_ref = 250 ps, and a fully concentrated dipole (s = 1)
     to twice that.
     """
-    scale = 1e3 / (0.5 * calibration.reference_lifetime_ps)  # GHz per unit s
+    scale = calibration.ghz_per_strength
     return replace(strengths, r_x=strengths.s_x * scale,
                    r_y=strengths.s_y * scale, r_z=strengths.s_z * scale)
 
 
 def dipole_sweep(stresses_gpa, prestress: StrainState | None,
-                 p: MaterialParams, calibration: RateCalibration | None = None,
-                 *, threads: int = 1) -> np.ndarray:
+                 p: MaterialParams,
+                 calibration: RateCalibration | None = None) -> np.ndarray:
     """Dipole strengths and rates of the prestressed-bulk hole ground
     state along a uniaxial stress sweep.
 
@@ -180,16 +184,10 @@ def dipole_sweep(stresses_gpa, prestress: StrainState | None,
     calibration is given.
     """
     calibration = calibration or RateCalibration()
-
-    def one(sigma: float):
-        strain = uniaxial_strain(sigma, p)
-        if prestress is not None:
-            strain = superpose(prestress, strain)
-        doublet = kp_bulk.top_valence_doublet(strain, p)
-        s = rates(dipole_strengths(doublet), calibration)
-        return (strain.exx, s.s_x, s.s_y, s.s_z, s.r_x, s.r_y, s.r_z)
-
-    return np.array(map_ordered(one, stresses_gpa, threads))
+    _, total = uniaxial_sweep(stresses_gpa, p, prestress)
+    _, psi = _doublet_stack(total, p)
+    s = _strengths(psi)
+    return np.hstack([total[:, :1], s, s * calibration.ghz_per_strength])
 
 
 def dlp_and_angle(strengths: DipoleStrengths,

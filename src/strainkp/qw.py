@@ -20,15 +20,15 @@ up and the HH/LH edges down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import kp_bulk
 from ._parallel import map_ordered
-from .axis import ProjectionResult, QuantizationAxis, _rotation_matrix
-from .elasticity import StrainState, uniaxial_strain
+from .axis import ProjectionResult, QuantizationAxis, _project
+from .elasticity import StrainState, uniaxial_sweep
 from .kp_bulk import HBAR2_OVER_2M0
 from .materials import MaterialParams, algaas
 
@@ -261,39 +261,35 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
     a, b = doublet
     if abs(a.energy - b.energy) > 1e-6:
         raise ValueError("envelope states are not degenerate")
-    w6 = _rotation_matrix(axis)[2:, 2:]
-    acc = np.zeros(6)
-    for state in (a, b):
-        acc += np.sum(np.abs(w6.conj().T @ state.coefficients) ** 2, axis=1)
-    acc *= 0.5
-    return ProjectionResult(p_hh=float(acc[0] + acc[3]),
-                            p_lh=float(acc[1] + acc[2]),
-                            p_so=float(acc[4] + acc[5]))
+    psi = np.hstack([a.coefficients, b.coefficients])
+    return ProjectionResult(*_project(psi, axis).tolist())
 
 
-def qw_mixing_vs_strain(thicknesses_nm, stresses_gpa, axis: QuantizationAxis,
-                        table, *, barrier_thickness_nm: float = 20.0,
+def qw_mixing_vs_strain(thicknesses_nm, stresses_gpa, axes, table, *,
+                        barrier_thickness_nm: float = 20.0,
                         barrier_al_fraction: float = 0.4,
                         grid_points: int = 301,
                         threads: int = 1) -> dict[float, np.ndarray]:
     """Mixing curves for several well thicknesses under uniaxial stress.
 
-    Returns one (n_stress, 4) array of rows (strain_xx, p_hh, p_lh, p_so)
-    per thickness; the strain is computed from the well stiffness.
+    Returns one (n_stress, 1 + 3 len(axes)) array per thickness, with
+    rows (strain_xx, p_hh, p_lh, p_so for each axis in ``axes``); every
+    axis projects the same solved doublet.  The well is GaAs and the
+    strain is computed from its stiffness.
     """
-    gaas = table["GaAs"]
+    _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
     out = {}
     for t in thicknesses_nm:
         geometry = QwGeometry(t, barrier_thickness_nm, barrier_al_fraction,
                               grid_points)
 
-        def one(sigma: float, geometry=geometry):
-            strain = uniaxial_strain(sigma, gaas)
-            states = solve_qw(geometry, strain, table, n_states=2)
-            proj = envelope_projection(states[:2], axis)
-            return strain.exx, proj.p_hh, proj.p_lh, proj.p_so
+        def one(voigt, geometry=geometry):
+            states = solve_qw(geometry, StrainState(*voigt), table, 2)
+            return [voigt[0]] + [
+                v for axis in axes
+                for v in astuple(envelope_projection(states[:2], axis))]
 
-        out[float(t)] = np.array(map_ordered(one, stresses_gpa, threads))
+        out[float(t)] = np.array(map_ordered(one, strains, threads))
     return out
 
 

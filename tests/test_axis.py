@@ -216,14 +216,6 @@ def test_mixing_curve_abscissa_flag(gaas):
         mixing_curve(stresses, pre, Z_AXIS, gaas, abscissa="bogus")
 
 
-def test_mixing_curve_threads_deterministic(gaas):
-    pre = biaxial_strain(-0.12, gaas)
-    stresses = np.linspace(-1, 1, 11)
-    serial = mixing_curve(stresses, pre, X_AXIS, gaas, threads=1)
-    threaded = mixing_curve(stresses, pre, X_AXIS, gaas, threads=4)
-    assert np.array_equal(serial, threaded)
-
-
 def test_mixing_map_edges_match_curves(gaas):
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(-2, 2, 21)

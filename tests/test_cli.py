@@ -188,6 +188,17 @@ def test_invalid_configs_exit_2(tmp_path, body, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_qw_rejects_non_gaas_material(tmp_path, capsys):
+    # the well is GaAs; another material's stiffness must not drive it
+    bad = tmp_path / "alas.ini"
+    bad.write_text("[run]\nmaterial = AlAs\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qw", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "[run] material" in err
+
+
 def test_missing_config_file_exit_2(tmp_path):
     assert main(["mixing-curve", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "out")]) == 2
