@@ -21,7 +21,7 @@ from . import axis as axis_mod
 from . import kp_bulk, optics, qw
 from .elasticity import (ActuatorGeometry, StrainState, actuator_strain,
                          biaxial_strain, uniaxial_sweep)
-from .kp_bulk import NonHermitianError
+from .kp_bulk import NumericalError
 from .materials import (MaterialParams, ParameterLoadError,
                         default_parameter_table, load_parameter_table)
 
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         fmt = args.format or cfg.output_format
         handler = _COMMANDS[args.command]
         return handler(cfg, args.out, fmt, max(1, args.threads), args.steps)
-    except (NonHermitianError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"strainkp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ParameterLoadError, ValueError) as exc:

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .elasticity import StrainState
 from .materials import MaterialParams
@@ -50,6 +49,7 @@ __all__ = [
     "HH_INDICES",
     "LH_INDICES",
     "NonHermitianError",
+    "NumericalError",
     "ORBITAL_SPIN_LABELS",
     "SO_INDICES",
     "SpinorState",
@@ -85,7 +85,12 @@ _ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
                          (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]).T
 
 
-class NonHermitianError(ValueError):
+class NumericalError(ValueError):
+    """A computed result failed a numerical check (Hermiticity, doublet
+    degeneracy or orthogonality, norm drift)."""
+
+
+class NonHermitianError(NumericalError):
     """Input matrix is not Hermitian within the requested tolerance."""
 
 
@@ -119,7 +124,7 @@ class SpinorState:
             raise ValueError(f"unsupported spinor shape {coeff.shape}")
         norm = np.linalg.norm(coeff)
         if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"spinor norm {norm} deviates from 1")
+            raise NumericalError(f"spinor norm {norm} deviates from 1")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
 
@@ -207,6 +212,15 @@ def h4_topmost(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     return h6_vb(k, strain, p)[:4, :4]
 
 
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Unit columns of (..., m, j) with the first coefficient above 1e-10
+    of each (a unit column always has one) made real and positive, so
+    degenerate subspaces come out reproducibly for identical inputs."""
+    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, pivot, axis=-2)
+    return vectors / (lead / np.abs(lead))
+
+
 def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
         -> tuple[np.ndarray, np.ndarray]:
     """Energies (..., m), descending, and phase-fixed unit eigenvectors
@@ -224,12 +238,7 @@ def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
             f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
             f"{hermitian_atol:g}")
     energies, vectors = np.linalg.eigh((h + h_dag) / 2.0)
-    vectors = vectors[..., ::-1]
-    # phase: the first coefficient above 1e-10 of each column (a unit
-    # column always has one) is made real and positive
-    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)[..., None, :]
-    lead = np.take_along_axis(vectors, pivot, axis=-2)
-    vectors = vectors / (lead / np.abs(lead))
+    vectors = _fix_phases(vectors[..., ::-1])
     drift = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) > 1e-10
     if drift.any():
         columns = np.moveaxis(vectors, -1, -2).reshape(-1, h.shape[-1])
@@ -298,12 +307,12 @@ def _check_doublets(energies: np.ndarray, states: np.ndarray,
     overlap = np.abs(gram[..., 0, 1]).ravel()
     bad = np.flatnonzero((gap > degeneracy_atol) | (overlap > 1e-8))
     if bad.size and gap[bad[0]] > degeneracy_atol:
-        raise ValueError(
+        raise NumericalError(
             f"states are not degenerate: |dE| = {gap[bad[0]]:g} eV exceeds "
             f"{degeneracy_atol:g} eV")
     if bad.size:
-        raise ValueError(f"doublet states are not orthogonal "
-                         f"(|overlap| = {overlap[bad[0]]:g})")
+        raise NumericalError(f"doublet states are not orthogonal "
+                             f"(|overlap| = {overlap[bad[0]]:g})")
 
 
 def validate_doublet(a: SpinorState, b: SpinorState,
@@ -342,22 +351,11 @@ def bloch_orbital_matrix() -> np.ndarray:
 def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:
     """Band energies along a wavevector path, shape (n_k, 8).
 
-    Bands are ordered by energy (descending) at the first point and then
-    tracked through the path by maximum eigenvector overlap, so each
-    column follows one band continuously.
+    Row i holds the eight eigenvalues of ``build_h8`` at the i-th k-point
+    in descending order; near k = 0 columns 0-1 are the CB pair and
+    columns 2-7 the VB states from the top down.  Bands are sorted, not
+    tracked through crossings: inside a Kramers pair no overlap
+    criterion could tell them apart.
     """
-    path = list(path)
-    energies = np.empty((len(path), 8))
-    prev = None
-    for i, k in enumerate(path):
-        states = eigensolve(build_h8(k, strain, p))
-        vecs = np.column_stack([s.coefficients for s in states])
-        ens = np.array([s.energy for s in states])
-        if prev is None:
-            order = np.arange(8)
-        else:
-            overlap = np.abs(prev.conj().T @ vecs)
-            _, order = linear_sum_assignment(-overlap)
-        energies[i] = ens[order]
-        prev = vecs[:, order]
-    return energies
+    h = np.array([build_h8(k, strain, p) for k in path]).reshape(-1, 8, 8)
+    return _eigh_descending(h)[0]

@@ -2,15 +2,23 @@
 
 At in-plane wavevector zero, kz in the valence Hamiltonian is replaced
 by -i d/dz and the z dependence of the band edges acts as the potential.
-Position-dependent kz^2 coefficients A(z) are discretized with the
-Hermitian box scheme
+The well and the bulk share one Hamiltonian: each grid node carries the
+bulk 6x6 of ``kp_bulk`` (Luttinger-Kohn + Bir-Pikus) for its material at
+k = 0 and the applied strain, plus the discretized kz A(z) kz, where A is
+that material's bulk kz^2 coefficient matrix (real symmetric: the g1/g2
+diagonal terms and the LH-SO coupling -sqrt(2) Q).  Every kz^2 term takes
+the symmetrized ordering kz A(z) kz, discretized with the Hermitian box
+scheme
 
     kz A kz -> [ -(A_i + A_{i+1}) psi_{i+1} + (A_{i-1} + 2 A_i + A_{i+1})
                  psi_i - (A_{i-1} + A_i) psi_{i-1} ] / (2 h^2)
 
 on N interior nodes with hard-wall (Dirichlet) boundaries at the domain
-edges.  The applied strain is taken constant through the stack and is
-computed from the well material's stiffness (the barrier inherits it).
+edges.  At k_parallel = 0 the Hamiltonian has no term linear in kz (the
+S term g3 kz k_parallel vanishes), so the ordering ambiguity of such
+terms at interfaces (Foreman, PRB 48, 4964 (1993)) does not arise.  The
+applied strain is taken constant through the stack and is computed from
+the well material's stiffness (the barrier inherits it).
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -29,7 +37,6 @@ from . import kp_bulk
 from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import HBAR2_OVER_2M0
 from .materials import MaterialParams, algaas
 
 __all__ = [
@@ -44,10 +51,6 @@ __all__ = [
     "transition_energy",
     "vb_edge_profile",
 ]
-
-_SQ2 = math.sqrt(2.0)
-_SQ32 = math.sqrt(1.5)
-
 
 @dataclass(frozen=True)
 class QwGeometry:
@@ -100,7 +103,8 @@ class EnvelopeState:
             raise ValueError("envelope coefficients must have shape (6, N)")
         norm = np.linalg.norm(c)
         if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"envelope norm {norm} deviates from 1")
+            raise kp_bulk.NumericalError(
+                f"envelope norm {norm} deviates from 1")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
@@ -155,75 +159,38 @@ def vb_edge_profile(geometry: QwGeometry, table, well=None, barrier=None):
     return z, ev
 
 
-def _site_value(attr, inside, well, barrier) -> np.ndarray:
-    return np.where(inside, getattr(well, attr), getattr(barrier, attr))
-
-
-def _kinetic(a: np.ndarray, h: float) -> np.ndarray:
-    """Tridiagonal block for kz a(z) kz with Dirichlet boundaries; the
-    off-grid neighbours of the end nodes reuse the end values."""
-    ae = np.concatenate([[a[0]], a, [a[-1]]])
-    main = (ae[:-2] + 2.0 * ae[1:-1] + ae[2:]) / (2.0 * h * h)
-    off = -(a[:-1] + a[1:]) / (2.0 * h * h)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
                          well: MaterialParams | None = None,
                          barrier: MaterialParams | None = None) -> np.ndarray:
     """6N x 6N electron-picture Hamiltonian of the well at k_parallel = 0.
 
-    Band blocks follow the VB ordering of the bulk module; each scalar
-    entry of the bulk 6x6 becomes an N x N block, tridiagonal where the
-    entry carries kz^2 content (the g1 and g2 kinetic terms) and diagonal
-    otherwise.  The result is Hermitian by construction.
+    Band-major: index band * N + node, bands in the VB order of the bulk
+    module.  Each node's diagonal block is the bulk ``kp_bulk.h6_vb`` of
+    its material at k = 0 and the applied strain; kz A kz adds the box
+    scheme of the module docstring, with the off-grid neighbours of the
+    end nodes reusing the end values.  The result is Hermitian by
+    construction.
     """
-    z, inside, well, barrier = _materials_profile(geometry, table,
+    _, inside, well, barrier = _materials_profile(geometry, table,
                                                   well, barrier)
-    h = geometry.spacing()
     n = geometry.grid_points
-    tr = strain.trace()
-    exx, eyy, ezz = strain.exx, strain.eyy, strain.ezz
-    eyz, exz, exy = strain.eyz, strain.exz, strain.exy
+    kz = (0.0, 0.0, 1.0 / geometry.spacing())
+    onsite = np.array([kp_bulk.h6_vb((0.0, 0.0, 0.0), strain, m)
+                       for m in (well, barrier)])
+    # A / h^2: the bulk kz^2 term at kz = 1/h (k-independent parts drop out)
+    a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in (well, barrier)]) \
+        - onsite
+    node = np.where(inside, 0, 1)
+    onsite, a = onsite[node], a[node]
+    ae = np.concatenate([a[:1], a, a[-1:]])
+    off = -(a[:-1] + a[1:]) / 2.0
 
-    g1 = _site_value("gamma1", inside, well, barrier)
-    g2 = _site_value("gamma2", inside, well, barrier)
-    av = _site_value("av", inside, well, barrier)
-    b = _site_value("b", inside, well, barrier)
-    d = _site_value("d", inside, well, barrier)
-    dso = _site_value("delta", inside, well, barrier)
-    ev_hole = -np.where(inside, well.vb_edge, barrier.vb_edge)
-
-    pe = -av * tr
-    qe = -0.5 * b * (exx + eyy - 2.0 * ezz)
-    re = 0.5 * math.sqrt(3.0) * b * (exx - eyy) - 1.0j * d * exy
-    se = -d * (exz - 1.0j * eyz)
-
-    p_blk = np.diag((ev_hole + pe).astype(complex)) \
-        + _kinetic(HBAR2_OVER_2M0 * g1, h)
-    q_blk = np.diag(qe.astype(complex)) \
-        + _kinetic(-2.0 * HBAR2_OVER_2M0 * g2, h)
-    r_blk = np.diag(re.astype(complex))
-    s_blk = np.diag(se.astype(complex))
-    d_blk = np.diag(dso.astype(complex))
-    zero = np.zeros((n, n), dtype=complex)
-
-    def dag(m):
-        return m.conj().T
-
-    hole = np.block([
-        [p_blk + q_blk, -s_blk, r_blk, zero, -s_blk / _SQ2, _SQ2 * r_blk],
-        [dag(-s_blk), p_blk - q_blk, zero, r_blk, -_SQ2 * q_blk,
-         _SQ32 * s_blk],
-        [dag(r_blk), zero, p_blk - q_blk, s_blk, _SQ32 * dag(s_blk),
-         _SQ2 * q_blk],
-        [zero, dag(r_blk), dag(s_blk), p_blk + q_blk, -_SQ2 * dag(r_blk),
-         -dag(s_blk) / _SQ2],
-        [dag(-s_blk / _SQ2), -_SQ2 * dag(q_blk), _SQ32 * s_blk,
-         -_SQ2 * r_blk, p_blk + d_blk, zero],
-        [_SQ2 * dag(r_blk), _SQ32 * dag(s_blk), _SQ2 * dag(q_blk),
-         -s_blk / _SQ2, zero, p_blk + d_blk]])
-    return -hole
+    ham = np.zeros((6, n, 6, n), dtype=complex)
+    i = np.arange(n)
+    ham[:, i, :, i] = onsite + (ae[:-2] + 2.0 * a + ae[2:]) / 2.0
+    ham[:, i[:-1], :, i[1:]] = off
+    ham[:, i[1:], :, i[:-1]] = np.conj(np.swapaxes(off, -1, -2))
+    return ham.reshape(6 * n, 6 * n)
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
@@ -231,7 +198,9 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
              barrier: MaterialParams | None = None) -> list[EnvelopeState]:
     """Topmost hole states, descending in energy (Kramers pairs).
 
-    The hole ground state is the first returned doublet.
+    The hole ground state is the first returned doublet.  Phases follow
+    ``kp_bulk.eigensolve``: the first significant coefficient is real and
+    positive.
     """
     ham = build_qw_hamiltonian(geometry, strain, table,
                                well=well, barrier=barrier)
@@ -239,16 +208,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     n_states = min(n_states, dim)
     energies, vectors = scipy.linalg.eigh(
         ham, subset_by_index=[dim - n_states, dim - 1])
+    vectors = kp_bulk._fix_phases(vectors[:, ::-1])
     z = geometry.grid()
-    states = []
-    for i in range(n_states - 1, -1, -1):
-        vec = vectors[:, i]
-        pivot = np.flatnonzero(np.abs(vec) > 1e-10)
-        if pivot.size:
-            vec = vec * (abs(vec[pivot[0]]) / vec[pivot[0]])
-        states.append(EnvelopeState(energy=float(energies[i]),
-                                    coefficients=vec.reshape(6, -1), z=z))
-    return states
+    return [EnvelopeState(energy=float(e), coefficients=v.reshape(6, -1), z=z)
+            for e, v in zip(energies[::-1], vectors.T)]
 
 
 def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
@@ -259,8 +222,9 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
     axis = z and stay doublet-remix invariant for any axis.
     """
     a, b = doublet
-    if abs(a.energy - b.energy) > 1e-6:
-        raise ValueError("envelope states are not degenerate")
+    kp_bulk._check_doublets(
+        np.array([a.energy, b.energy]),
+        np.array([a.coefficients.ravel(), b.coefficients.ravel()]).T)
     psi = np.hstack([a.coefficients, b.coefficients])
     return ProjectionResult(*_project(psi, axis).tolist())
 

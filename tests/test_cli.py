@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from strainkp import kp_bulk
 from strainkp.cli import main
 
 SMALL_CONFIG = """
@@ -197,6 +199,24 @@ def test_qw_rejects_non_gaas_material(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and "[run] material" in err
+
+
+def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
+    # a doublet check that no pair can pass stands in for a crossing or
+    # split doublet: a numerical failure, not a configuration error
+    monkeypatch.setattr(kp_bulk, "_check_doublets", functools.partial(
+        kp_bulk._check_doublets, degeneracy_atol=-1))
+    assert main(["mixing-curve", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_4(tmp_path, config, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["mixing-curve", "--config", str(config),
+                 "--out", str(blocker / "out")]) == 4
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_2(tmp_path):

@@ -203,6 +203,7 @@ def test_dispersion_anisotropic_mass_under_uniaxial_tension(gaas):
     for direction in ("x", "y"):
         path = [Wavevector(**{f"k{direction}": float(k)}) for k in ks]
         energies = dispersion(path, strain, gaas)
+        assert np.all(np.diff(energies, axis=1) <= 0)  # descending rows
         curv[direction] = np.polyfit(ks, energies[:, 2], 2)[0]
     assert curv["x"] < 0 and curv["y"] < 0
     assert abs(curv["x"]) < abs(curv["y"])

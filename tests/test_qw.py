@@ -6,7 +6,7 @@ import pytest
 
 from strainkp.axis import QuantizationAxis
 from strainkp.elasticity import StrainState, uniaxial_strain
-from strainkp.kp_bulk import HBAR2_OVER_2M0
+from strainkp.kp_bulk import HBAR2_OVER_2M0, h6_vb
 from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
                          QwGeometry, build_qw_hamiltonian,
@@ -85,6 +85,28 @@ def test_uniform_material_reduces_to_particle_in_a_box(table, gaas):
         expected += [e_hh, e_hh, e_lh, e_lh]
     expected = np.sort(expected)[::-1][:6]
     assert numeric == pytest.approx(expected, abs=1e-10)
+
+
+def test_uniform_sheared_well_splits_into_bulk_modes(table, gaas,
+                                                     random_strain):
+    # barrier == well under a sheared strain: every band shares the box
+    # sine modes, so mode n is exactly the bulk 6x6 at kz^2 = lambda_n.
+    # Any sign or ordering difference between the well's R/S entries and
+    # the bulk ones breaks the match.
+    geometry = QwGeometry(12.0, barrier_thickness_nm=20.0, grid_points=61)
+    n_pts = geometry.grid_points
+    h = geometry.spacing()
+    lam = (2.0 / h ** 2) * (1.0 - np.cos(np.arange(1, n_pts + 1) * math.pi
+                                         / (n_pts + 1)))
+    for _ in range(3):
+        strain = random_strain(scale=0.005)
+        ham = build_qw_hamiltonian(geometry, strain, table,
+                                   well=gaas, barrier=gaas)
+        expected = np.concatenate([
+            np.linalg.eigvalsh(h6_vb((0.0, 0.0, math.sqrt(l)), strain, gaas))
+            for l in lam])
+        assert np.linalg.eigvalsh(ham) == pytest.approx(np.sort(expected),
+                                                        abs=1e-10)
 
 
 def test_hole_ground_state_unstrained(table):
