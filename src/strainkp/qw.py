@@ -20,6 +20,15 @@ terms at interfaces (Foreman, PRB 48, 4964 (1993)) does not arise.  The
 applied strain is taken constant through the stack and is computed from
 the well material's stiffness (the barrier inherits it).
 
+One private builder gives each node's 6x6 diagonal block and the block
+coupling it to the next node.  ``build_qw_hamiltonian`` assembles them
+into a dense band-major matrix, kept as the reference for tests and
+benchmarks; ``solve_qw`` assembles the same blocks site-major into a
+sparse block-tridiagonal matrix and finds the topmost states by ARPACK
+shift-invert with a shift proven to lie above the spectrum (see its
+docstring).  scipy is imported only there, so bulk-only use never loads
+it.
+
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
 up and the HH/LH edges down.
@@ -31,7 +40,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kp_bulk
 from ._parallel import map_ordered
@@ -141,6 +149,11 @@ class EmulationOffsets:
 #: CB/HH/LH confinement energies emulating an 8 nm well (eV).
 DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 
+# distance of the shift-invert shift above the bound on the QW spectrum
+# (eV), and the seed of ARPACK's fixed start vector
+_SHIFT_MARGIN_EV = 1e-3
+_START_SEED = 20240817
+
 
 def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
     well = well if well is not None else table["GaAs"]
@@ -159,21 +172,19 @@ def vb_edge_profile(geometry: QwGeometry, table, well=None, barrier=None):
     return z, ev
 
 
-def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
-                         well: MaterialParams | None = None,
-                         barrier: MaterialParams | None = None) -> np.ndarray:
-    """6N x 6N electron-picture Hamiltonian of the well at k_parallel = 0.
+def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
+                 barrier):
+    """Block formulas of the well Hamiltonian, shared by the dense and the
+    sparse assembly.
 
-    Band-major: index band * N + node, bands in the VB order of the bulk
-    module.  Each node's diagonal block is the bulk ``kp_bulk.h6_vb`` of
-    its material at k = 0 and the applied strain; kz A kz adds the box
-    scheme of the module docstring, with the off-grid neighbours of the
-    end nodes reusing the end values.  The result is Hermitian by
-    construction.
+    Returns (diag, upper, onsite, a): each node's diagonal 6x6 block
+    (N, 6, 6), the block coupling node i to node i + 1 (N - 1, 6, 6),
+    and the k = 0 bulk 6x6 and kz^2 matrix A / h^2 of the well and the
+    barrier material (2, 6, 6) each.  The block coupling node i + 1 to
+    node i is the conjugate transpose of ``upper[i]``.
     """
     _, inside, well, barrier = _materials_profile(geometry, table,
                                                   well, barrier)
-    n = geometry.grid_points
     kz = (0.0, 0.0, 1.0 / geometry.spacing())
     onsite = np.array([kp_bulk.h6_vb((0.0, 0.0, 0.0), strain, m)
                        for m in (well, barrier)])
@@ -181,16 +192,45 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
     a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in (well, barrier)]) \
         - onsite
     node = np.where(inside, 0, 1)
-    onsite, a = onsite[node], a[node]
-    ae = np.concatenate([a[:1], a, a[-1:]])
-    off = -(a[:-1] + a[1:]) / 2.0
+    an = a[node]
+    ae = np.concatenate([an[:1], an, an[-1:]])
+    diag = onsite[node] + (ae[:-2] + 2.0 * an + ae[2:]) / 2.0
+    upper = -(an[:-1] + an[1:]) / 2.0
+    return diag, upper, onsite, a
 
+
+def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
+                         well: MaterialParams | None = None,
+                         barrier: MaterialParams | None = None) -> np.ndarray:
+    """Dense 6N x 6N electron-picture Hamiltonian of the well at
+    k_parallel = 0.
+
+    Band-major: index band * N + node, bands in the VB order of the bulk
+    module.  Each node's diagonal block is the bulk ``kp_bulk.h6_vb`` of
+    its material at k = 0 and the applied strain; kz A kz adds the box
+    scheme of the module docstring, with the off-grid neighbours of the
+    end nodes reusing the end values.  The result is Hermitian by
+    construction.  ``solve_qw`` assembles the same blocks as a sparse
+    matrix; this dense form is the reference the tests compare it with.
+    """
+    diag, upper, _, _ = _node_blocks(geometry, strain, table, well, barrier)
+    n = geometry.grid_points
     ham = np.zeros((6, n, 6, n), dtype=complex)
     i = np.arange(n)
-    ham[:, i, :, i] = onsite + (ae[:-2] + 2.0 * a + ae[2:]) / 2.0
-    ham[:, i[:-1], :, i[1:]] = off
-    ham[:, i[1:], :, i[:-1]] = np.conj(np.swapaxes(off, -1, -2))
+    ham[:, i, :, i] = diag
+    ham[:, i[:-1], :, i[1:]] = upper
+    ham[:, i[1:], :, i[:-1]] = np.conj(np.swapaxes(upper, -1, -2))
     return ham.reshape(6 * n, 6 * n)
+
+
+def _time_reversal() -> np.ndarray:
+    """U of time reversal on the six VB coefficients, T psi = U conj(psi):
+    i sigma_y K on the spin of the (S, X, Y, Z) x spin products of
+    ``kp_bulk.bloch_orbital_matrix``, whose orbitals are real."""
+    b = kp_bulk.bloch_orbital_matrix()
+    spin = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
+    vb = kp_bulk.VB_SLICE
+    return (np.conj(b.T) @ spin @ np.conj(b))[vb, vb]
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
@@ -200,18 +240,96 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
 
     The hole ground state is the first returned doublet.  Phases follow
     ``kp_bulk.eigensolve``: the first significant coefficient is real and
-    positive.
+    positive.  ``n_states`` must lie in 1 ... 6N - 2 (ARPACK needs fewer
+    than 6N - 1).  Every returned pair (states 2j and 2j + 1) is checked
+    to be a degenerate orthogonal doublet; a failed check, an unconverged
+    eigensolve or a singular shifted matrix raises
+    ``kp_bulk.NumericalError``.
+
+    The blocks of ``build_qw_hamiltonian`` are assembled site-major
+    (index node * 6 + band), where H is block tridiagonal with bandwidth
+    11, as a sparse CSC matrix.  ARPACK shift-invert
+    (``scipy.sparse.linalg.eigsh`` with shift sigma) returns the states
+    nearest sigma.  sigma lies above the whole spectrum: H is the block
+    diagonal of on-site k = 0 bulk blocks plus the discretized kz A kz,
+    whose quadratic form is a sum over grid links of
+    d^H (A_i + A_{i+1}) / 2h^2 d (d the difference of neighbouring
+    nodes, the links to the hard walls included), so it is negative
+    semidefinite when each material's A is.
+    Then no eigenvalue of H exceeds the largest eigenvalue of the on-site
+    blocks, and sigma is that plus a margin, so the states nearest sigma
+    are the topmost ones.  A material whose A is not negative
+    semidefinite (e.g. gamma1 < 2 gamma2) raises
+    ``kp_bulk.NumericalError``.
+
+    ARPACK starts from a fixed, seeded complex Gaussian vector: its
+    default random start changes between calls, and a structured one
+    such as all ones can miss a symmetry sector.  A Krylov space grown
+    from one vector holds one direction per Kramers pair and finds the
+    partner only through round-off, so ARPACK can return one member of a
+    pair and a state of the next pair instead of the other member.  The
+    Ritz vectors are therefore joined by their time-reversed copies
+    T psi = U conj(psi) (node by node; T commutes with H at
+    k_parallel = 0), which completes every pair they touch.  scipy also
+    solves a complex matrix with ARPACK's non-Hermitian routine, whose
+    Ritz vectors of a pair are not orthogonal.  So the joined vectors are
+    orthonormalized (QR), H is diagonalized on their span
+    (Rayleigh-Ritz), and the topmost ``n_states`` are kept before the
+    phases are fixed.
     """
-    ham = build_qw_hamiltonian(geometry, strain, table,
-                               well=well, barrier=barrier)
-    dim = ham.shape[0]
-    n_states = min(n_states, dim)
-    energies, vectors = scipy.linalg.eigh(
-        ham, subset_by_index=[dim - n_states, dim - 1])
-    vectors = kp_bulk._fix_phases(vectors[:, ::-1])
+    n = geometry.grid_points
+    dim = 6 * n
+    if not 1 <= n_states <= dim - 2:
+        raise ValueError(f"n_states must lie in 1 ... {dim - 2} for "
+                         f"{n} grid points, got {n_states}")
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    diag, upper, onsite, a = _node_blocks(geometry, strain, table, well,
+                                          barrier)
+    if np.linalg.eigvalsh(a).max() > 1e-12 * np.abs(a).max():
+        raise kp_bulk.NumericalError(
+            "the kz^2 matrix of the well or barrier material is not "
+            "negative semidefinite (e.g. gamma1 < 2 gamma2), so no shift "
+            "above the QW spectrum is known")
+    sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
+
+    # site-major entries of the diagonal, upper and lower 6x6 blocks
+    i = np.arange(n)
+    blocks = np.concatenate([diag, upper,
+                             np.conj(np.swapaxes(upper, -1, -2))])
+    rows, cols = np.broadcast_arrays(
+        6 * np.concatenate([i, i[:-1], i[1:]])[:, None, None]
+        + np.arange(6)[:, None],
+        6 * np.concatenate([i, i[1:], i[:-1]])[:, None, None]
+        + np.arange(6))
+    ham = scipy.sparse.csc_array((blocks.ravel(),
+                                  (rows.ravel(), cols.ravel())),
+                                 shape=(dim, dim))
+
+    v0 = np.random.default_rng(_START_SEED).standard_normal(2 * dim) \
+        .view(complex)
+    try:
+        _, ritz = scipy.sparse.linalg.eigsh(ham, k=n_states, sigma=sigma,
+                                            v0=v0)
+    except RuntimeError as exc:  # ArpackError, or SuperLU: singular factor
+        raise kp_bulk.NumericalError(
+            f"sparse QW eigensolve failed: {exc}") from exc
+    ritz = ritz.reshape(n, 6, n_states)
+    ritz = np.concatenate([ritz, _time_reversal() @ np.conj(ritz)], axis=2)
+    q, _ = np.linalg.qr(ritz.reshape(dim, 2 * n_states))
+    energies, u = np.linalg.eigh(np.conj(q.T) @ (ham @ q))
+    energies = energies[:-n_states - 1:-1]
+    vectors = (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states)
+    vectors = kp_bulk._fix_phases(
+        vectors.transpose(1, 0, 2).reshape(dim, n_states))
+    pairs = n_states // 2
+    kp_bulk._check_doublets(
+        energies[:2 * pairs].reshape(pairs, 2),
+        vectors[:, :2 * pairs].reshape(dim, pairs, 2).transpose(1, 0, 2))
     z = geometry.grid()
     return [EnvelopeState(energy=float(e), coefficients=v.reshape(6, -1), z=z)
-            for e, v in zip(energies[::-1], vectors.T)]
+            for e, v in zip(energies, vectors.T)]
 
 
 def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:

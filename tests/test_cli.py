@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from strainkp import kp_bulk
 from strainkp.cli import main
@@ -209,6 +210,18 @@ def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
     assert main(["mixing-curve", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_qw_eigensolver_failure_exit_3(tmp_path, config, monkeypatch,
+                                       capsys):
+    def unconverged(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unconverged)
+    assert main(["qw", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "No convergence" in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_4(tmp_path, config, capsys):

@@ -1,15 +1,24 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
+import strainkp
+from strainkp import qw
 from strainkp.axis import QuantizationAxis
-from strainkp.elasticity import StrainState, uniaxial_strain
-from strainkp.kp_bulk import HBAR2_OVER_2M0, h6_vb
+from strainkp.elasticity import (StrainState, StressTensor,
+                                 strain_from_stress, uniaxial_strain)
+from strainkp.kp_bulk import HBAR2_OVER_2M0, NumericalError, h6_vb
 from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
-                         QwGeometry, build_qw_hamiltonian,
+                         EnvelopeState, QwGeometry, build_qw_hamiltonian,
                          envelope_projection, qw_mixing_vs_strain, solve_qw,
                          transition_energy, vb_edge_profile)
 
@@ -107,6 +116,127 @@ def test_uniform_sheared_well_splits_into_bulk_modes(table, gaas,
             for l in lam])
         assert np.linalg.eigvalsh(ham) == pytest.approx(np.sort(expected),
                                                         abs=1e-10)
+
+
+@pytest.mark.parametrize("grid_points", [51, 151, 301])
+def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
+                                         grid_points):
+    # the dense eigh of the dense builder is the oracle of the sparse
+    # shift-invert solve: same energies, same doublet character along z
+    # and a random axis, orthonormal states, reproducible coefficients.
+    # Zero strain has the most symmetry for a start vector to miss.
+    axes = (Z_AXIS, QuantizationAxis(rng.uniform(0.0, math.pi),
+                                     rng.uniform(0.0, 2.0 * math.pi)))
+    strains = [random_strain(scale=0.005)]
+    if grid_points < 301:
+        strains += [ZERO, random_strain(scale=0.005)]
+    for strain in strains:
+        geometry = QwGeometry(rng.uniform(3.0, 12.0), barrier_thickness_nm=
+                              10.0, grid_points=grid_points)
+        ham = build_qw_hamiltonian(geometry, strain, table)
+        dim = ham.shape[0]
+        energies, vectors = scipy.linalg.eigh(
+            ham, subset_by_index=[dim - 4, dim - 1])
+        dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
+                 for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
+        for n_states in (2, 4):
+            states = solve_qw(geometry, strain, table, n_states)
+            assert [s.energy for s in states] == pytest.approx(
+                [s.energy for s in dense[:n_states]], abs=1e-10)
+            c = np.array([s.coefficients.ravel() for s in states]).T
+            assert np.abs(np.conj(c.T) @ c - np.eye(n_states)).max() < 1e-8
+            for j in range(0, n_states, 2):
+                for axis in axes:
+                    assert astuple(envelope_projection(states[j:j + 2],
+                                                       axis)) == \
+                        pytest.approx(astuple(envelope_projection(
+                            dense[j:j + 2], axis)), abs=1e-10)
+            again = solve_qw(geometry, strain, table, n_states)
+            assert all(np.array_equal(a.coefficients, b.coefficients)
+                       for a, b in zip(states, again))
+
+
+def test_solve_qw_rejects_state_count_out_of_range(table):
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    for n_states in (0, 6 * 51 - 1):
+        with pytest.raises(ValueError, match="n_states"):
+            solve_qw(geometry, ZERO, table, n_states)
+
+
+def test_solve_qw_rejects_positive_kinetic_matrix(table, gaas):
+    # gamma1 < 2 gamma2: the HH kz^2 term turns upward, so no shift is
+    # known to lie above the spectrum
+    inverted = dataclasses.replace(gaas, gamma2=gaas.gamma1 / 2.0 + 0.5,
+                                   name="inverted")
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    with pytest.raises(NumericalError, match="negative semidefinite"):
+        solve_qw(geometry, ZERO, table, 2, well=inverted)
+
+
+def _missing_partner(eigsh):
+    """eigsh stand-in that drops the Kramers partner of the second pair,
+    returning a state of the third pair in its place."""
+
+    def solve(ham, k, **kwargs):
+        w, v = eigsh(ham, k=k + 1, **kwargs)
+        keep = np.argsort(w)[::-1][[0, 1, 2, 4]]
+        return w[keep], v[:, keep]
+
+    return solve
+
+
+def test_time_reversal_commutes_with_well_hamiltonian(table,
+                                                      random_strain):
+    geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
+    u = np.kron(qw._time_reversal(), np.eye(geometry.grid_points))
+    assert np.allclose(u @ np.conj(u), -np.eye(u.shape[0]), atol=1e-15)
+    for _ in range(3):
+        ham = build_qw_hamiltonian(geometry, random_strain(scale=0.005),
+                                   table)
+        assert np.abs(u @ np.conj(ham) @ np.conj(u.T) - ham).max() < 1e-12
+
+
+def test_solve_qw_completes_missed_kramers_partner(table, gaas,
+                                                   monkeypatch):
+    # ARPACK returned one member of the second pair and a third-pair state
+    # for this sheared well (second and third pairs 1.9 meV apart); the
+    # time-reversed copies must restore the partner, also when the miss is
+    # forced
+    geometry = QwGeometry(4.688, barrier_thickness_nm=10.0,
+                          barrier_al_fraction=0.214, grid_points=61)
+    strain = strain_from_stress(StressTensor(
+        -0.2999, -0.3044, 0.4626, 0.2686, -0.1707, -0.1576), gaas)
+    ham = build_qw_hamiltonian(geometry, strain, table)
+    dense = scipy.linalg.eigvalsh(ham)[:-5:-1]
+    energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
+    assert energies == pytest.approx(dense, abs=1e-10)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        _missing_partner(scipy.sparse.linalg.eigsh))
+    energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
+    assert energies == pytest.approx(dense, abs=1e-10)
+
+
+def test_solve_qw_checks_every_returned_pair(table, random_strain,
+                                             monkeypatch):
+    # without the time-reversal completion the forced miss splits the
+    # second pair, and the pair check must catch it there
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        _missing_partner(scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(qw, "_time_reversal", lambda: np.eye(6))
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    with pytest.raises(NumericalError, match="not degenerate"):
+        solve_qw(geometry, random_strain(scale=0.005), table, 4)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside solve_qw only, so bulk-only runs skip it
+    src = os.path.dirname(os.path.dirname(strainkp.__file__))
+    code = ("import sys, strainkp, strainkp.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_hole_ground_state_unstrained(table):
