@@ -165,12 +165,16 @@ class RunConfig:
         if not self.lifetime_ps > 0:
             raise ConfigError("reference_lifetime_ps must be positive")
         try:
-            for t in self.qw_thicknesses_nm:
-                qw.QwGeometry(t, self.qw_barrier_nm,
-                              self.qw_barrier_al_fraction,
-                              self.qw_grid_points)
+            self.qw_geometries()
         except ValueError as exc:
             raise ConfigError(f"invalid qw geometry: {exc}") from exc
+
+    def qw_geometries(self) -> tuple[qw.QwGeometry, ...]:
+        """One well geometry per configured thickness, in config order."""
+        return tuple(qw.QwGeometry(t, self.qw_barrier_nm,
+                                   self.qw_barrier_al_fraction,
+                                   self.qw_grid_points)
+                     for t in self.qw_thicknesses_nm)
 
     def load_table(self) -> dict[str, MaterialParams]:
         try:
@@ -208,99 +212,75 @@ def _write_table(path: Path, columns, rows, output_format: str) -> None:
                                    sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _outfile(out: Path, stem: str, output_format: str) -> Path:
-    return out / f"{stem}.{output_format}"
-
-
 def _prestress(cfg: RunConfig, p: MaterialParams):
     return biaxial_strain(cfg.prestress_biaxial_gpa, p)
 
 
-def cmd_mixing_curve(cfg: RunConfig, out: Path, fmt: str, threads: int,
-                     steps: int | None) -> int:
-    table = cfg.load_table()
-    p = table[cfg.material]
-    stresses = cfg.stress_sweep(steps)
+# Each subcommand maps the resolved config to the tables it produces,
+# [(file stem, columns, rows), ...]; ``main`` writes them.
+
+def cmd_mixing_curve(cfg: RunConfig, threads: int) -> list:
+    p = cfg.load_table()[cfg.material]
+    stresses = cfg.stress_sweep()
     pre = _prestress(cfg, p)
-    curves = {name: axis_mod.mixing_curve(
-        stresses, pre, axis_mod.QuantizationAxis(theta), p)
-        for name, theta in (("z", 0.0), ("x", math.pi / 2.0))}
-    for name, rows in curves.items():
-        _write_table(_outfile(out, f"mixing_curve_{name}", fmt),
-                     axis_mod.MIXING_CURVE_COLUMNS, rows, fmt)
-    return EXIT_OK
+    return [(f"mixing_curve_{name}", axis_mod.MIXING_CURVE_COLUMNS,
+             axis_mod.mixing_curve(stresses, pre,
+                                   axis_mod.QuantizationAxis(theta), p))
+            for name, theta in (("z", 0.0), ("x", math.pi / 2.0))]
 
 
-def cmd_mixing_map(cfg: RunConfig, out: Path, fmt: str, threads: int,
-                   steps: int | None) -> int:
-    table = cfg.load_table()
-    p = table[cfg.material]
-    stresses = cfg.stress_sweep(steps)
+def cmd_mixing_map(cfg: RunConfig, threads: int) -> list:
+    p = cfg.load_table()[cfg.material]
     thetas = axis_mod.default_theta_grid(cfg.theta_steps)
     phi = math.radians(cfg.phi_deg)
     th, strain_xx, phh = axis_mod.mixing_map(
-        stresses, _prestress(cfg, p), p, thetas=thetas, phi=phi)
+        cfg.stress_sweep(), _prestress(cfg, p), p, thetas=thetas, phi=phi)
     rows = [(th[i], strain_xx[j], phh[i, j])
             for i in range(len(th)) for j in range(len(strain_xx))]
-    _write_table(_outfile(out, "mixing_map", fmt),
-                 ("theta_rad", "strain_xx", "p_hh"), rows, fmt)
-    return EXIT_OK
+    return [("mixing_map", ("theta_rad", "strain_xx", "p_hh"), rows)]
 
 
 _QW_COLUMNS = ("strain_xx", "p_hh_z", "p_lh_z", "p_so_z",
                "p_hh_x", "p_lh_x", "p_so_x", "converged")
 
 
-def cmd_qw(cfg: RunConfig, out: Path, fmt: str, threads: int,
-           steps: int | None) -> int:
+def cmd_qw(cfg: RunConfig, threads: int) -> list:
     table = cfg.load_table()
     if cfg.material != "GaAs":
         raise ConfigError(
             f"[run] material: qw models a GaAs well, got {cfg.material!r}")
-    gaas = table["GaAs"]
-    stresses = cfg.stress_sweep(steps if steps is not None
-                                else cfg.qw_sweep_steps)
+    geometries = cfg.qw_geometries()
     curves = qw.qw_mixing_vs_strain(
-        cfg.qw_thicknesses_nm, stresses,
+        geometries, cfg.stress_sweep(cfg.qw_sweep_steps),
         (axis_mod.QuantizationAxis(0.0),
-         axis_mod.QuantizationAxis(math.pi / 2.0)), table,
-        barrier_thickness_nm=cfg.qw_barrier_nm,
-        barrier_al_fraction=cfg.qw_barrier_al_fraction,
-        grid_points=cfg.qw_grid_points, threads=threads)
+         axis_mod.QuantizationAxis(math.pi / 2.0)), table, threads=threads)
     results = []
-    for t in cfg.qw_thicknesses_nm:
-        geometry = qw.QwGeometry(t, cfg.qw_barrier_nm,
-                                 cfg.qw_barrier_al_fraction,
-                                 cfg.qw_grid_points)
-        doubled = replace(geometry, grid_points=2 * cfg.qw_grid_points + 1)
-        e_base = qw.solve_qw(geometry, StrainState(), table, 2)[0].energy
-        e_fine = qw.solve_qw(doubled, StrainState(), table, 2)[0].energy
+    for geometry, rows in zip(geometries, curves):
+        doubled = replace(geometry, grid_points=2 * geometry.grid_points + 1)
+        e_base, e_fine = (qw.solve_qw(g, StrainState(), table, 2)[0].energy
+                          for g in (geometry, doubled))
         converged = 1.0 if abs(e_base - e_fine) < 1e-4 else 0.0
-        rows = curves[float(t)]
         rows = np.hstack([rows, np.full((len(rows), 1), converged)])
-        results.append((f"qw_mixing_{t:g}nm", _QW_COLUMNS, rows))
+        results.append((f"qw_mixing_{geometry.well_thickness_nm:g}nm",
+                        _QW_COLUMNS, rows))
 
     offsets = qw.EmulationOffsets(cfg.emulation_cb_mev * 1e-3,
                                   cfg.emulation_hh_mev * 1e-3,
                                   cfg.emulation_lh_mev * 1e-3)
-    _, strains = uniaxial_sweep(cfg.stress_sweep(cfg.transition_steps), gaas)
+    _, strains = uniaxial_sweep(cfg.stress_sweep(cfg.transition_steps),
+                                table["GaAs"])
     trans = [(e[0], qw.transition_energy(offsets, StrainState(*e), table))
              for e in strains]
     results.append(("qw_transition_energy", ("strain_xx", "transition_ev"),
                     trans))
-
-    for stem, columns, rows in results:
-        _write_table(_outfile(out, stem, fmt), columns, rows, fmt)
-    return EXIT_OK
+    return results
 
 
-def cmd_dipoles(cfg: RunConfig, out: Path, fmt: str, threads: int,
-                steps: int | None) -> int:
-    table = cfg.load_table()
-    p = table[cfg.material]
+def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
+    p = cfg.load_table()[cfg.material]
     pre = _prestress(cfg, p)
     calibration = optics.RateCalibration(cfg.lifetime_ps)
-    rows = optics.dipole_sweep(cfg.stress_sweep(steps), pre, p, calibration)
+    rows = optics.dipole_sweep(cfg.stress_sweep(), pre, p, calibration)
     results = [("dipole_sweep", optics.DIPOLE_SWEEP_COLUMNS, rows)]
 
     _, snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
@@ -317,10 +297,7 @@ def cmd_dipoles(cfg: RunConfig, out: Path, fmt: str, threads: int,
                 for j in range(dens.phi.size)]
         results.append((f"angular_density_{sigma:g}gpa",
                         ("theta_rad", "phi_rad", "density"), snap))
-
-    for stem, columns, table_rows in results:
-        _write_table(_outfile(out, stem, fmt), columns, table_rows, fmt)
-    return EXIT_OK
+    return results
 
 
 def cmd_amplify(args) -> int:
@@ -332,6 +309,20 @@ def cmd_amplify(args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler, RunConfig field that --steps overrides, help)
+_COMMANDS = {
+    "mixing-curve": (cmd_mixing_curve, "steps",
+                     "HH/LH/SO character of the hole ground state vs "
+                     "uniaxial stress, for the z and x axes"),
+    "mixing-map": (cmd_mixing_map, "steps",
+                   "p_hh over a (theta, strain) grid"),
+    "qw": (cmd_qw, "qw_sweep_steps",
+           "quantum-well mixing curves and transition energies"),
+    "dipoles": (cmd_dipoles, "steps",
+                "dipole strengths/rates vs uniaxial stress"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
@@ -339,29 +330,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: ./out)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (overrides config)")
+                        help="output format (overrides [run] output_format)")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for the qw sweep points")
     common.add_argument("--steps", type=int, default=None,
-                        help="override the sweep step count")
+                        help="sweep length (overrides [sweep] steps, or "
+                             "[qw] sweep_steps for qw)")
 
     parser = argparse.ArgumentParser(
         prog="strainkp",
         description="Strain-driven valence-band mixing, quantum-well hole "
                     "states and optical selection rules for GaAs/AlGaAs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("mixing-curve", parents=[common],
-                   help="HH/LH/SO character of the hole ground state vs "
-                        "uniaxial stress, for the z and x axes")
-    sub.add_parser("mixing-map", parents=[common],
-                   help="p_hh over a (theta, strain) grid")
-    sub.add_parser("qw", parents=[common],
-                   help="quantum-well mixing curves and transition energies")
-    sub.add_parser("dipoles", parents=[common],
-                   help="dipole strengths/rates vs uniaxial stress")
-    amp = sub.add_parser("amplify", parents=[common],
-                         help="geometric strain amplification of the "
-                              "two-finger actuator")
+    for name, (_, _, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
+    amp = sub.add_parser("amplify", help="geometric strain amplification of "
+                                         "the two-finger actuator")
     amp.add_argument("--finger-length-mm", type=float, required=True)
     amp.add_argument("--gap-um", type=float, required=True)
     amp.add_argument("--piezo-strain", type=float, default=None,
@@ -370,27 +354,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "mixing-curve": cmd_mixing_curve,
-    "mixing-map": cmd_mixing_map,
-    "qw": cmd_qw,
-    "dipoles": cmd_dipoles,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "amplify":
             return cmd_amplify(args)
-        cfg = RunConfig.load(args.config)
+        handler, steps_field, _ = _COMMANDS[args.command]
+        # flags override config fields before the one validation
+        overrides = {"output_format": args.format, steps_field: args.steps}
+        cfg = replace(RunConfig.load(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
-        if args.steps is not None and args.steps < 2:
-            raise ConfigError("--steps must be at least 2")
-        fmt = args.format or cfg.output_format
-        handler = _COMMANDS[args.command]
-        return handler(cfg, args.out, fmt, max(1, args.threads), args.steps)
+        tables = handler(cfg, max(1, args.threads))
+        stems = [stem for stem, _, _ in tables]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise ConfigError(
+                    f"two outputs would be written to {stem}."
+                    f"{cfg.output_format} (file names keep 6 significant "
+                    f"digits of the configured values)")
+        for stem, columns, rows in tables:
+            _write_table(args.out / f"{stem}.{cfg.output_format}", columns,
+                         rows, cfg.output_format)
+        return EXIT_OK
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"strainkp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

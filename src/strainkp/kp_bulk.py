@@ -128,15 +128,6 @@ class SpinorState:
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
 
-    def vb_part(self) -> np.ndarray:
-        """6-component VB restriction of the coefficient vector."""
-        c = self.coefficients
-        if c.shape == (8,):
-            return c[VB_SLICE]
-        if c.shape == (6,):
-            return c
-        raise ValueError("state has no 6-band VB representation")
-
 
 def _kvec(k) -> np.ndarray:
     if isinstance(k, Wavevector):

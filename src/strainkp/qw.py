@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,10 +116,6 @@ class EnvelopeState:
                 f"envelope norm {norm} deviates from 1")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
-
-    def band_weights(self) -> np.ndarray:
-        """Per-band probability, summed over the grid (length 6)."""
-        return np.sum(np.abs(self.coefficients) ** 2, axis=1)
 
     def density(self) -> np.ndarray:
         """|envelope|^2 summed over bands (length N)."""
@@ -347,32 +344,25 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
     return ProjectionResult(*_project(psi, axis).tolist())
 
 
-def qw_mixing_vs_strain(thicknesses_nm, stresses_gpa, axes, table, *,
-                        barrier_thickness_nm: float = 20.0,
-                        barrier_al_fraction: float = 0.4,
-                        grid_points: int = 301,
-                        threads: int = 1) -> dict[float, np.ndarray]:
-    """Mixing curves for several well thicknesses under uniaxial stress.
+def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
+                        threads: int = 1) -> list[np.ndarray]:
+    """Mixing curves for several wells under uniaxial stress.
 
-    Returns one (n_stress, 1 + 3 len(axes)) array per thickness, with
-    rows (strain_xx, p_hh, p_lh, p_so for each axis in ``axes``); every
-    axis projects the same solved doublet.  The well is GaAs and the
-    strain is computed from its stiffness.
+    Returns one (n_stress, 1 + 3 len(axes)) array per geometry, in the
+    order of ``geometries``, with rows (strain_xx, p_hh, p_lh, p_so for
+    each axis in ``axes``); every axis projects the same solved doublet.
+    The well is GaAs and the strain is computed from its stiffness.
     """
     _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
-    out = {}
-    for t in thicknesses_nm:
-        geometry = QwGeometry(t, barrier_thickness_nm, barrier_al_fraction,
-                              grid_points)
 
-        def one(voigt, geometry=geometry):
-            states = solve_qw(geometry, StrainState(*voigt), table, 2)
-            return [voigt[0]] + [
-                v for axis in axes
-                for v in astuple(envelope_projection(states[:2], axis))]
+    def one(geometry, voigt):
+        states = solve_qw(geometry, StrainState(*voigt), table, 2)
+        return [voigt[0]] + [
+            v for axis in axes
+            for v in astuple(envelope_projection(states[:2], axis))]
 
-        out[float(t)] = np.array(map_ordered(one, strains, threads))
-    return out
+    return [np.array(map_ordered(partial(one, geometry), strains, threads))
+            for geometry in geometries]
 
 
 def transition_energy(target, strain: StrainState, table) -> float:

@@ -60,6 +60,23 @@ def test_amplify_invalid_geometry(capsys):
         == 2
 
 
+@pytest.mark.parametrize("flag", [
+    ["--config", "/nonexistent.ini"],
+    ["--out", "somewhere"],
+    ["--format", "json"],
+    ["--steps", "1"],
+    ["--threads", "-5"],
+])
+def test_amplify_rejects_sweep_flags(flag, capsys):
+    # amplify reads no config and writes no files: the sweep flags are
+    # errors, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["amplify", "--finger-length-mm", "1.5", "--gap-um", "20",
+              *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_mixing_curve_default_row_count(tmp_path):
     out = tmp_path / "out"
     assert main(["mixing-curve", "--out", str(out)]) == 0
@@ -74,6 +91,37 @@ def test_mixing_curve_steps_override(tmp_path):
     assert main(["mixing-curve", "--out", str(out), "--steps", "2"]) == 0
     _, rows = read_rows(out / "mixing_curve_z.csv")
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("command, field", [
+    ("mixing-curve", "sweep steps"),
+    ("qw", "qw sweep_steps"),
+])
+def test_steps_flag_below_two_exit_2(tmp_path, config, command, field,
+                                     capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--steps", "1"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"{field} must be at least 2, got 1" in err
+
+
+def test_flags_override_config_before_validation(tmp_path):
+    # the config alone is invalid; the flags replace the invalid values
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_CONFIG.replace("sweep_steps = 3", "sweep_steps = 1")
+                   + "[run]\noutput_format = xml\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qw", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["qw", "--config", str(cfg), "--out", str(out),
+                 "--steps", "3", "--format", "json"]) == 0
+    payload = json.loads((out / "qw_mixing_6nm.json").read_text())
+    assert len(payload["rows"]) == 3
+    # --steps of qw sets the well sweep only
+    payload = json.loads((out / "qw_transition_energy.json").read_text())
+    assert len(payload["rows"]) == 5
 
 
 def test_mixing_curve_json_mirror(tmp_path, config):
@@ -200,6 +248,26 @@ def test_qw_rejects_non_gaas_material(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and "[run] material" in err
+
+
+@pytest.mark.parametrize("command, old, new, clash", [
+    ("qw", "thicknesses_nm = 6", "thicknesses_nm = 12, 12.0000001, 4",
+     "qw_mixing_12nm.csv"),
+    ("dipoles", "snapshot_stresses_gpa = 1.0",
+     "snapshot_stresses_gpa = -1.0, -1.0000001, 0.5",
+     "angular_density_-1gpa.csv"),
+], ids=["qw", "dipoles"])
+def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
+                                       capsys):
+    # file names keep 6 significant digits, so these two configured values
+    # would share one file and one table would be lost
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_CONFIG.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and clash in err
 
 
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):

@@ -299,18 +299,31 @@ def test_bulk_limit_as_barrier_offset_vanishes(table, gaas):
 
 def test_qw_mixing_vs_strain_tables(table):
     stresses = np.array([-1.0, 0.0, 1.0])
-    curves = qw_mixing_vs_strain([6.0], stresses, (X_AXIS, Z_AXIS), table,
-                                 barrier_thickness_nm=8.0, grid_points=61)
-    rows = curves[6.0]
+    geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=61)
+    curves = qw_mixing_vs_strain([geometry], stresses, (X_AXIS, Z_AXIS),
+                                 table)
+    assert len(curves) == 1
+    rows = curves[0]
     assert rows.shape == (3, 7)
     assert rows[1, 1] == pytest.approx(0.25, abs=1e-9)  # HH_z seen from x
     assert rows[2, 1] > rows[1, 1]
     assert rows[1, 4] == pytest.approx(1.0, abs=1e-9)   # ... and from z
     # one solved doublet per stress: the SO weight is axis independent
     assert rows[:, 3] == pytest.approx(rows[:, 6], abs=1e-12)
-    only_x = qw_mixing_vs_strain([6.0], stresses, (X_AXIS,), table,
-                                 barrier_thickness_nm=8.0, grid_points=61)
-    assert np.array_equal(only_x[6.0], rows[:, :4])
+    only_x = qw_mixing_vs_strain([geometry], stresses, (X_AXIS,), table)
+    assert np.array_equal(only_x[0], rows[:, :4])
+
+
+def test_qw_mixing_vs_strain_keeps_geometry_order(table):
+    stresses = np.array([-1.0, 1.0])
+    wide = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    narrow = QwGeometry(3.0, barrier_thickness_nm=8.0, grid_points=51)
+    curves = qw_mixing_vs_strain([wide, narrow], stresses, (X_AXIS,), table)
+    assert len(curves) == 2
+    for geometry, rows in zip((wide, narrow), curves):
+        alone, = qw_mixing_vs_strain([geometry], stresses, (X_AXIS,), table)
+        assert np.array_equal(rows, alone)
+    assert not np.array_equal(curves[0], curves[1])
 
 
 def test_transition_energy_emulation_baseline(table, gaas):
