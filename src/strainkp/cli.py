@@ -68,6 +68,17 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
                  for item in raw.split(","))
 
 
+# Output file stems of the per-value tables.  ``RunConfig.validate`` rejects
+# configured values that share a stem, so no table overwrites another.
+
+def _qw_stem(thickness_nm: float) -> str:
+    return f"qw_mixing_{thickness_nm:g}nm"
+
+
+def _snapshot_stem(stress_gpa: float) -> str:
+    return f"angular_density_{stress_gpa:g}gpa"
+
+
 # (section, key) -> (RunConfig field, parser); units are spelled out in the
 # key names, defaults are the RunConfig field defaults
 _KEYS = {
@@ -164,6 +175,17 @@ class RunConfig:
             raise ConfigError("qw thicknesses_nm must not be empty")
         if not self.lifetime_ps > 0:
             raise ConfigError("reference_lifetime_ps must be positive")
+        for key, stem_of, values in (
+                ("[qw] thicknesses_nm", _qw_stem, self.qw_thicknesses_nm),
+                ("[dipoles] snapshot_stresses_gpa", _snapshot_stem,
+                 self.snapshot_stresses_gpa)):
+            stems = [stem_of(v) for v in values]
+            for stem in stems:
+                if stems.count(stem) > 1:
+                    raise ConfigError(
+                        f"{key}: two values would be written to {stem}."
+                        f"{self.output_format} (file names keep 6 "
+                        f"significant digits of the configured values)")
         try:
             self.qw_geometries()
         except ValueError as exc:
@@ -195,21 +217,33 @@ class RunConfig:
                            steps if steps is not None else self.steps)
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".9g")
-
-
 def _write_table(path: Path, columns, rows, output_format: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``rows`` (equal-length rows of numbers) as CSV or JSON.
+
+    The table becomes one float array, formatted by one ``%`` operation.
+    ``"%.9g" % v`` is the text ``format(float(v), ".9g")`` gives, and JSON
+    holds those 9-digit values parsed back to floats.
+    """
+    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    nrows, ncols = table.shape
+    body = ((",".join(["%.9g"] * ncols) + "\n") * nrows
+            % tuple(table.ravel().tolist()))
     if output_format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = ",".join(columns) + "\n" + body
     else:
         payload = {"columns": list(columns),
-                   "rows": [[float(_fmt(v)) for v in row] for row in rows]}
-        path.write_text(json.dumps(payload, separators=(",", ":"),
-                                   sort_keys=True) + "\n", encoding="utf-8")
+                   "rows": [[float(cell) for cell in line.split(",")]
+                            for line in body.splitlines()]}
+        text = json.dumps(payload, separators=(",", ":"),
+                          sort_keys=True) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def _grid_rows(first, second, values) -> np.ndarray:
+    """Rows (first[i], second[j], values[i, j]), first index slowest."""
+    a, b = np.meshgrid(first, second, indexing="ij")
+    return np.column_stack([a.ravel(), b.ravel(), np.ravel(values)])
 
 
 def _prestress(cfg: RunConfig, p: MaterialParams):
@@ -235,9 +269,8 @@ def cmd_mixing_map(cfg: RunConfig, threads: int) -> list:
     phi = math.radians(cfg.phi_deg)
     th, strain_xx, phh = axis_mod.mixing_map(
         cfg.stress_sweep(), _prestress(cfg, p), p, thetas=thetas, phi=phi)
-    rows = [(th[i], strain_xx[j], phh[i, j])
-            for i in range(len(th)) for j in range(len(strain_xx))]
-    return [("mixing_map", ("theta_rad", "strain_xx", "p_hh"), rows)]
+    return [("mixing_map", ("theta_rad", "strain_xx", "p_hh"),
+             _grid_rows(th, strain_xx, phh))]
 
 
 _QW_COLUMNS = ("strain_xx", "p_hh_z", "p_lh_z", "p_so_z",
@@ -261,8 +294,8 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
                           for g in (geometry, doubled))
         converged = 1.0 if abs(e_base - e_fine) < 1e-4 else 0.0
         rows = np.hstack([rows, np.full((len(rows), 1), converged)])
-        results.append((f"qw_mixing_{geometry.well_thickness_nm:g}nm",
-                        _QW_COLUMNS, rows))
+        results.append((_qw_stem(geometry.well_thickness_nm), _QW_COLUMNS,
+                        rows))
 
     offsets = qw.EmulationOffsets(cfg.emulation_cb_mev * 1e-3,
                                   cfg.emulation_hh_mev * 1e-3,
@@ -292,20 +325,18 @@ def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
         avg = 0.5 * (densities[0].density + densities[1].density)
         dens = densities[0]
         avg = avg / np.sum(avg * dens.weights)
-        snap = [(dens.theta[i], dens.phi[j], avg[i, j])
-                for i in range(dens.theta.size)
-                for j in range(dens.phi.size)]
-        results.append((f"angular_density_{sigma:g}gpa",
-                        ("theta_rad", "phi_rad", "density"), snap))
+        results.append((_snapshot_stem(sigma),
+                        ("theta_rad", "phi_rad", "density"),
+                        _grid_rows(dens.theta, dens.phi, avg)))
     return results
 
 
 def cmd_amplify(args) -> int:
     geometry = ActuatorGeometry(args.finger_length_mm, args.gap_um)
     if args.piezo_strain is None:
-        print(_fmt(geometry.amplification))
+        print("%.9g" % geometry.amplification)
     else:
-        print(_fmt(actuator_strain(geometry, args.piezo_strain)))
+        print("%.9g" % actuator_strain(geometry, args.piezo_strain))
     return EXIT_OK
 
 
@@ -323,6 +354,17 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
@@ -331,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: ./out)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (overrides [run] output_format)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for the qw sweep points")
     common.add_argument("--steps", type=int, default=None,
                         help="sweep length (overrides [sweep] steps, or "
@@ -365,15 +407,7 @@ def main(argv=None) -> int:
         cfg = replace(RunConfig.load(args.config),
                       **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
-        tables = handler(cfg, max(1, args.threads))
-        stems = [stem for stem, _, _ in tables]
-        for stem in stems:
-            if stems.count(stem) > 1:
-                raise ConfigError(
-                    f"two outputs would be written to {stem}."
-                    f"{cfg.output_format} (file names keep 6 significant "
-                    f"digits of the configured values)")
-        for stem, columns, rows in tables:
+        for stem, columns, rows in handler(cfg, args.threads):
             _write_table(args.out / f"{stem}.{cfg.output_format}", columns,
                          rows, cfg.output_format)
         return EXIT_OK

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from strainkp import kp_bulk
-from strainkp.cli import main
+from strainkp import axis, kp_bulk, optics, qw
+from strainkp.cli import _write_table, main
+from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
+from strainkp.materials import default_parameter_table
 
 SMALL_CONFIG = """
 [sweep]
@@ -41,6 +43,78 @@ def config(tmp_path):
 def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def oracle_text(columns, rows, output_format):
+    # the per-value formatter the writer must reproduce byte for byte
+    if output_format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(format(float(v), ".9g") for v in row)
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {"columns": list(columns),
+               "rows": [[float(format(float(v), ".9g")) for v in row]
+                        for row in rows]}
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+WRITER_TABLES = {
+    "special": [(float("nan"), float("inf"), -float("inf")),
+                (-0.0, 5e-324, 1e-29), (1e21, 123456789.5, -2.5)],
+    "float32_int": [(np.float32(0.1), np.float32(-3.3e-7), np.int64(7)),
+                    (np.int32(-2), 3, np.float32(1e30))],
+    "mixed_tuples": [(0.1, np.float64(2.0 / 3.0), 1),
+                     [np.float64(-1e-300), 1.0 / 3.0, np.float32(0.5)]],
+    "ndarray": np.random.default_rng(7).standard_normal((6, 3))
+    * np.logspace(-30, 30, 6)[:, None],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+def test_write_table_matches_per_value_oracle(tmp_path, name,
+                                              output_format):
+    columns = ("a", "b", "c")
+    rows = WRITER_TABLES[name]
+    path = tmp_path / "sub" / f"t.{output_format}"
+    _write_table(path, columns, rows, output_format)
+    assert path.read_bytes() \
+        == oracle_text(columns, rows, output_format).encode("utf-8")
+
+
+def test_grid_outputs_are_theta_major(tmp_path):
+    # mixing-map and the angular-density snapshots against rows built one
+    # grid point at a time, theta outermost
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sweep]\nsteps = 3\n[axis]\ntheta_steps = 4\n"
+                   "phi_deg = 30\n[dipoles]\nsnapshot_stresses_gpa = -0.7\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["mixing-map", "--config", str(cfg), "--out", str(out)]) \
+        == 0
+    assert main(["dipoles", "--config", str(cfg), "--out", str(out)]) == 0
+
+    p = default_parameter_table()["GaAs"]
+    pre = biaxial_strain(-0.12, p)
+    th, strain_xx, phh = axis.mixing_map(
+        np.linspace(-2.0, 2.0, 3), pre, p,
+        thetas=axis.default_theta_grid(4), phi=np.radians(30.0))
+    rows = [(th[i], strain_xx[j], phh[i, j])
+            for i in range(len(th)) for j in range(len(strain_xx))]
+    assert (out / "mixing_map.csv").read_text(encoding="utf-8") \
+        == oracle_text(("theta_rad", "strain_xx", "p_hh"), rows, "csv")
+
+    _, (strain,) = uniaxial_sweep((-0.7,), p, pre)
+    doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
+    dens = [optics.angular_density(s) for s in doublet]
+    avg = 0.5 * (dens[0].density + dens[1].density)
+    avg = avg / np.sum(avg * dens[0].weights)
+    rows = [(dens[0].theta[i], dens[0].phi[j], avg[i, j])
+            for i in range(dens[0].theta.size)
+            for j in range(dens[0].phi.size)]
+    assert (out / "angular_density_-0.7gpa.csv").read_text(encoding="utf-8") \
+        == oracle_text(("theta_rad", "phi_rad", "density"), rows, "csv")
 
 
 def test_amplify_factor(capsys):
@@ -209,6 +283,21 @@ def test_determinism_byte_identical(tmp_path, config):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads, message", [
+    ("0", "must be at least 1, got 0"),
+    ("-5", "must be at least 1, got -5"),
+    ("two", "not an integer: 'two'"),
+])
+def test_invalid_threads_exit_2(tmp_path, threads, message, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["mixing-curve", "--steps", "3", "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"--threads: {message}" in capsys.readouterr().err
+
+
 def test_threads_do_not_change_output(tmp_path, config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -258,9 +347,15 @@ def test_qw_rejects_non_gaas_material(tmp_path, capsys):
      "angular_density_-1gpa.csv"),
 ], ids=["qw", "dipoles"])
 def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
-                                       capsys):
+                                       capsys, monkeypatch):
     # file names keep 6 significant digits, so these two configured values
-    # would share one file and one table would be lost
+    # would share one file and one table would be lost; the config is
+    # rejected before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(qw, "solve_qw", no_solve)
+    monkeypatch.setattr(optics, "dipole_sweep", no_solve)
     cfg = tmp_path / "run.ini"
     cfg.write_text(SMALL_CONFIG.replace(old, new), encoding="utf-8")
     out = tmp_path / "out"
