@@ -19,7 +19,8 @@ from .optics import (AngularDensity, DipoleStrengths, Polarization,
                      RateCalibration, angular_density, dipole_strengths,
                      dipole_sweep, dlp_and_angle, rates)
 from .qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets, EnvelopeState,
-                 QwGeometry, build_qw_hamiltonian, envelope_projection,
+                 QwGeometry, build_qw_hamiltonian,
+                 emulated_transition_energies, envelope_projection,
                  qw_mixing_vs_strain, solve_qw, transition_energy)
 
 __version__ = "0.1.0"

@@ -302,10 +302,9 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
                                   cfg.emulation_lh_mev * 1e-3)
     _, strains = uniaxial_sweep(cfg.stress_sweep(cfg.transition_steps),
                                 table["GaAs"])
-    trans = [(e[0], qw.transition_energy(offsets, StrainState(*e), table))
-             for e in strains]
+    trans = qw.emulated_transition_energies(offsets, strains, table)
     results.append(("qw_transition_energy", ("strain_xx", "transition_ev"),
-                    trans))
+                    np.column_stack([strains[:, 0], trans])))
     return results
 
 

@@ -26,12 +26,17 @@ into a dense band-major matrix, kept as the reference for tests and
 benchmarks; ``solve_qw`` assembles the same blocks site-major into a
 sparse block-tridiagonal matrix and finds the topmost states by ARPACK
 shift-invert with a shift proven to lie above the spectrum (see its
-docstring).  scipy is imported only there, so bulk-only use never loads
-it.
+docstring).  Without e_xz and e_yz (every uniaxial or biaxial stress
+along the cubic axes) S vanishes and the matrix splits exactly into
+{HH+3/2, LH-1/2, SO-1/2} and their Kramers partners, so ARPACK solves
+only that 3N block, real unless e_xy is nonzero, and time reversal
+supplies the partners.  scipy is imported only there, so bulk-only use
+never loads it.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
-up and the HH/LH edges down.
+up and the HH/LH edges down; ``emulated_transition_energies`` gives the
+latter for a whole strain sweep from one batched bulk eigensolve.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "EnvelopeState",
     "QwGeometry",
     "build_qw_hamiltonian",
+    "emulated_transition_energies",
     "envelope_projection",
     "qw_mixing_vs_strain",
     "solve_qw",
@@ -150,6 +156,10 @@ DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 # (eV), and the seed of ARPACK's fixed start vector
 _SHIFT_MARGIN_EV = 1e-3
 _START_SEED = 20240817
+# VB bands {HH+3/2, LH-1/2, SO-1/2} and their Kramers partners {LH+1/2,
+# HH-3/2, SO+1/2}: only S couples the two sets
+_KEPT_BANDS = np.array([0, 2, 5])
+_PARTNER_BANDS = np.array([1, 3, 4])
 
 
 def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
@@ -230,6 +240,33 @@ def _time_reversal() -> np.ndarray:
     return (np.conj(b.T) @ spin @ np.conj(b))[vb, vb]
 
 
+def _site_major(blocks: np.ndarray, n: int):
+    """Sparse CSC matrix of the node blocks (diagonal, upper, lower; each
+    (.., m, m)) of ``n`` nodes, index node * m + band."""
+    import scipy.sparse
+
+    m = blocks.shape[-1]
+    i = np.arange(n)
+    rows, cols = np.broadcast_arrays(
+        m * np.concatenate([i, i[:-1], i[1:]])[:, None, None]
+        + np.arange(m)[:, None],
+        m * np.concatenate([i, i[1:], i[:-1]])[:, None, None]
+        + np.arange(m))
+    return scipy.sparse.csc_array((blocks.ravel(),
+                                   (rows.ravel(), cols.ravel())),
+                                  shape=(m * n, m * n))
+
+
+def _split_blocks(blocks: np.ndarray):
+    """The node blocks restricted to ``_KEPT_BANDS`` (real when their
+    imaginary part is exactly zero) if no entry couples them to
+    ``_PARTNER_BANDS``, else None."""
+    if blocks[:, _KEPT_BANDS[:, None], _PARTNER_BANDS].any():
+        return None
+    kept = blocks[:, _KEPT_BANDS[:, None], _KEPT_BANDS]
+    return kept if kept.imag.any() else kept.real
+
+
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
              n_states: int = 4, *, well: MaterialParams | None = None,
              barrier: MaterialParams | None = None) -> list[EnvelopeState]:
@@ -238,10 +275,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     The hole ground state is the first returned doublet.  Phases follow
     ``kp_bulk.eigensolve``: the first significant coefficient is real and
     positive.  ``n_states`` must lie in 1 ... 6N - 2 (ARPACK needs fewer
-    than 6N - 1).  Every returned pair (states 2j and 2j + 1) is checked
-    to be a degenerate orthogonal doublet; a failed check, an unconverged
-    eigensolve or a singular shifted matrix raises
-    ``kp_bulk.NumericalError``.
+    than 6N - 1 on the 6N matrix).  Every returned pair (states 2j and
+    2j + 1) is checked to be a degenerate orthogonal doublet; a failed
+    check, an unconverged eigensolve, a singular shifted matrix or any
+    other scipy failure raises ``kp_bulk.NumericalError``.
 
     The blocks of ``build_qw_hamiltonian`` are assembled site-major
     (index node * 6 + band), where H is block tridiagonal with bandwidth
@@ -259,27 +296,40 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     semidefinite (e.g. gamma1 < 2 gamma2) raises
     ``kp_bulk.NumericalError``.
 
-    ARPACK starts from a fixed, seeded complex Gaussian vector: its
-    default random start changes between calls, and a structured one
-    such as all ones can miss a symmetry sector.  A Krylov space grown
-    from one vector holds one direction per Kramers pair and finds the
-    partner only through round-off, so ARPACK can return one member of a
-    pair and a state of the next pair instead of the other member.  The
-    Ritz vectors are therefore joined by their time-reversed copies
+    Without e_xz and e_yz, S vanishes at k_parallel = 0, and no entry of
+    H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their Kramers
+    partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
+    (1985)).  When every such entry of the assembled blocks is exactly
+    zero, ARPACK gets only the 3N block of the first set and one vector
+    per Kramers pair, ceil(n_states / 2) of them.  The block is real
+    unless e_xy makes R complex.  scipy hands a complex matrix to
+    ARPACK's non-Hermitian routine, which needs fewer than 3N - 1
+    vectors, so a complex block asked for more (n_states of 6N - 3 or
+    6N - 2) is solved as the whole 6N matrix instead.  On the split
+    path each Ritz vector lives in the first set of bands and its
+    partner T psi in the second, so the pair is exactly degenerate by
+    construction.  Sheared wells solve the whole 6N matrix.
+
+    ARPACK starts from a fixed, seeded Gaussian vector of the solved
+    matrix's size and type: its default random start changes between
+    calls, and a structured one such as all ones can miss a symmetry
+    sector.  On the 6N matrix a Krylov space grown from one vector holds
+    one direction per Kramers pair and finds the partner only through
+    round-off, so ARPACK can return one member of a pair and a state of
+    the next pair instead of the other member.  On both paths the Ritz
+    vectors are therefore joined by their time-reversed copies
     T psi = U conj(psi) (node by node; T commutes with H at
-    k_parallel = 0), which completes every pair they touch.  scipy also
-    solves a complex matrix with ARPACK's non-Hermitian routine, whose
-    Ritz vectors of a pair are not orthogonal.  So the joined vectors are
-    orthonormalized (QR), H is diagonalized on their span
-    (Rayleigh-Ritz), and the topmost ``n_states`` are kept before the
-    phases are fixed.
+    k_parallel = 0), which completes every pair they touch.  The
+    non-Hermitian routine's Ritz vectors of a pair are not orthogonal
+    either.  So the joined vectors are orthonormalized (QR), the full 6N
+    H is diagonalized on their span (Rayleigh-Ritz), and the topmost
+    ``n_states`` are kept before the phases are fixed.
     """
     n = geometry.grid_points
     dim = 6 * n
     if not 1 <= n_states <= dim - 2:
         raise ValueError(f"n_states must lie in 1 ... {dim - 2} for "
                          f"{n} grid points, got {n_states}")
-    import scipy.sparse
     import scipy.sparse.linalg
 
     diag, upper, onsite, a = _node_blocks(geometry, strain, table, well,
@@ -291,30 +341,35 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
             "above the QW spectrum is known")
     sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
 
-    # site-major entries of the diagonal, upper and lower 6x6 blocks
-    i = np.arange(n)
     blocks = np.concatenate([diag, upper,
                              np.conj(np.swapaxes(upper, -1, -2))])
-    rows, cols = np.broadcast_arrays(
-        6 * np.concatenate([i, i[:-1], i[1:]])[:, None, None]
-        + np.arange(6)[:, None],
-        6 * np.concatenate([i, i[1:], i[:-1]])[:, None, None]
-        + np.arange(6))
-    ham = scipy.sparse.csc_array((blocks.ravel(),
-                                  (rows.ravel(), cols.ravel())),
-                                 shape=(dim, dim))
+    ham = _site_major(blocks, n)
+    solved, k = ham, n_states
+    kept = _split_blocks(blocks)
+    half = (n_states + 1) // 2
+    # one vector per Kramers pair; scipy hands a complex matrix to ARPACK's
+    # non-Hermitian routine, which needs k < dim - 1 (the real one k < dim)
+    if kept is not None and half < 3 * n - np.iscomplexobj(kept):
+        solved, k = _site_major(kept, n), half
 
-    v0 = np.random.default_rng(_START_SEED).standard_normal(2 * dim) \
-        .view(complex)
+    rng = np.random.default_rng(_START_SEED)
+    v0 = rng.standard_normal(2 * solved.shape[0]).view(complex) \
+        if np.iscomplexobj(solved) else rng.standard_normal(solved.shape[0])
     try:
-        _, ritz = scipy.sparse.linalg.eigsh(ham, k=n_states, sigma=sigma,
-                                            v0=v0)
-    except RuntimeError as exc:  # ArpackError, or SuperLU: singular factor
+        _, ritz = scipy.sparse.linalg.eigsh(solved, k=k, sigma=sigma, v0=v0)
+    except (RuntimeError, TypeError, ValueError) as exc:
+        # ArpackError and a singular SuperLU factor are RuntimeErrors;
+        # scipy refuses a size or an argument with TypeError or ValueError
         raise kp_bulk.NumericalError(
             f"sparse QW eigensolve failed: {exc}") from exc
-    ritz = ritz.reshape(n, 6, n_states)
+    if solved is ham:
+        ritz = ritz.reshape(n, 6, k)
+    else:  # the kept bands of 6N vectors
+        full = np.zeros((n, 6, k), dtype=complex)
+        full[:, _KEPT_BANDS] = ritz.reshape(n, 3, k)
+        ritz = full
     ritz = np.concatenate([ritz, _time_reversal() @ np.conj(ritz)], axis=2)
-    q, _ = np.linalg.qr(ritz.reshape(dim, 2 * n_states))
+    q, _ = np.linalg.qr(ritz.reshape(dim, 2 * k))
     energies, u = np.linalg.eigh(np.conj(q.T) @ (ham @ q))
     energies = energies[:-n_states - 1:-1]
     vectors = (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states)
@@ -365,23 +420,34 @@ def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
             for geometry in geometries]
 
 
+def emulated_transition_energies(offsets: EmulationOffsets, strains,
+                                 table) -> np.ndarray:
+    """``transition_energy`` of ``offsets`` at Voigt strains (..., 6), from
+    one batched bulk eigensolve: an array of the batch shape (eV)."""
+    gaas = table["GaAs"]
+    voigt = np.asarray(strains, dtype=float)
+    cb = gaas.cb_edge + gaas.ac * (voigt[..., 0] + voigt[..., 1]
+                                   + voigt[..., 2])
+    energies, _ = kp_bulk._doublet_stack(voigt, gaas,
+                                         hh_shift=-offsets.hh_shift,
+                                         lh_shift=-offsets.lh_shift)
+    return cb + offsets.cb_shift - energies[..., 0]
+
+
 def transition_energy(target, strain: StrainState, table) -> float:
     """CB-to-hole-ground-state transition energy (eV), no excitonics.
 
     ``target`` is either a QwGeometry (the hole state is solved in the
     well and the CB energy is the hydrostatically shifted well edge) or
     an EmulationOffsets (bulk hole state with the fixed confinement
-    shifts applied, CB additionally raised by cb_shift).
+    shifts applied, CB additionally raised by cb_shift; see
+    ``emulated_transition_energies`` for a whole sweep).
     """
-    gaas = table["GaAs"]
-    tr = strain.trace()
-    cb = gaas.cb_edge + gaas.ac * tr
     if isinstance(target, EmulationOffsets):
-        doublet = kp_bulk.top_valence_doublet(
-            strain, gaas, hh_shift=-target.hh_shift,
-            lh_shift=-target.lh_shift)
-        return cb + target.cb_shift - doublet[0].energy
+        return float(emulated_transition_energies(target, strain.as_voigt(),
+                                                  table))
     if isinstance(target, QwGeometry):
+        gaas = table["GaAs"]
         states = solve_qw(target, strain, table, n_states=2)
-        return cb - states[0].energy
+        return gaas.cb_edge + gaas.ac * strain.trace() - states[0].energy
     raise TypeError("target must be a QwGeometry or EmulationOffsets")

@@ -11,16 +11,18 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import strainkp
-from strainkp import qw
+from strainkp import kp_bulk, qw
 from strainkp.axis import QuantizationAxis
 from strainkp.elasticity import (StrainState, StressTensor,
-                                 strain_from_stress, uniaxial_strain)
+                                 strain_from_stress, uniaxial_strain,
+                                 uniaxial_sweep)
 from strainkp.kp_bulk import HBAR2_OVER_2M0, NumericalError, h6_vb
 from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
                          EnvelopeState, QwGeometry, build_qw_hamiltonian,
-                         envelope_projection, qw_mixing_vs_strain, solve_qw,
-                         transition_energy, vb_edge_profile)
+                         emulated_transition_energies, envelope_projection,
+                         qw_mixing_vs_strain, solve_qw, transition_energy,
+                         vb_edge_profile)
 
 ZERO = StrainState()
 Z_AXIS = QuantizationAxis(0.0)
@@ -156,6 +158,92 @@ def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
                        for a, b in zip(states, again))
 
 
+def _shear_free_strain(rng, xy: bool) -> StrainState:
+    """Seeded normal strains, plus a seeded e_xy when ``xy``; never
+    e_xz or e_yz."""
+    v = rng.uniform(-0.005, 0.005, size=6)
+    v[3:5] = 0.0
+    if not xy:
+        v[5] = 0.0
+    return StrainState(*v)
+
+
+def _assert_same_states(states, reference, axes):
+    assert [s.energy for s in states] == pytest.approx(
+        [s.energy for s in reference], abs=1e-10)
+    for j in range(0, len(states) - 1, 2):
+        for axis in axes:
+            assert astuple(envelope_projection(states[j:j + 2], axis)) == \
+                pytest.approx(astuple(envelope_projection(
+                    reference[j:j + 2], axis)), abs=1e-10)
+
+
+@pytest.mark.parametrize("xy", [False, True], ids=["real", "exy"])
+@pytest.mark.parametrize("grid_points", [51, 151])
+def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
+                                               grid_points, xy):
+    # without e_xz and e_yz the well solves as one 3N block per Kramers
+    # pair (real, or complex with e_xy); the dense eigh and the full 6N
+    # path are its oracles.  At N = 151 the largest count is checked
+    # against the dense oracle only: the 6N ARPACK solve of nearly the
+    # whole spectrum takes about 20 s there.
+    axes = (Z_AXIS, QuantizationAxis(rng.uniform(0.0, math.pi),
+                                     rng.uniform(0.0, 2.0 * math.pi)))
+    strain = _shear_free_strain(rng, xy)
+    geometry = QwGeometry(rng.uniform(3.0, 12.0), barrier_thickness_nm=10.0,
+                          grid_points=grid_points)
+    energies, vectors = np.linalg.eigh(
+        build_qw_hamiltonian(geometry, strain, table))
+    dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
+             for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
+    dim = 6 * grid_points
+    for n_states in (1, 3, 4, dim - 2):
+        if n_states == dim - 2 and grid_points > 51 and xy:
+            continue  # this count runs the complex block on the 6N path
+        states = solve_qw(geometry, strain, table, n_states)
+        _assert_same_states(states, dense[:n_states], axes)
+        if n_states == dim - 2 and grid_points > 51:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(qw, "_split_blocks", lambda blocks: None)
+            full = solve_qw(geometry, strain, table, n_states)
+        _assert_same_states(states, full, axes)
+
+
+def test_solve_qw_hands_eigsh_the_smallest_exact_block(table, gaas,
+                                                       monkeypatch):
+    # uniaxial [100] stress: the real 3N block; e_xy alone: the complex 3N
+    # block; any e_xz or e_yz: the 6N matrix.  v0 always matches the
+    # matrix, since scipy does not check its length.
+    seen = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def record(a, k, **kwargs):
+        seen.append((a.shape, a.dtype, k, kwargs["v0"].shape,
+                     kwargs["v0"].dtype))
+        return eigsh(a, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    n = geometry.grid_points
+    for strain, dim, dtype, k in (
+            (uniaxial_strain(1.0, gaas), 3 * n, np.float64, 2),
+            (StrainState(exy=0.003), 3 * n, np.complex128, 2),
+            (StrainState(exz=0.003), 6 * n, np.complex128, 4)):
+        solve_qw(geometry, strain, table, 4)
+        assert seen.pop() == ((dim, dim), dtype, k, (dim,), dtype)
+
+
+def test_solve_qw_maps_any_scipy_failure(table, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise TypeError("Cannot use scipy.linalg.eigh for sparse A")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    with pytest.raises(NumericalError, match="eigensolve failed"):
+        solve_qw(geometry, ZERO, table, 2)
+
+
 def test_solve_qw_rejects_state_count_out_of_range(table):
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     for n_states in (0, 6 * 51 - 1):
@@ -188,7 +276,11 @@ def _missing_partner(eigsh):
 def test_time_reversal_commutes_with_well_hamiltonian(table,
                                                       random_strain):
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
-    u = np.kron(qw._time_reversal(), np.eye(geometry.grid_points))
+    # T maps the bands of the split 3N block onto their partners
+    t = qw._time_reversal()
+    assert not t[np.ix_(qw._KEPT_BANDS, qw._KEPT_BANDS)].any()
+    assert not t[np.ix_(qw._PARTNER_BANDS, qw._PARTNER_BANDS)].any()
+    u = np.kron(t, np.eye(geometry.grid_points))
     assert np.allclose(u @ np.conj(u), -np.eye(u.shape[0]), atol=1e-15)
     for _ in range(3):
         ham = build_qw_hamiltonian(geometry, random_strain(scale=0.005),
@@ -331,6 +423,25 @@ def test_transition_energy_emulation_baseline(table, gaas):
     # CB cb_shift above, so the transition is eg + cb + hh exactly
     energy = transition_energy(DEFAULT_EMULATION_OFFSETS, ZERO, table)
     assert energy == pytest.approx(gaas.eg + 0.0528 + 0.0091, abs=1e-12)
+
+
+def test_emulated_transitions_batch_matches_single_points(table, gaas):
+    # one batched eigensolve gives bit for bit the per-point bulk doublet
+    # formula, so the transition table keeps its bytes
+    _, strains = uniaxial_sweep(np.linspace(-2.0, 2.0, 41), gaas)
+    batch = emulated_transition_energies(DEFAULT_EMULATION_OFFSETS, strains,
+                                         table)
+    single = []
+    for voigt in strains:
+        strain = StrainState(*voigt)
+        top = kp_bulk.top_valence_doublet(
+            strain, gaas, hh_shift=-DEFAULT_EMULATION_OFFSETS.hh_shift,
+            lh_shift=-DEFAULT_EMULATION_OFFSETS.lh_shift)[0]
+        single.append(gaas.cb_edge + gaas.ac * strain.trace()
+                      + DEFAULT_EMULATION_OFFSETS.cb_shift - top.energy)
+        assert transition_energy(DEFAULT_EMULATION_OFFSETS, strain,
+                                 table) == single[-1]
+    assert np.array_equal(batch, single)
 
 
 def test_transition_energy_red_shift_under_tension(table, gaas):
