@@ -9,6 +9,13 @@ The doublet-averaged projection
 
 is invariant under any unitary remixing of the degenerate pair, which
 makes it the only basis-independent notion of HH/LH/SO character.
+Written with the projector P_b = sum_{j in pair b} b_n^j b_n^j^dagger
+and the doublet density matrix rho = sum_i state_i state_i^dagger, it is
+
+    p_b = (1/2) tr(P_b rho),
+
+which ``mixing_map`` evaluates for a whole (theta, strain) grid as one
+real matrix product of the flattened P_hh(theta) and rho(strain).
 """
 
 from __future__ import annotations
@@ -119,8 +126,9 @@ def _rotation_matrix(axis: QuantizationAxis) -> np.ndarray:
     ro[1:, 1:] = _orbital_rotation(axis.theta, axis.phi)  # S is spherical
     rs = _spin_rotation(axis.theta, axis.phi)
     # product-basis transform, index = 4*spin + orbital: column (o', s')
-    # holds that primed basis vector expressed in the canonical products
-    t = np.kron(rs.T, ro.T)
+    # holds that primed basis vector expressed in the canonical products;
+    # the same products as np.kron(rs.T, ro.T), without its overhead
+    t = (rs.T[:, None, :, None] * ro.T[None, :, None, :]).reshape(8, 8)
     return _U0.conj().T @ t @ _U0
 
 
@@ -205,11 +213,19 @@ def mixing_map(stresses_gpa, prestress: StrainState | None,
     stresses = np.asarray(stresses_gpa, dtype=float)
     if thetas.size == 0 or stresses.size == 0:
         raise ValueError("theta and stress grids must be nonempty")
-    # project on the two HH columns only, so the overlaps of the whole
-    # grid stay (theta, stress, 2, 2) instead of (theta, stress, 8, 2)
+    # p_hh = (1/2) tr(P rho) with both factors Hermitian, so it is the real
+    # dot product of their flattened real and imaginary parts: one
+    # (n_theta, 128) @ (128, n_strain) product for the whole grid
     hh = np.stack([_rotation_matrix(QuantizationAxis(t, phi))[:, HH_INDICES]
                    for t in thetas])
     _, total = uniaxial_sweep(stresses, p, prestress)
     _, psi = _doublet_stack(total, p)
-    phh = _doublet_weights(hh[:, None], psi[None]).sum(axis=-1)
-    return thetas, total[:, 0], phh
+    proj = _real_flat(hh @ np.conj(np.swapaxes(hh, -1, -2)))
+    rho = _real_flat(psi @ np.conj(np.swapaxes(psi, -1, -2)))
+    return thetas, total[:, 0], 0.5 * (proj @ rho.T)
+
+
+def _real_flat(m: np.ndarray) -> np.ndarray:
+    """Matrices (n, a, b) as rows (n, 2ab): real parts, then imaginary."""
+    m = m.reshape(len(m), -1)
+    return np.hstack([m.real, m.imag])

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,17 +218,42 @@ class RunConfig:
                            steps if steps is not None else self.steps)
 
 
-def _write_table(path: Path, columns, rows, output_format: str) -> None:
-    """Write ``rows`` (equal-length rows of numbers) as CSV or JSON.
+class _Grid(NamedTuple):
+    """Rows (first[i], second[j], values[i, j]), first index slowest."""
 
-    The table becomes one float array, formatted by one ``%`` operation.
+    first: np.ndarray
+    second: np.ndarray
+    values: np.ndarray
+
+
+def _body(rows, ncols: int) -> str:
+    """CSV body of a table: ``rows`` is a ``_Grid`` or equal-length rows
+    of numbers.  A grid's axis values are formatted once each and baked
+    into the row template, so the one ``%`` formats only its values."""
+    if isinstance(rows, _Grid):
+        first, second = (["%.9g" % v for v in
+                          np.asarray(axis, dtype=float).tolist()]
+                         for axis in (rows.first, rows.second))
+        values = np.asarray(rows.values, dtype=float).reshape(
+            len(first), len(second))
+        # joining ["", tail_0, tail_1, ...] with "a," puts a before each
+        # tail: the rows of one first value from one C-level join
+        tails = [""] + [b + ",%.9g\n" for b in second]
+        template = "".join((a + ",").join(tails) for a in first)
+    else:
+        values = np.asarray(rows, dtype=float).reshape(-1, ncols)
+        template = (",".join(["%.9g"] * ncols) + "\n") * len(values)
+    return template % tuple(values.ravel().tolist())
+
+
+def _write_table(path: Path, columns, rows, output_format: str) -> None:
+    """Write ``rows`` as CSV or JSON: equal-length rows of numbers, or a
+    ``_Grid`` of three columns.
+
     ``"%.9g" % v`` is the text ``format(float(v), ".9g")`` gives, and JSON
     holds those 9-digit values parsed back to floats.
     """
-    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
-    nrows, ncols = table.shape
-    body = ((",".join(["%.9g"] * ncols) + "\n") * nrows
-            % tuple(table.ravel().tolist()))
+    body = _body(rows, len(columns))
     if output_format == "csv":
         text = ",".join(columns) + "\n" + body
     else:
@@ -238,12 +264,6 @@ def _write_table(path: Path, columns, rows, output_format: str) -> None:
                           sort_keys=True) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def _grid_rows(first, second, values) -> np.ndarray:
-    """Rows (first[i], second[j], values[i, j]), first index slowest."""
-    a, b = np.meshgrid(first, second, indexing="ij")
-    return np.column_stack([a.ravel(), b.ravel(), np.ravel(values)])
 
 
 def _prestress(cfg: RunConfig, p: MaterialParams):
@@ -270,7 +290,7 @@ def cmd_mixing_map(cfg: RunConfig, threads: int) -> list:
     th, strain_xx, phh = axis_mod.mixing_map(
         cfg.stress_sweep(), _prestress(cfg, p), p, thetas=thetas, phi=phi)
     return [("mixing_map", ("theta_rad", "strain_xx", "p_hh"),
-             _grid_rows(th, strain_xx, phh))]
+             _Grid(th, strain_xx, phh))]
 
 
 _QW_COLUMNS = ("strain_xx", "p_hh_z", "p_lh_z", "p_so_z",
@@ -326,7 +346,7 @@ def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
         avg = avg / np.sum(avg * dens.weights)
         results.append((_snapshot_stem(sigma),
                         ("theta_rad", "phi_rad", "density"),
-                        _grid_rows(dens.theta, dens.phi, avg)))
+                        _Grid(dens.theta, dens.phi, avg)))
     return results
 
 

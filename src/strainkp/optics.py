@@ -127,10 +127,11 @@ def angular_density(state: SpinorState, n_theta: int = 90,
     orbitals = np.stack([norm * np.sin(tt) * np.cos(pp),
                          norm * np.sin(tt) * np.sin(pp),
                          norm * np.cos(tt)])
-    density = np.zeros_like(tt)
-    for spin_rows in (_XYZ_UP, _XYZ_DN):
-        amp = np.tensordot(v[spin_rows], orbitals, axes=(0, 0))
-        density += np.abs(amp) ** 2
+    # the orbitals are real, so the real and imaginary parts of both spin
+    # amplitudes come from one real (4, 3) @ (3, n_theta n_phi) product
+    xyz = v[[_XYZ_UP, _XYZ_DN]]
+    amp = np.vstack([xyz.real, xyz.imag]) @ orbitals.reshape(3, -1)
+    density = np.sum(amp ** 2, axis=0).reshape(tt.shape)
     dth = math.pi / n_theta
     dph = 2.0 * math.pi / n_phi
     weights = np.sin(tt) * dth * dph

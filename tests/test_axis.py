@@ -6,7 +6,8 @@ import pytest
 from strainkp.axis import (QuantizationAxis, commutator_norm,
                            default_theta_grid, j_operator, mixing_curve,
                            mixing_map, project_hgs, rotated_basis)
-from strainkp.elasticity import biaxial_strain, superpose, uniaxial_strain
+from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
+                                 uniaxial_strain, uniaxial_sweep)
 from strainkp.kp_bulk import (SpinorState, bloch_orbital_matrix, h4_topmost,
                               top_valence_doublet)
 
@@ -226,6 +227,23 @@ def test_mixing_map_edges_match_curves(gaas):
     assert strain_xx == pytest.approx(curve_z[:, 0], rel=1e-12)
     assert phh[0] == pytest.approx(curve_z[:, 1], abs=1e-12)
     assert phh[-1] == pytest.approx(curve_x[:, 1], abs=1e-12)
+
+
+def test_mixing_map_interior_matches_point_projections(gaas):
+    # the grid's tr(P rho) product against one project_hgs call per cell,
+    # off the z/x edges and off the phi = 0 plane
+    pre = biaxial_strain(-0.12, gaas)
+    stresses = np.linspace(-2, 2, 7)
+    phi = math.radians(30.0)
+    thetas, strain_xx, phh = mixing_map(stresses, pre, gaas,
+                                        thetas=default_theta_grid(6), phi=phi)
+    _, total = uniaxial_sweep(stresses, gaas, pre)
+    for j, voigt in enumerate(total):
+        doublet = top_valence_doublet(StrainState(*voigt), gaas)
+        for i in range(1, len(thetas) - 1):
+            expected = project_hgs(doublet,
+                                   QuantizationAxis(thetas[i], phi)).p_hh
+            assert abs(phh[i, j] - expected) <= 1e-12
 
 
 def test_mixing_map_ridge_migrates(gaas):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 from strainkp import axis, kp_bulk, optics, qw
-from strainkp.cli import _write_table, main
+from strainkp.cli import _Grid, _write_table, main
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
 from strainkp.materials import default_parameter_table
 
@@ -68,6 +68,19 @@ WRITER_TABLES = {
     "ndarray": np.random.default_rng(7).standard_normal((6, 3))
     * np.logspace(-30, 30, 6)[:, None],
     "empty": [],
+    # grid tables: the same specials on both axes and in the values
+    "grid_special": _Grid(
+        np.array([float("nan"), -0.0, 5e-324, 1e21]),
+        np.array([float("inf"), -float("inf"), 1e21, -0.0, 5e-324]),
+        np.array([[float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
+                  [1e21, 0.1, -2.5, 1e-29, 123456789.5],
+                  [-0.0, float("nan"), 2.0 / 3.0, 1e21, -1e-300],
+                  [5e-324, -float("inf"), 7.0, float("inf"), -0.0]])),
+    "grid_1x1": _Grid(np.array([0.5]), np.array([-0.0]),
+                      np.array([[float("nan")]])),
+    "grid_1xn": _Grid(np.array([1e21]),
+                      np.array([5e-324, -float("inf"), 2.0 / 3.0]),
+                      np.array([[float("inf"), -0.0, 1e-29]])),
 }
 
 
@@ -79,6 +92,10 @@ def test_write_table_matches_per_value_oracle(tmp_path, name,
     rows = WRITER_TABLES[name]
     path = tmp_path / "sub" / f"t.{output_format}"
     _write_table(path, columns, rows, output_format)
+    if isinstance(rows, _Grid):
+        rows = [(a, b, rows.values[i, j])
+                for i, a in enumerate(rows.first)
+                for j, b in enumerate(rows.second)]
     assert path.read_bytes() \
         == oracle_text(columns, rows, output_format).encode("utf-8")
 

@@ -6,7 +6,8 @@ import pytest
 from strainkp.axis import QuantizationAxis, rotated_basis
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain)
-from strainkp.kp_bulk import SpinorState, top_valence_doublet
+from strainkp.kp_bulk import (ORBITAL_SPIN_LABELS, SpinorState,
+                              bloch_orbital_matrix, top_valence_doublet)
 from strainkp.optics import (DIPOLE_SWEEP_COLUMNS, DipoleStrengths,
                              RateCalibration, angular_density,
                              dipole_strengths, dipole_sweep, dlp_and_angle,
@@ -190,6 +191,30 @@ def test_angular_density_so_uniform():
     density = angular_density(basis_state(6))
     expected = 1.0 / (4.0 * math.pi)
     assert np.max(np.abs(density.density - expected)) < 1e-12
+
+
+def test_angular_density_matches_pointwise_oracle(rng):
+    # sum over spins of |sum_o c_o Y_o|^2, one grid point at a time
+    u = bloch_orbital_matrix()
+    norm = math.sqrt(3.0 / (4.0 * math.pi))
+    for _ in range(5):
+        c = np.zeros(8, dtype=complex)
+        c[2:] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        c /= np.linalg.norm(c)
+        density = angular_density(SpinorState(c), n_theta=7, n_phi=11)
+        v = dict(zip(ORBITAL_SPIN_LABELS, u @ c))
+        expected = np.empty((7, 11))
+        for i, th in enumerate(density.theta):
+            for j, ph in enumerate(density.phi):
+                y = (norm * math.sin(th) * math.cos(ph),
+                     norm * math.sin(th) * math.sin(ph),
+                     norm * math.cos(th))
+                expected[i, j] = sum(
+                    abs(sum(v[f"{o}_{spin}"] * y_o
+                            for o, y_o in zip("XYZ", y))) ** 2
+                    for spin in ("up", "dn"))
+        assert np.max(np.abs(density.density - expected)) \
+            <= 1e-15 * np.max(expected)
 
 
 def test_angular_density_rejects_cb_state():
