@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +107,27 @@ class AngularDensity:
         return float(np.sum(self.density * self.weights))
 
 
+@lru_cache(maxsize=8)
+def _sphere_grid(n_theta: int, n_phi: int):
+    """(theta, phi, orbitals, weights) of the equiangular cell-centered
+    grid, built once per size and read-only because every call shares
+    them: the p-orbital angular forms (3, n_theta n_phi) and the
+    solid-angle weights (n_theta, n_phi)."""
+    th = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    ph = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
+    tt, pp = np.meshgrid(th, ph, indexing="ij")
+    norm = math.sqrt(3.0 / (4.0 * math.pi))
+    orbitals = np.stack([norm * np.sin(tt) * np.cos(pp),
+                         norm * np.sin(tt) * np.sin(pp),
+                         norm * np.cos(tt)]).reshape(3, -1)
+    dth = math.pi / n_theta
+    dph = 2.0 * math.pi / n_phi
+    weights = np.sin(tt) * dth * dph
+    for a in (th, ph, orbitals, weights):
+        a.flags.writeable = False
+    return th, ph, orbitals, weights
+
+
 def angular_density(state: SpinorState, n_theta: int = 90,
                     n_phi: int = 180) -> AngularDensity:
     """Angular probability density of a valence state's Bloch part.
@@ -115,26 +137,19 @@ def angular_density(state: SpinorState, n_theta: int = 90,
     For a unit-norm state the density integrates to one up to the
     quadrature error of the cell-centered grid (about 1e-3 at the
     default resolution); exported files are normalized downstream.
+    The returned theta, phi and weights are read-only arrays shared by
+    every call on the same grid.
     """
     v = _U0 @ _full8(state.coefficients[:, None])[:, 0]
     s_weight = sum(abs(v[i]) ** 2 for i in _S_ROWS)
     if s_weight > 1e-9:
         raise ValueError("angular density is defined for VB states only")
-    th = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    ph = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    norm = math.sqrt(3.0 / (4.0 * math.pi))
-    orbitals = np.stack([norm * np.sin(tt) * np.cos(pp),
-                         norm * np.sin(tt) * np.sin(pp),
-                         norm * np.cos(tt)])
+    th, ph, orbitals, weights = _sphere_grid(n_theta, n_phi)
     # the orbitals are real, so the real and imaginary parts of both spin
     # amplitudes come from one real (4, 3) @ (3, n_theta n_phi) product
     xyz = v[[_XYZ_UP, _XYZ_DN]]
-    amp = np.vstack([xyz.real, xyz.imag]) @ orbitals.reshape(3, -1)
-    density = np.sum(amp ** 2, axis=0).reshape(tt.shape)
-    dth = math.pi / n_theta
-    dph = 2.0 * math.pi / n_phi
-    weights = np.sin(tt) * dth * dph
+    amp = np.vstack([xyz.real, xyz.imag]) @ orbitals
+    density = np.sum(amp ** 2, axis=0).reshape(weights.shape)
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
 
 

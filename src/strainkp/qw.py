@@ -23,15 +23,19 @@ the well material's stiffness (the barrier inherits it).
 One private builder gives each node's 6x6 diagonal block and the block
 coupling it to the next node.  ``build_qw_hamiltonian`` assembles them
 into a dense band-major matrix, kept as the reference for tests and
-benchmarks; ``solve_qw`` assembles the same blocks site-major into a
-sparse block-tridiagonal matrix and finds the topmost states by ARPACK
-shift-invert with a shift proven to lie above the spectrum (see its
-docstring).  Without e_xz and e_yz (every uniaxial or biaxial stress
-along the cubic axes) S vanishes and the matrix splits exactly into
-{HH+3/2, LH-1/2, SO-1/2} and their Kramers partners, so ARPACK solves
-only that 3N block, real unless e_xy is nonzero, and time reversal
-supplies the partners.  scipy is imported only there, so bulk-only use
-never loads it.
+benchmarks; ``solve_qw`` keeps them as node blocks (site-major, block
+tridiagonal) and finds the topmost states in numpy alone: shift-invert
+block subspace iteration with a shift proven to lie above the spectrum,
+so sigma I - H is Hermitian positive definite and block cyclic
+reduction factors it without pivoting (see its docstring).  It stops
+when every wanted Ritz pair has a residual |H x - theta x| of at most
+1e-11 eV, and fails after 200 Rayleigh-Ritz steps.  Without e_xz and
+e_yz (every uniaxial or biaxial stress along the cubic axes) S vanishes
+and the matrix splits exactly into {HH+3/2, LH-1/2, SO-1/2} and their
+Kramers partners, so only that 3N block is solved, real unless e_xy is
+nonzero, and time reversal supplies the partners; sheared wells solve
+the whole 6N matrix with the same solver.  No part of the package
+imports scipy.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -153,9 +157,17 @@ class EmulationOffsets:
 DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 
 # distance of the shift-invert shift above the bound on the QW spectrum
-# (eV), and the seed of ARPACK's fixed start vector
+# (eV), and the seed of the solver's fixed start block
 _SHIFT_MARGIN_EV = 1e-3
 _START_SEED = 20240817
+# the subspace iteration stops when every wanted Ritz pair has
+# |H x - theta x| below this (eV), or below 100 round-offs of the largest
+# entry of H on grids so fine that 1e-11 eV is out of reach, and fails
+# after this many Rayleigh-Ritz steps
+_RESIDUAL_TOL_EV = 1e-11
+_MAX_ITERATIONS = 200
+# block cyclic reduction stops at this many nodes and inverts them densely
+_DENSE_NODES = 8
 # VB bands {HH+3/2, LH-1/2, SO-1/2} and their Kramers partners {LH+1/2,
 # HH-3/2, SO+1/2}: only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
@@ -181,8 +193,8 @@ def vb_edge_profile(geometry: QwGeometry, table, well=None, barrier=None):
 
 def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
                  barrier):
-    """Block formulas of the well Hamiltonian, shared by the dense and the
-    sparse assembly.
+    """Block formulas of the well Hamiltonian, shared by the dense
+    assembly and the solver.
 
     Returns (diag, upper, onsite, a): each node's diagonal 6x6 block
     (N, 6, 6), the block coupling node i to node i + 1 (N - 1, 6, 6),
@@ -217,17 +229,26 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
     its material at k = 0 and the applied strain; kz A kz adds the box
     scheme of the module docstring, with the off-grid neighbours of the
     end nodes reusing the end values.  The result is Hermitian by
-    construction.  ``solve_qw`` assembles the same blocks as a sparse
-    matrix; this dense form is the reference the tests compare it with.
+    construction.  ``solve_qw`` works on the same blocks without
+    assembling them; this dense form is the reference the tests compare
+    it with.
     """
     diag, upper, _, _ = _node_blocks(geometry, strain, table, well, barrier)
     n = geometry.grid_points
-    ham = np.zeros((6, n, 6, n), dtype=complex)
+    return _dense(diag, upper).transpose(1, 0, 3, 2).reshape(6 * n, 6 * n)
+
+
+def _dense(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The block-tridiagonal Hermitian matrix of diagonal blocks ``diag``
+    (n, m, m) and blocks ``upper`` (n - 1, m, m) coupling node i to
+    i + 1, as a dense (n, m, n, m) array (node, band, node, band)."""
+    n, m = diag.shape[:2]
+    dense = np.zeros((n, m, n, m), diag.dtype)
     i = np.arange(n)
-    ham[:, i, :, i] = diag
-    ham[:, i[:-1], :, i[1:]] = upper
-    ham[:, i[1:], :, i[:-1]] = np.conj(np.swapaxes(upper, -1, -2))
-    return ham.reshape(6 * n, 6 * n)
+    dense[i, :, i] = diag
+    dense[i[:-1], :, i[1:]] = upper
+    dense[i[1:], :, i[:-1]] = _herm(upper)
+    return dense
 
 
 def _time_reversal() -> np.ndarray:
@@ -240,21 +261,164 @@ def _time_reversal() -> np.ndarray:
     return (np.conj(b.T) @ spin @ np.conj(b))[vb, vb]
 
 
-def _site_major(blocks: np.ndarray, n: int):
-    """Sparse CSC matrix of the node blocks (diagonal, upper, lower; each
-    (.., m, m)) of ``n`` nodes, index node * m + band."""
-    import scipy.sparse
+def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for node blocks (diagonal (n, m, m), then the n - 1 blocks
+    coupling node i to i + 1, then their conjugate transposes; index
+    node * m + band) and x of shape (n, m, p) (node, band, vector)."""
+    n = x.shape[0]
+    y = blocks[:n] @ x
+    y[:-1] += blocks[n:2 * n - 1] @ x[1:]
+    y[1:] += blocks[2 * n - 1:] @ x[:-1]
+    return y
 
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _hpd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of Hermitian positive definite matrices (..., m, m), from
+    their Cholesky factors; a matrix that is not positive definite raises
+    ``kp_bulk.NumericalError``."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise kp_bulk.NumericalError(
+            "the shifted QW matrix is not positive definite, so the shift "
+            "does not lie above the spectrum") from exc
+    inverse = np.linalg.inv(chol)
+    return _herm(inverse) @ inverse
+
+
+def _cr_factor(diag: np.ndarray, upper: np.ndarray):
+    """Odd-even block cyclic reduction of the Hermitian positive definite
+    block-tridiagonal M with diagonal blocks ``diag`` (n, m, m) and
+    ``upper[i]`` coupling node i to node i + 1 (n - 1, m, m).
+
+    Each level eliminates the odd nodes in one batched step; the even
+    nodes keep a block-tridiagonal Schur complement, which is reduced in
+    turn until at most ``_DENSE_NODES`` nodes are left, and those are
+    inverted as one dense matrix.  This is a block Cholesky factorization
+    in odd-even order, so M is positive definite exactly when every
+    eliminated pivot block and the last dense matrix are, and each is
+    checked by ``_hpd_inverse``.  Returns the levels (inverse pivots and
+    the multipliers of both neighbours, with their conjugate transposes)
+    and the dense inverse of the last nodes.
+    """
+    levels = []
+    while len(diag) > _DENSE_NODES:
+        half = (len(diag) + 1) // 2
+        inverse = _hpd_inverse(diag[1::2])
+        to_odd = upper[0::2]            # even node 2t -> odd node 2t + 1
+        from_odd = upper[1::2]          # odd node 2t + 1 -> even 2t + 2
+        right = to_odd @ inverse
+        left = _herm(from_odd) @ inverse[:half - 1]
+        diag = diag[0::2].copy()
+        diag[:len(right)] -= right @ _herm(to_odd)
+        diag[1:] -= left @ from_odd
+        upper = -right[:half - 1] @ from_odd
+        levels.append((inverse, right, left, _herm(right), _herm(left)))
+    size = diag.shape[0] * diag.shape[1]
+    return levels, _hpd_inverse(_dense(diag, upper).reshape(size, size))
+
+
+def _cr_solve(factor, b: np.ndarray) -> np.ndarray:
+    """M^-1 b for the ``_cr_factor`` of M and b of shape (n, m, p)."""
+    levels, last = factor
+    b = b.astype(np.result_type(b, last), copy=False)
+    eliminated = []
+    for _, right, left, _, _ in levels:
+        odd = b[1::2]
+        b = b[0::2].copy()
+        b[:len(odd)] -= right @ odd
+        b[1:] -= left @ odd[:len(b) - 1]
+        eliminated.append(odd)
+    x = (last @ b.reshape(len(last), -1)).reshape(b.shape)
+    for (inverse, _, _, right_h, left_h), odd in zip(reversed(levels),
+                                                      reversed(eliminated)):
+        y = inverse @ odd - right_h @ x[:len(odd)]
+        y[:len(x) - 1] -= left_h @ x[1:]
+        full = np.empty((len(x) + len(odd),) + x.shape[1:], x.dtype)
+        full[0::2] = x
+        full[1::2] = y
+        x = full
+    return x
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of y (dim, p).
+
+    Two passes of Cholesky QR: a p x p Gram matrix and two small
+    products.  The Householder QR of ``np.linalg.qr`` costs two to three
+    times more on these tall blocks (0.36-0.5 ms against 0.17 ms for
+    1809 x 10 on 2 cores) and, probably because OpenBLAS splits it over
+    threads, stalls when the other core is busy.  A block so
+    ill-conditioned that a Cholesky factorization fails takes the
+    Householder QR.
+    """
+    q = y
+    try:
+        for _ in range(2):
+            inverse = np.linalg.inv(np.linalg.cholesky(np.conj(q.T) @ q))
+            q = q @ _herm(inverse)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(y)[0]
+    return q
+
+
+def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
+        -> np.ndarray:
+    """The k topmost eigenvectors (n, m, k), descending, of the
+    block-tridiagonal H of ``blocks`` (the ``_block_apply`` layout), with
+    sigma above its spectrum.
+
+    Shift-invert block subspace iteration with Chebyshev acceleration
+    (Rutishauser, Numer. Math. 16, 205 (1970)): a block of p = min(mn,
+    max(2k, k + 8)) vectors, started from a seeded Gaussian block, is
+    orthonormalized (``_orthonormal``) and H is diagonalized on its span
+    (Rayleigh-Ritz).  The first step multiplies the block by
+    A = (sigma I - H)^-1 (``_cr_solve``); each later one by the degree-3
+    Chebyshev polynomial of A that stays within [-1, 1] on [0, c], with
+    c = 1 / (sigma - theta_p) from the lowest Ritz value theta_p, which
+    grows the wanted directions far faster than A^3 for the same three
+    solves.  It stops when every wanted Ritz pair has
+    |H x - theta x| <= ``_RESIDUAL_TOL_EV`` (or 100 eps max |H_ij|, if
+    larger) and raises ``kp_bulk.NumericalError`` with the residual
+    after ``_MAX_ITERATIONS`` steps.
+    """
     m = blocks.shape[-1]
-    i = np.arange(n)
-    rows, cols = np.broadcast_arrays(
-        m * np.concatenate([i, i[:-1], i[1:]])[:, None, None]
-        + np.arange(m)[:, None],
-        m * np.concatenate([i, i[1:], i[:-1]])[:, None, None]
-        + np.arange(m))
-    return scipy.sparse.csc_array((blocks.ravel(),
-                                   (rows.ravel(), cols.ravel())),
-                                  shape=(m * n, m * n))
+    n = (len(blocks) + 2) // 3
+    dim = m * n
+    factor = _cr_factor(sigma * np.eye(m) - blocks[:n],
+                        -blocks[n:2 * n - 1])
+    p = min(dim, max(2 * k, k + 8))
+    tol = max(_RESIDUAL_TOL_EV,
+              100.0 * np.finfo(float).eps * np.abs(blocks).max())
+
+    def solve(v):
+        return _cr_solve(factor, v.reshape(n, m, p)).reshape(dim, p)
+
+    rng = np.random.default_rng(_START_SEED)
+    x = rng.standard_normal((dim, 2 * p)).view(complex) \
+        if np.iscomplexobj(blocks) else rng.standard_normal((dim, p))
+    y = solve(x)
+    for _ in range(_MAX_ITERATIONS):
+        q = _orthonormal(y)
+        hq = _block_apply(blocks, q.reshape(n, m, p)).reshape(dim, p)
+        theta, w = np.linalg.eigh(np.conj(q.T) @ hq)
+        theta, w = theta[::-1], w[:, ::-1]
+        x = q @ w
+        residual = np.linalg.norm(hq @ w[:, :k] - x[:, :k] * theta[:k],
+                                  axis=0).max()
+        if residual <= tol:
+            return x[:, :k].reshape(n, m, k)
+        scale = 2.0 * (sigma - theta[-1])
+        previous, y = x, scale * solve(x) - x
+        for _ in range(2):
+            previous, y = y, 2.0 * (scale * solve(y) - y) - previous
+    raise kp_bulk.NumericalError(
+        f"shift-invert QW eigensolve did not converge in {_MAX_ITERATIONS} "
+        f"iterations: residual {residual:.3g} eV exceeds {tol:.3g} eV")
 
 
 def _split_blocks(blocks: np.ndarray):
@@ -274,63 +438,64 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
 
     The hole ground state is the first returned doublet.  Phases follow
     ``kp_bulk.eigensolve``: the first significant coefficient is real and
-    positive.  ``n_states`` must lie in 1 ... 6N - 2 (ARPACK needs fewer
-    than 6N - 1 on the 6N matrix).  Every returned pair (states 2j and
-    2j + 1) is checked to be a degenerate orthogonal doublet; a failed
-    check, an unconverged eigensolve, a singular shifted matrix or any
-    other scipy failure raises ``kp_bulk.NumericalError``.
-
-    The blocks of ``build_qw_hamiltonian`` are assembled site-major
-    (index node * 6 + band), where H is block tridiagonal with bandwidth
-    11, as a sparse CSC matrix.  ARPACK shift-invert
-    (``scipy.sparse.linalg.eigsh`` with shift sigma) returns the states
-    nearest sigma.  sigma lies above the whole spectrum: H is the block
-    diagonal of on-site k = 0 bulk blocks plus the discretized kz A kz,
-    whose quadratic form is a sum over grid links of
-    d^H (A_i + A_{i+1}) / 2h^2 d (d the difference of neighbouring
-    nodes, the links to the hard walls included), so it is negative
-    semidefinite when each material's A is.
-    Then no eigenvalue of H exceeds the largest eigenvalue of the on-site
-    blocks, and sigma is that plus a margin, so the states nearest sigma
-    are the topmost ones.  A material whose A is not negative
-    semidefinite (e.g. gamma1 < 2 gamma2) raises
+    positive.  ``n_states`` must lie in 1 ... 6N.  Every returned pair
+    (states 2j and 2j + 1) is checked to be a degenerate orthogonal
+    doublet; a failed check, an eigensolve that does not converge or a
+    shifted matrix that is not positive definite raises
     ``kp_bulk.NumericalError``.
 
-    Without e_xz and e_yz, S vanishes at k_parallel = 0, and no entry of
-    H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their Kramers
-    partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
-    (1985)).  When every such entry of the assembled blocks is exactly
-    zero, ARPACK gets only the 3N block of the first set and one vector
-    per Kramers pair, ceil(n_states / 2) of them.  The block is real
-    unless e_xy makes R complex.  scipy hands a complex matrix to
-    ARPACK's non-Hermitian routine, which needs fewer than 3N - 1
-    vectors, so a complex block asked for more (n_states of 6N - 3 or
-    6N - 2) is solved as the whole 6N matrix instead.  On the split
-    path each Ritz vector lives in the first set of bands and its
-    partner T psi in the second, so the pair is exactly degenerate by
-    construction.  Sheared wells solve the whole 6N matrix.
+    The blocks of ``build_qw_hamiltonian`` are taken site-major (index
+    node * 6 + band), where H is block tridiagonal, and the topmost
+    states are found by shift-invert with a shift sigma above the whole
+    spectrum: H is the block diagonal of on-site k = 0 bulk blocks plus
+    the discretized kz A kz, whose quadratic form is a sum over grid
+    links of d^H (A_i + A_{i+1}) / 2h^2 d (d the difference of
+    neighbouring nodes, the links to the hard walls included), so it is
+    negative semidefinite when each material's A is.  Then no eigenvalue
+    of H exceeds the largest eigenvalue of the on-site blocks, and sigma
+    is that plus a margin, so the states nearest sigma are the topmost
+    ones.  A material whose A is not negative semidefinite (e.g.
+    gamma1 < 2 gamma2) raises ``kp_bulk.NumericalError``.
 
-    ARPACK starts from a fixed, seeded Gaussian vector of the solved
-    matrix's size and type: its default random start changes between
-    calls, and a structured one such as all ones can miss a symmetry
-    sector.  On the 6N matrix a Krylov space grown from one vector holds
-    one direction per Kramers pair and finds the partner only through
-    round-off, so ARPACK can return one member of a pair and a state of
-    the next pair instead of the other member.  On both paths the Ritz
-    vectors are therefore joined by their time-reversed copies
-    T psi = U conj(psi) (node by node; T commutes with H at
-    k_parallel = 0), which completes every pair they touch.  The
-    non-Hermitian routine's Ritz vectors of a pair are not orthogonal
-    either.  So the joined vectors are orthonormalized (QR), the full 6N
-    H is diagonalized on their span (Rayleigh-Ritz), and the topmost
-    ``n_states`` are kept before the phases are fixed.
+    So sigma I - H is Hermitian positive definite, and odd-even block
+    cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    627 (1970)) factors it without pivoting: it is a block Cholesky
+    factorization in another node order.  Each pivot block is checked by
+    a Cholesky factorization, so a shift that is not above the spectrum
+    raises instead of returning interior states.  The solver is numpy
+    alone (no scipy): shift-invert block subspace iteration with
+    Chebyshev acceleration and Rayleigh-Ritz on H (``_top_eigenvectors``)
+    runs until every wanted Ritz pair has |H x - theta x| <= 1e-11 eV
+    (or 100 round-offs of the largest entry of H on very fine grids),
+    for at most 200 Rayleigh-Ritz steps.
+
+    Without e_xz and e_yz (every uniaxial or biaxial stress along the
+    cubic axes, also with e_xy), S vanishes at k_parallel = 0, and no
+    entry of H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their
+    Kramers partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
+    (1985)).  When every such entry of the assembled blocks is exactly
+    zero, only the 3N block of the first set is solved, for one vector
+    per Kramers pair, ceil(n_states / 2) of them.  The block is real
+    unless e_xy makes R complex.  Sheared wells solve the whole 6N matrix
+    for ``n_states`` vectors.
+
+    The iteration starts from a fixed, seeded Gaussian block of the
+    solved matrix's size and type, so repeated solves are bit for bit
+    identical.  On the split path each Ritz vector lives in the first set
+    of bands and its partner T psi in the second, so the pair is exactly
+    degenerate by construction; on the 6N matrix an odd ``n_states`` ends
+    inside a pair.  On both paths the Ritz vectors are therefore joined
+    by their time-reversed copies T psi = U conj(psi) (node by node; T
+    commutes with H at k_parallel = 0), which completes every pair they
+    touch.  The joined vectors are orthonormalized (QR), the full 6N H is
+    diagonalized on their span (Rayleigh-Ritz, H applied block by block),
+    and the topmost ``n_states`` are kept before the phases are fixed.
     """
     n = geometry.grid_points
     dim = 6 * n
-    if not 1 <= n_states <= dim - 2:
-        raise ValueError(f"n_states must lie in 1 ... {dim - 2} for "
+    if not 1 <= n_states <= dim:
+        raise ValueError(f"n_states must lie in 1 ... {dim} for "
                          f"{n} grid points, got {n_states}")
-    import scipy.sparse.linalg
 
     diag, upper, onsite, a = _node_blocks(geometry, strain, table, well,
                                           barrier)
@@ -341,36 +506,19 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
             "above the QW spectrum is known")
     sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
 
-    blocks = np.concatenate([diag, upper,
-                             np.conj(np.swapaxes(upper, -1, -2))])
-    ham = _site_major(blocks, n)
-    solved, k = ham, n_states
+    blocks = np.concatenate([diag, upper, _herm(upper)])
     kept = _split_blocks(blocks)
-    half = (n_states + 1) // 2
-    # one vector per Kramers pair; scipy hands a complex matrix to ARPACK's
-    # non-Hermitian routine, which needs k < dim - 1 (the real one k < dim)
-    if kept is not None and half < 3 * n - np.iscomplexobj(kept):
-        solved, k = _site_major(kept, n), half
-
-    rng = np.random.default_rng(_START_SEED)
-    v0 = rng.standard_normal(2 * solved.shape[0]).view(complex) \
-        if np.iscomplexobj(solved) else rng.standard_normal(solved.shape[0])
-    try:
-        _, ritz = scipy.sparse.linalg.eigsh(solved, k=k, sigma=sigma, v0=v0)
-    except (RuntimeError, TypeError, ValueError) as exc:
-        # ArpackError and a singular SuperLU factor are RuntimeErrors;
-        # scipy refuses a size or an argument with TypeError or ValueError
-        raise kp_bulk.NumericalError(
-            f"sparse QW eigensolve failed: {exc}") from exc
-    if solved is ham:
-        ritz = ritz.reshape(n, 6, k)
-    else:  # the kept bands of 6N vectors
-        full = np.zeros((n, 6, k), dtype=complex)
-        full[:, _KEPT_BANDS] = ritz.reshape(n, 3, k)
-        ritz = full
+    if kept is None:
+        k = n_states
+        ritz = _top_eigenvectors(blocks, sigma, k)
+    else:
+        k = (n_states + 1) // 2
+        ritz = np.zeros((n, 6, k), dtype=complex)
+        ritz[:, _KEPT_BANDS] = _top_eigenvectors(kept, sigma, k)
     ritz = np.concatenate([ritz, _time_reversal() @ np.conj(ritz)], axis=2)
     q, _ = np.linalg.qr(ritz.reshape(dim, 2 * k))
-    energies, u = np.linalg.eigh(np.conj(q.T) @ (ham @ q))
+    hq = _block_apply(blocks, q.reshape(n, 6, -1)).reshape(q.shape)
+    energies, u = np.linalg.eigh(np.conj(q.T) @ hq)
     energies = energies[:-n_states - 1:-1]
     vectors = (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states)
     vectors = kp_bulk._fix_phases(

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from strainkp import axis, kp_bulk, optics, qw
 from strainkp.cli import _Grid, _write_table, main
@@ -394,14 +393,13 @@ def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
 
 def test_qw_eigensolver_failure_exit_3(tmp_path, config, monkeypatch,
                                        capsys):
-    def unconverged(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unconverged)
+    # one subspace-iteration step from the seeded block cannot converge
+    monkeypatch.setattr(qw, "_MAX_ITERATIONS", 1)
     assert main(["qw", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
-    assert "No convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "did not converge" in err
+    assert "residual" in err
 
 
 def test_unwritable_output_exit_4(tmp_path, config, capsys):

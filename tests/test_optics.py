@@ -217,6 +217,19 @@ def test_angular_density_matches_pointwise_oracle(rng):
             <= 1e-15 * np.max(expected)
 
 
+def test_angular_density_grid_is_built_once_and_read_only():
+    first = angular_density(basis_state(2))
+    second = angular_density(basis_state(3))
+    for name in ("theta", "phi", "weights"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    again = angular_density(basis_state(2))
+    assert np.array_equal(again.density, first.density)
+
+
 def test_angular_density_rejects_cb_state():
     with pytest.raises(ValueError, match="VB"):
         angular_density(basis_state(0))

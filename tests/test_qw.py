@@ -8,7 +8,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 import strainkp
 from strainkp import kp_bulk, qw
@@ -184,9 +183,7 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
                                                grid_points, xy):
     # without e_xz and e_yz the well solves as one 3N block per Kramers
     # pair (real, or complex with e_xy); the dense eigh and the full 6N
-    # path are its oracles.  At N = 151 the largest count is checked
-    # against the dense oracle only: the 6N ARPACK solve of nearly the
-    # whole spectrum takes about 20 s there.
+    # path are its oracles
     axes = (Z_AXIS, QuantizationAxis(rng.uniform(0.0, math.pi),
                                      rng.uniform(0.0, 2.0 * math.pi)))
     strain = _shear_free_strain(rng, xy)
@@ -197,56 +194,107 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
     dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
              for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
     dim = 6 * grid_points
-    for n_states in (1, 3, 4, dim - 2):
-        if n_states == dim - 2 and grid_points > 51 and xy:
-            continue  # this count runs the complex block on the 6N path
+    for n_states in (1, 3, 4, dim):
         states = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, dense[:n_states], axes)
-        if n_states == dim - 2 and grid_points > 51:
-            continue
         with monkeypatch.context() as m:
             m.setattr(qw, "_split_blocks", lambda blocks: None)
             full = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, full, axes)
 
 
-def test_solve_qw_hands_eigsh_the_smallest_exact_block(table, gaas,
-                                                       monkeypatch):
-    # uniaxial [100] stress: the real 3N block; e_xy alone: the complex 3N
-    # block; any e_xz or e_yz: the 6N matrix.  v0 always matches the
-    # matrix, since scipy does not check its length.
+def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
+                                                  monkeypatch):
+    # uniaxial [100] stress: the real 3N block, one vector per Kramers
+    # pair; e_xy alone: the complex 3N block; any e_xz or e_yz: the
+    # complex 6N matrix, one vector per state
     seen = []
-    eigsh = scipy.sparse.linalg.eigsh
+    top = qw._top_eigenvectors
 
-    def record(a, k, **kwargs):
-        seen.append((a.shape, a.dtype, k, kwargs["v0"].shape,
-                     kwargs["v0"].dtype))
-        return eigsh(a, k=k, **kwargs)
+    def record(blocks, sigma, k):
+        seen.append((blocks.shape, blocks.dtype, k))
+        return top(blocks, sigma, k)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+    monkeypatch.setattr(qw, "_top_eigenvectors", record)
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     n = geometry.grid_points
-    for strain, dim, dtype, k in (
-            (uniaxial_strain(1.0, gaas), 3 * n, np.float64, 2),
-            (StrainState(exy=0.003), 3 * n, np.complex128, 2),
-            (StrainState(exz=0.003), 6 * n, np.complex128, 4)):
+    for strain, m, dtype, k in (
+            (uniaxial_strain(1.0, gaas), 3, np.float64, 2),
+            (StrainState(exy=0.003), 3, np.complex128, 2),
+            (StrainState(exz=0.003), 6, np.complex128, 4)):
         solve_qw(geometry, strain, table, 4)
-        assert seen.pop() == ((dim, dim), dtype, k, (dim,), dtype)
+        assert seen.pop() == ((3 * n - 2, m, m), dtype, k)
 
 
-def test_solve_qw_maps_any_scipy_failure(table, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise TypeError("Cannot use scipy.linalg.eigh for sparse A")
+def _dense_site_major(diag, upper):
+    n, m = diag.shape[:2]
+    dense = np.zeros((n, m, n, m), dtype=np.result_type(diag, upper))
+    i = np.arange(n)
+    dense[i, :, i] = diag
+    dense[i[:-1], :, i[1:]] = upper
+    dense[i[1:], :, i[:-1]] = np.conj(np.swapaxes(upper, -1, -2))
+    return dense.reshape(n * m, n * m)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+
+@pytest.mark.parametrize("complex_blocks", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51])
+def test_cyclic_reduction_solve_matches_dense(rng, n, complex_blocks):
+    # a seeded Hermitian block-tridiagonal matrix shifted to be positive
+    # definite; odd and even n cover the end nodes of every level
+    def draw(shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_blocks else a
+
+    diag, upper = draw((n, 3, 3)), draw((n - 1, 3, 3))
+    diag = diag + np.conj(np.swapaxes(diag, -1, -2))
+    dense = _dense_site_major(diag, upper)
+    shift = np.linalg.eigvalsh(dense).max() + 0.5
+    diag, upper = shift * np.eye(3) - diag, -upper
+    b = draw((n, 3, 4))
+    x = qw._cr_solve(qw._cr_factor(diag, upper), b)
+    expected = np.linalg.solve(_dense_site_major(diag, upper),
+                               b.reshape(3 * n, 4))
+    assert x.dtype == expected.dtype
+    assert np.abs(x.reshape(3 * n, 4) - expected).max() \
+        <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 51])
+def test_cyclic_reduction_rejects_indefinite_matrix(rng, n):
+    diag = rng.standard_normal((n, 3, 3))
+    diag = diag + np.swapaxes(diag, -1, -2)
+    upper = rng.standard_normal((n - 1, 3, 3))
+    dense = _dense_site_major(diag, upper)
+    # one eigenvalue of the shifted matrix is negative
+    shift = np.linalg.eigvalsh(dense).max() - 1e-3
+    with pytest.raises(NumericalError, match="not positive definite"):
+        qw._cr_factor(shift * np.eye(3) - diag, -upper)
+
+
+def test_orthonormal_basis_of_ill_conditioned_block(rng):
+    # Cholesky QR for a well-conditioned block; a rank-deficient one makes
+    # its factorization fail and takes the Householder QR; both span the
+    # columns
+    y = rng.standard_normal((300, 6))
+    for block in (y, np.hstack([y, y[:, :2]])):
+        q = qw._orthonormal(block)
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() < 1e-12
+        assert np.abs(q @ (q.T @ y) - y).max() < 1e-12
+
+
+def test_solve_qw_rejects_shift_inside_spectrum(table, monkeypatch):
+    # a shift below the top of the spectrum, as a broken shift proof
+    # would give, must fail instead of returning interior states
+    monkeypatch.setattr(qw, "_SHIFT_MARGIN_EV", -0.5)
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
-    with pytest.raises(NumericalError, match="eigensolve failed"):
+    with pytest.raises(NumericalError, match="not positive definite"):
         solve_qw(geometry, ZERO, table, 2)
 
 
 def test_solve_qw_rejects_state_count_out_of_range(table):
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
-    for n_states in (0, 6 * 51 - 1):
+    for n_states in (0, 6 * 51 + 1):
         with pytest.raises(ValueError, match="n_states"):
             solve_qw(geometry, ZERO, table, n_states)
 
@@ -261,14 +309,12 @@ def test_solve_qw_rejects_positive_kinetic_matrix(table, gaas):
         solve_qw(geometry, ZERO, table, 2, well=inverted)
 
 
-def _missing_partner(eigsh):
-    """eigsh stand-in that drops the Kramers partner of the second pair,
+def _missing_partner(top):
+    """Solver stand-in that drops the Kramers partner of the second pair,
     returning a state of the third pair in its place."""
 
-    def solve(ham, k, **kwargs):
-        w, v = eigsh(ham, k=k + 1, **kwargs)
-        keep = np.argsort(w)[::-1][[0, 1, 2, 4]]
-        return w[keep], v[:, keep]
+    def solve(blocks, sigma, k):
+        return top(blocks, sigma, k + 1)[..., [0, 1, 2, 4]]
 
     return solve
 
@@ -290,10 +336,10 @@ def test_time_reversal_commutes_with_well_hamiltonian(table,
 
 def test_solve_qw_completes_missed_kramers_partner(table, gaas,
                                                    monkeypatch):
-    # ARPACK returned one member of the second pair and a third-pair state
-    # for this sheared well (second and third pairs 1.9 meV apart); the
-    # time-reversed copies must restore the partner, also when the miss is
-    # forced
+    # a single-vector Krylov solver (ARPACK) returned one member of the
+    # second pair and a third-pair state for this sheared well (second
+    # and third pairs 1.9 meV apart); the time-reversed copies must
+    # restore the partner, also when the miss is forced
     geometry = QwGeometry(4.688, barrier_thickness_nm=10.0,
                           barrier_al_fraction=0.214, grid_points=61)
     strain = strain_from_stress(StressTensor(
@@ -302,8 +348,8 @@ def test_solve_qw_completes_missed_kramers_partner(table, gaas,
     dense = scipy.linalg.eigvalsh(ham)[:-5:-1]
     energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
     assert energies == pytest.approx(dense, abs=1e-10)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        _missing_partner(scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(qw, "_top_eigenvectors",
+                        _missing_partner(qw._top_eigenvectors))
     energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
     assert energies == pytest.approx(dense, abs=1e-10)
 
@@ -312,23 +358,37 @@ def test_solve_qw_checks_every_returned_pair(table, random_strain,
                                              monkeypatch):
     # without the time-reversal completion the forced miss splits the
     # second pair, and the pair check must catch it there
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        _missing_partner(scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(qw, "_top_eigenvectors",
+                        _missing_partner(qw._top_eigenvectors))
     monkeypatch.setattr(qw, "_time_reversal", lambda: np.eye(6))
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     with pytest.raises(NumericalError, match="not degenerate"):
         solve_qw(geometry, random_strain(scale=0.005), table, 4)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported inside solve_qw only, so bulk-only runs skip it
+def test_import_does_not_load_scipy(tmp_path):
+    # no module imports scipy: bulk-only runs, a shear-free `strainkp qw`
+    # and a sheared well solve all run without it
     src = os.path.dirname(os.path.dirname(strainkp.__file__))
-    code = ("import sys, strainkp, strainkp.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    config = tmp_path / "run.ini"
+    config.write_text("[qw]\nthicknesses_nm = 6\nbarrier_thickness_nm = 10\n"
+                      "grid_points = 51\nsweep_steps = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    runs = ("",
+            f"strainkp.cli.main(['qw', '--config', {str(config)!r}, "
+            f"'--out', {str(out)!r}]); ",
+            "strainkp.solve_qw(strainkp.QwGeometry(8.0, 8.0, grid_points=51), "
+            "strainkp.StrainState(exz=0.003), "
+            "strainkp.default_parameter_table()); ")
+    for run in runs:
+        code = (f"import sys, strainkp, strainkp.cli; {run}"
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy')))")
+        printed = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stdout
+        assert printed.strip() == "[]"
+    assert (out / "qw_mixing_6nm.csv").stat().st_size > 0
 
 
 def test_hole_ground_state_unstrained(table):
