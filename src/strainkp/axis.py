@@ -193,12 +193,21 @@ def mixing_curve(stresses_gpa, prestress: StrainState | None,
     prestress contribution ("total", default) or only the uniaxial part
     ("uniaxial").
     """
+    return _mixing_curves(stresses_gpa, prestress, (axis,), p,
+                          abscissa=abscissa)[0]
+
+
+def _mixing_curves(stresses_gpa, prestress: StrainState | None, axes,
+                   p: MaterialParams, *,
+                   abscissa: str = "total") -> list[np.ndarray]:
+    """``mixing_curve`` for each of ``axes``, from one solve of the
+    sweep's doublets."""
     if abscissa not in ("total", "uniaxial"):
         raise ValueError("abscissa must be 'total' or 'uniaxial'")
     uniaxial, total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
     exx = (total if abscissa == "total" else uniaxial)[:, :1]
-    return np.hstack([exx, _project(psi, axis)])
+    return [np.hstack([exx, _project(psi, axis)]) for axis in axes]
 
 
 def mixing_map(stresses_gpa, prestress: StrainState | None,

@@ -226,10 +226,22 @@ class _Grid(NamedTuple):
     values: np.ndarray
 
 
-def _body(rows, ncols: int) -> str:
-    """CSV body of a table: ``rows`` is a ``_Grid`` or equal-length rows
-    of numbers.  A grid's axis values are formatted once each and baked
-    into the row template, so the one ``%`` formats only its values."""
+# Most cells of the table in one piece of the writer.  A piece's text, and
+# in JSON its rows parsed back to floats, is the most the writer holds
+# whatever the size of the table: under 3 MB of Python objects in JSON.
+_CHUNK_CELLS = 1 << 14
+
+
+def _body(rows, ncols: int):
+    """CSV body of a table as pieces of whole rows, each formatted by one
+    ``%.9g`` ``%`` operation and holding at most ``_CHUNK_CELLS`` cells
+    (a grid row of the first axis longer than that is a piece of its own).
+
+    ``rows`` is a ``_Grid`` or equal-length rows of numbers.  A grid's
+    axis values are formatted once each and baked into the row template,
+    so each ``%`` formats only its values; its pieces hold whole rows of
+    the first axis.
+    """
     if isinstance(rows, _Grid):
         first, second = (["%.9g" % v for v in
                           np.asarray(axis, dtype=float).tolist()]
@@ -239,31 +251,51 @@ def _body(rows, ncols: int) -> str:
         # joining ["", tail_0, tail_1, ...] with "a," puts a before each
         # tail: the rows of one first value from one C-level join
         tails = [""] + [b + ",%.9g\n" for b in second]
-        template = "".join((a + ",").join(tails) for a in first)
+        step = max(1, _CHUNK_CELLS // (3 * max(1, len(second))))
+        for i in range(0, len(first), step):
+            template = "".join((a + ",").join(tails)
+                               for a in first[i:i + step])
+            yield template % tuple(values[i:i + step].ravel().tolist())
     else:
         values = np.asarray(rows, dtype=float).reshape(-1, ncols)
-        template = (",".join(["%.9g"] * ncols) + "\n") * len(values)
-    return template % tuple(values.ravel().tolist())
+        row = ",".join(["%.9g"] * ncols) + "\n"
+        step = max(1, _CHUNK_CELLS // ncols)
+        for i in range(0, len(values), step):
+            chunk = values[i:i + step]
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _write_table(path: Path, columns, rows, output_format: str) -> None:
     """Write ``rows`` as CSV or JSON: equal-length rows of numbers, or a
-    ``_Grid`` of three columns.
+    ``_Grid`` of three columns.  The file is written piece by piece, so
+    the text of the whole table is never held in memory.
 
     ``"%.9g" % v`` is the text ``format(float(v), ".9g")`` gives, and JSON
-    holds those 9-digit values parsed back to floats.
+    holds those 9-digit values parsed back to floats: the bytes of
+    ``json.dumps({"columns": ..., "rows": ...}, separators=(",", ":"),
+    sort_keys=True)`` and a newline.
     """
-    body = _body(rows, len(columns))
-    if output_format == "csv":
-        text = ",".join(columns) + "\n" + body
-    else:
-        payload = {"columns": list(columns),
-                   "rows": [[float(cell) for cell in line.split(",")]
-                            for line in body.splitlines()]}
-        text = json.dumps(payload, separators=(",", ":"),
-                          sort_keys=True) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        if output_format == "csv":
+            f.write(",".join(columns) + "\n")
+            f.writelines(_body(rows, len(columns)))
+            return
+        f.write('{"columns":' + _compact_json(list(columns)) + ',"rows":[')
+        sep = ""
+        for piece in _body(rows, len(columns)):
+            if piece:
+                f.write(sep)
+                # the rows of one piece without their outer brackets
+                f.write(_compact_json(
+                    [[float(cell) for cell in line.split(",")]
+                     for line in piece.splitlines()])[1:-1])
+                sep = ","
+        f.write("]}\n")
+
+
+def _compact_json(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _prestress(cfg: RunConfig, p: MaterialParams):
@@ -275,12 +307,12 @@ def _prestress(cfg: RunConfig, p: MaterialParams):
 
 def cmd_mixing_curve(cfg: RunConfig, threads: int) -> list:
     p = cfg.load_table()[cfg.material]
-    stresses = cfg.stress_sweep()
-    pre = _prestress(cfg, p)
-    return [(f"mixing_curve_{name}", axis_mod.MIXING_CURVE_COLUMNS,
-             axis_mod.mixing_curve(stresses, pre,
-                                   axis_mod.QuantizationAxis(theta), p))
-            for name, theta in (("z", 0.0), ("x", math.pi / 2.0))]
+    z, x = axis_mod._mixing_curves(
+        cfg.stress_sweep(), _prestress(cfg, p),
+        (axis_mod.QuantizationAxis(0.0),
+         axis_mod.QuantizationAxis(math.pi / 2.0)), p)
+    return [("mixing_curve_z", axis_mod.MIXING_CURVE_COLUMNS, z),
+            ("mixing_curve_x", axis_mod.MIXING_CURVE_COLUMNS, x)]
 
 
 def cmd_mixing_map(cfg: RunConfig, threads: int) -> list:
@@ -303,15 +335,19 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
         raise ConfigError(
             f"[run] material: qw models a GaAs well, got {cfg.material!r}")
     geometries = cfg.qw_geometries()
-    curves = qw.qw_mixing_vs_strain(
-        geometries, cfg.stress_sweep(cfg.qw_sweep_steps),
+    stresses = cfg.stress_sweep(cfg.qw_sweep_steps)
+    sweeps = qw._mixing_sweep(
+        geometries, stresses,
         (axis_mod.QuantizationAxis(0.0),
-         axis_mod.QuantizationAxis(math.pi / 2.0)), table, threads=threads)
+         axis_mod.QuantizationAxis(math.pi / 2.0)), table, threads)
+    # a sweep through 0 GPa has solved each unstrained well on its grid
+    zero = np.flatnonzero(stresses == 0.0)
     results = []
-    for geometry, rows in zip(geometries, curves):
+    for geometry, (rows, energies) in zip(geometries, sweeps):
         doubled = replace(geometry, grid_points=2 * geometry.grid_points + 1)
-        e_base, e_fine = (qw.solve_qw(g, StrainState(), table, 2)[0].energy
-                          for g in (geometry, doubled))
+        e_base = energies[zero[0]] if zero.size else \
+            qw.solve_qw(geometry, StrainState(), table, 2)[0].energy
+        e_fine = qw.solve_qw(doubled, StrainState(), table, 2)[0].energy
         converged = 1.0 if abs(e_base - e_fine) < 1e-4 else 0.0
         rows = np.hstack([rows, np.full((len(rows), 1), converged)])
         results.append((_qw_stem(geometry.well_thickness_nm), _QW_COLUMNS,

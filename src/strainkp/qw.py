@@ -556,16 +556,29 @@ def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
     each axis in ``axes``); every axis projects the same solved doublet.
     The well is GaAs and the strain is computed from its stiffness.
     """
+    return [rows for rows, _ in _mixing_sweep(geometries, stresses_gpa, axes,
+                                              table, threads)]
+
+
+def _mixing_sweep(geometries, stresses_gpa, axes, table,
+                  threads: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``qw_mixing_vs_strain`` with the hole ground-state energy (eV) of
+    every sweep point: one (rows, energies) pair per geometry."""
     _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
 
     def one(geometry, voigt):
         states = solve_qw(geometry, StrainState(*voigt), table, 2)
-        return [voigt[0]] + [
+        row = [voigt[0]] + [
             v for axis in axes
             for v in astuple(envelope_projection(states[:2], axis))]
+        return row, states[0].energy
 
-    return [np.array(map_ordered(partial(one, geometry), strains, threads))
-            for geometry in geometries]
+    sweeps = []
+    for geometry in geometries:
+        points = map_ordered(partial(one, geometry), strains, threads)
+        sweeps.append((np.array([row for row, _ in points]),
+                       np.array([energy for _, energy in points])))
+    return sweeps
 
 
 def emulated_transition_energies(offsets: EmulationOffsets, strains,

@@ -1,11 +1,14 @@
 import functools
 import json
+import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from strainkp import axis, kp_bulk, optics, qw
-from strainkp.cli import _Grid, _write_table, main
+from strainkp.cli import _CHUNK_CELLS, _Grid, _write_table, main
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
 from strainkp.materials import default_parameter_table
 
@@ -57,6 +60,38 @@ def oracle_text(columns, rows, output_format):
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+SPECIALS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e21)
+# rows of three cells in one piece of the writer
+PIECE_ROWS = _CHUNK_CELLS // 3
+
+
+def chunked_table(n_rows):
+    """Random rows of three cells with the specials in the first and last
+    row of the table and in the rows on both sides of the first piece
+    boundary."""
+    values = np.random.default_rng(n_rows).standard_normal((n_rows, 3))
+    for i in {0, PIECE_ROWS - 1, PIECE_ROWS, n_rows - 1}:
+        if i < n_rows:
+            values[i] = np.roll(SPECIALS, i)[:3]
+    return values
+
+
+def chunked_grid(n_first, n_second):
+    """A random grid with the specials on both axes and in the values of
+    the first and last grid rows of every piece."""
+    rng = np.random.default_rng(n_first * n_second)
+    first, second = rng.standard_normal(n_first), rng.standard_normal(n_second)
+    first[:len(SPECIALS)] = SPECIALS[:n_first]
+    second[-len(SPECIALS):] = SPECIALS
+    values = rng.standard_normal((n_first, n_second))
+    rows_per_piece = max(1, PIECE_ROWS // n_second)
+    for i in range(0, n_first, rows_per_piece):
+        values[i, :len(SPECIALS)] = SPECIALS
+        values[min(i + rows_per_piece, n_first) - 1, -len(SPECIALS):] \
+            = SPECIALS
+    return _Grid(first, second, values)
+
+
 WRITER_TABLES = {
     "special": [(float("nan"), float("inf"), -float("inf")),
                 (-0.0, 5e-324, 1e-29), (1e21, 123456789.5, -2.5)],
@@ -80,6 +115,12 @@ WRITER_TABLES = {
     "grid_1xn": _Grid(np.array([1e21]),
                       np.array([5e-324, -float("inf"), 2.0 / 3.0]),
                       np.array([[float("inf"), -0.0, 1e-29]])),
+    # around the writer's piece boundary, and grids over several pieces
+    "chunk_minus_row": chunked_table(PIECE_ROWS - 1),
+    "chunk": chunked_table(PIECE_ROWS),
+    "chunk_plus_row": chunked_table(PIECE_ROWS + 1),
+    "grid_chunks": chunked_grid(13, PIECE_ROWS // 5 + 1),
+    "grid_long_rows": chunked_grid(3, PIECE_ROWS + 7),
 }
 
 
@@ -97,6 +138,23 @@ def test_write_table_matches_per_value_oracle(tmp_path, name,
                 for j, b in enumerate(rows.second)]
     assert path.read_bytes() \
         == oracle_text(columns, rows, output_format).encode("utf-8")
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_write_table_memory_is_bounded(output_format):
+    # a 361 x 4001 map is 1.4 million rows; held whole as text, the writer
+    # would take over 100 MB
+    rng = np.random.default_rng(3)
+    grid = _Grid(np.linspace(0.0, np.pi / 2.0, 361),
+                 np.linspace(-0.02, 0.02, 4001), rng.random((361, 4001)))
+    tracemalloc.start()
+    try:
+        _write_table(Path(os.devnull), ("theta_rad", "strain_xx", "p_hh"),
+                     grid, output_format)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_grid_outputs_are_theta_major(tmp_path):
@@ -181,6 +239,41 @@ def test_mixing_curve_steps_override(tmp_path):
     assert main(["mixing-curve", "--out", str(out), "--steps", "2"]) == 0
     _, rows = read_rows(out / "mixing_curve_z.csv")
     assert len(rows) == 2
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_mixing_curve_solves_the_sweep_once(tmp_path, monkeypatch):
+    # the z and x curves project one batched eigensolve of the sweep
+    calls = counting(monkeypatch, axis, "_doublet_stack")
+    assert main(["mixing-curve", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("small, solves", [
+    # default: 21 points through 0 GPa for each of the two wells, whose
+    # 0 GPa solve serves the convergence check, and one doubled grid each
+    (False, 2 * 21 + 2),
+    # one 6 nm well and a 4-point sweep that misses 0 GPa: one more solve
+    # on the base grid
+    (True, 4 + 2),
+])
+def test_qw_solve_count(tmp_path, config, monkeypatch, small, solves):
+    calls = counting(monkeypatch, qw, "solve_qw")
+    args = ["--config", str(config), "--steps", "4"] if small else []
+    assert main(["qw", "--out", str(tmp_path / "out")] + args) == 0
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("command, field", [
