@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 __all__ = ["map_ordered"]
 
 
@@ -12,10 +10,13 @@ def map_ordered(fn, items, threads: int = 1) -> list:
 
     With ``threads > 1`` evaluation runs on a thread pool (the heavy
     work is inside LAPACK, which releases the GIL); assembly order is
-    by input index either way, so results are deterministic.
+    by input index either way, so results are deterministic.  The pool
+    module is imported only then, so ``import strainkp`` does not load
+    ``concurrent.futures`` and its ``threading``/``logging`` imports.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

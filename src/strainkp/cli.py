@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -227,8 +228,8 @@ class _Grid(NamedTuple):
 
 
 # Most cells of the table in one piece of the writer.  A piece's text, and
-# in JSON its rows parsed back to floats, is the most the writer holds
-# whatever the size of the table: under 3 MB of Python objects in JSON.
+# in JSON a few rewritten copies of it, is the most the writer holds
+# whatever the size of the table.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -273,7 +274,8 @@ def _write_table(path: Path, columns, rows, output_format: str) -> None:
     ``"%.9g" % v`` is the text ``format(float(v), ".9g")`` gives, and JSON
     holds those 9-digit values parsed back to floats: the bytes of
     ``json.dumps({"columns": ..., "rows": ...}, separators=(",", ":"),
-    sort_keys=True)`` and a newline.
+    sort_keys=True)`` and a newline.  ``_json_rows`` makes that number
+    text from the CSV text without parsing it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as f:
@@ -286,12 +288,41 @@ def _write_table(path: Path, columns, rows, output_format: str) -> None:
         for piece in _body(rows, len(columns)):
             if piece:
                 f.write(sep)
-                # the rows of one piece without their outer brackets
-                f.write(_compact_json(
-                    [[float(cell) for cell in line.split(",")]
-                     for line in piece.splitlines()])[1:-1])
+                f.write(_json_rows(piece))
                 sep = ","
         f.write("]}\n")
+
+
+# Cells whose %.9g text is not the float repr that json.dumps writes, in
+# the rows of a piece as JSON text (each cell follows "[" or "," and precedes
+# "," or "]"): integer-looking cells, which repr ends in ".0"; exponents 9
+# to 15, which repr writes without one; and exponents of -308 and below,
+# where subnormals have fewer digits than 9 ("%.9g" of 5e-324 is
+# 4.94065646e-324).  Every other finite cell has at most 9 significant
+# digits and a normal exponent, so its repr has the same digits and the
+# same notation.  The integer patterns start with a literal, which the
+# regex engine scans for quickly; the rare exponents are searched for first.
+_INTEGER_CELLS = (re.compile(r",-?\d+(?=[,\]])"),
+                  re.compile(r"\[-?\d+(?=[,\]])"))
+_EXPONENT = re.compile(r"e(?:\+(?:09|1[0-5])|-3(?:0[89]|[1-9]\d))(?=[,\]])")
+_EXPONENT_CELL = re.compile(r"([,\[])([-\d.]+" + _EXPONENT.pattern + ")")
+
+
+def _repr_cell(match: re.Match) -> str:
+    return match[1] + repr(float(match[2]))
+
+
+def _json_rows(piece: str) -> str:
+    """JSON text of the rows of a CSV body piece, without the outer list
+    brackets: the bytes of ``json.dumps`` of the cells parsed as floats,
+    made from the text, with a float object only for each rare exponent
+    cell."""
+    rows = "[" + piece[:-1].replace("\n", "],[") + "]"
+    for pattern in _INTEGER_CELLS:
+        rows = pattern.sub(r"\g<0>.0", rows)
+    if _EXPONENT.search(rows):
+        rows = _EXPONENT_CELL.sub(_repr_cell, rows)
+    return rows.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _compact_json(value) -> str:

@@ -31,6 +31,17 @@ The relative signs between the k-quadratic and strain parts of R and S
 are fixed by cubic covariance (the spectrum must be invariant under any
 simultaneous cubic rotation of k and the strain tensor) and reproduce
 the [111] hole masses 1/(g1 -+ 2 g3).
+
+When S vanishes (no e_xz or e_yz, and k along z or in the xy plane: every
+uniaxial or biaxial stress along the cubic axes at k = 0, e_xy included)
+no entry couples {HH+3/2, LH-1/2, SO-1/2} to their Kramers partners
+{LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888 (1985)).
+``_kramers_block`` is the one rule that detects this split, for the bulk
+6x6 and for the node blocks of the well alike: it reads the assembled
+matrices, never an option.  The doublet sweep then diagonalizes the 3x3
+block of the first set, real unless e_xy or kx ky makes R complex, and
+takes each partner by time reversal, T psi = U conj(psi) with the one
+``_TIME_REVERSAL`` U; any other matrix takes the full 6x6 ``eigh``.
 """
 
 from __future__ import annotations
@@ -83,6 +94,10 @@ _SQ32 = math.sqrt(1.5)
 _ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
                          (0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
                          (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]).T
+# VB bands {HH+3/2, LH-1/2, SO-1/2} kept by the Kramers split, and their
+# partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
+_KEPT_BANDS = np.array([0, 2, 5])
+_PARTNER_BANDS = np.array([1, 3, 4])
 
 
 class NumericalError(ValueError):
@@ -165,17 +180,20 @@ def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
     _, pp, qq, rr, ss = _scalars(k, voigt, p)
     sc, rc = np.conj(ss), np.conj(rr)
     dso = p.delta
-    upper = np.array([
+    upper = (
         pp + qq + hh_shift, pp - qq + lh_shift, pp - qq + lh_shift,
         pp + qq + hh_shift, pp + dso, pp + dso,
         -ss, rr, -ss / _SQ2, _SQ2 * rr,
         rr, -_SQ2 * qq, _SQ32 * ss,
         ss, _SQ32 * sc, _SQ2 * qq,
-        -_SQ2 * rc, -sc / _SQ2], dtype=complex)
-    upper = np.moveaxis(upper, 0, -1)
-    h = np.zeros(upper.shape[:-1] + (6, 6), dtype=complex)
-    h[..., _COLS, _ROWS] = np.conj(upper)
-    h[..., _ROWS, _COLS] = upper
+        -_SQ2 * rc, -sc / _SQ2)
+    # one strided write per entry: a third of the time of stacking the
+    # entries and scattering them with fancy indices, for a 1001-point
+    # sweep
+    h = np.zeros(np.shape(pp) + (6, 6), dtype=complex)
+    for row, col, value in zip(_ROWS.tolist(), _COLS.tolist(), upper):
+        h[..., col, row] = np.conj(value)
+        h[..., row, col] = value
     return h
 
 
@@ -212,6 +230,30 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / (lead / np.abs(lead))
 
 
+def _check_hermitian(h: np.ndarray, hermitian_atol: float = 1e-12) -> None:
+    """Raise NonHermitianError for the first matrix of (..., m, m), in
+    stack order, with ``max|h - h^dagger|`` above the tolerance."""
+    resid = np.abs(h - _herm(h)).max(axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(resid > hermitian_atol)
+    if bad.size:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
+            f"{hermitian_atol:g}")
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _check_norms(vectors: np.ndarray) -> None:
+    """Raise SpinorState's error for the first column of (..., m, j) whose
+    norm drifts from 1 by more than 1e-10."""
+    drift = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) > 1e-10
+    if drift.any():
+        columns = np.moveaxis(vectors, -1, -2).reshape(-1, vectors.shape[-2])
+        SpinorState(columns[np.flatnonzero(drift)[0]])
+
+
 def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
         -> tuple[np.ndarray, np.ndarray]:
     """Energies (..., m), descending, and phase-fixed unit eigenvectors
@@ -221,19 +263,10 @@ def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
     the first one (in stack order) that fails raises their error.
     """
     h = np.asarray(h, dtype=complex)
-    h_dag = np.conj(np.swapaxes(h, -1, -2))
-    resid = np.abs(h - h_dag).max(axis=(-2, -1)).ravel()
-    bad = np.flatnonzero(resid > hermitian_atol)
-    if bad.size:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
-            f"{hermitian_atol:g}")
-    energies, vectors = np.linalg.eigh((h + h_dag) / 2.0)
+    _check_hermitian(h, hermitian_atol)
+    energies, vectors = np.linalg.eigh((h + _herm(h)) / 2.0)
     vectors = _fix_phases(vectors[..., ::-1])
-    drift = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) > 1e-10
-    if drift.any():
-        columns = np.moveaxis(vectors, -1, -2).reshape(-1, h.shape[-1])
-        SpinorState(columns[np.flatnonzero(drift)[0]])
+    _check_norms(vectors)
     return energies[..., ::-1], vectors
 
 
@@ -253,18 +286,70 @@ def eigensolve(h: np.ndarray, *, hermitian_atol: float = 1e-12) \
             for i in range(energies.size)]
 
 
+def _time_reversal() -> np.ndarray:
+    """U of time reversal on the six VB coefficients, T psi = U conj(psi):
+    i sigma_y K on the spin of the (S, X, Y, Z) x spin products of
+    ``bloch_orbital_matrix``, whose orbitals are real."""
+    b = bloch_orbital_matrix()
+    spin = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
+    return (np.conj(b.T) @ spin @ np.conj(b))[VB_SLICE, VB_SLICE]
+
+
+def _kramers_block(h: np.ndarray) -> np.ndarray | None:
+    """The (..., 3, 3) restriction of VB matrices (..., 6, 6) to
+    ``_KEPT_BANDS`` (real when its imaginary part is exactly zero) if no
+    entry of any matrix couples those bands to ``_PARTNER_BANDS``, in
+    either direction, else None.
+
+    A stack that splits is block diagonal in the two sets; when it also
+    commutes with time reversal, as the bulk matrices (even in k) and the
+    well at k_parallel = 0 do, the partner block holds the time-reversed
+    states of the kept one, with the same energies.
+    """
+    if h[..., _KEPT_BANDS[:, None], _PARTNER_BANDS].any() \
+            or h[..., _PARTNER_BANDS[:, None], _KEPT_BANDS].any():
+        return None
+    kept = h[..., _KEPT_BANDS[:, None], _KEPT_BANDS]
+    return kept if kept.imag.any() else kept.real
+
+
+def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
+    """Doublets (psi, T psi) of shape (..., 6, 2) from coefficients
+    (..., 3) over ``_KEPT_BANDS``: psi holds them on the kept bands, and
+    its partner T psi = U conj(psi) lives on the partner bands."""
+    pairs = np.zeros(kept.shape[:-1] + (6, 2), dtype=complex)
+    pairs[..., _KEPT_BANDS, 0] = kept
+    pairs[..., 1] = pairs[..., 0].conj() @ _TIME_REVERSAL.T
+    return pairs
+
+
 def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
                    hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[np.ndarray, np.ndarray]:
     """Topmost VB doublets of Voigt strains (..., 6) from one batched
     eigensolve: energies (..., 2) and 8-component states (..., 8, 2).
-    Every doublet passes the checks of ``eigensolve`` and
-    ``validate_doublet``."""
-    energies, vectors = _eigh_descending(
-        -_vb_hole(k, voigt, p, -hh_shift, -lh_shift))
-    states = _full8(vectors[..., :2])
-    _check_doublets(energies[..., :2], states)
-    return energies[..., :2], states
+
+    A stack that splits (``_kramers_block``) is solved on its kept 3x3
+    blocks, and each doublet is the top eigenvector psi and its partner
+    T psi; any other stack takes the 6x6 ``eigh``.  Either way every
+    matrix passes the Hermitian check of ``eigensolve``, and every
+    doublet the norm check of ``SpinorState`` and the checks of
+    ``validate_doublet``.
+    """
+    h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
+    kept = _kramers_block(h)
+    if kept is None:
+        energies, vectors = _eigh_descending(h)
+        energies, vectors = energies[..., :2], vectors[..., :2]
+    else:
+        _check_hermitian(h)
+        top, psi = np.linalg.eigh((kept + _herm(kept)) / 2.0)
+        vectors = _fix_phases(_kramers_pairs(psi[..., -1]))
+        _check_norms(vectors)
+        energies = np.repeat(top[..., -1:], 2, axis=-1)
+    states = _full8(vectors)
+    _check_doublets(energies, states)
+    return energies, states
 
 
 def top_valence_doublet(strain: StrainState, p: MaterialParams, k=(0, 0, 0),
@@ -337,6 +422,10 @@ def bloch_orbital_matrix() -> np.ndarray:
     u[5, 6], u[6, 6], u[3, 6] = s3, 1j * s3, s3    # SO+1/2
     u[1, 7], u[2, 7], u[7, 7] = s3, -1j * s3, -s3  # SO-1/2
     return u
+
+
+_TIME_REVERSAL = _time_reversal()
+_TIME_REVERSAL.flags.writeable = False
 
 
 def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:

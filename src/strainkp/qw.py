@@ -32,10 +32,13 @@ when every wanted Ritz pair has a residual |H x - theta x| of at most
 1e-11 eV, and fails after 200 Rayleigh-Ritz steps.  Without e_xz and
 e_yz (every uniaxial or biaxial stress along the cubic axes) S vanishes
 and the matrix splits exactly into {HH+3/2, LH-1/2, SO-1/2} and their
-Kramers partners, so only that 3N block is solved, real unless e_xy is
-nonzero, and time reversal supplies the partners; sheared wells solve
-the whole 6N matrix with the same solver.  No part of the package
-imports scipy.
+Kramers partners.  The split is read from the node blocks by
+``kp_bulk._kramers_block``, the one rule the bulk doublet sweep uses
+too; then only that 3N block is solved, real unless e_xy is nonzero, and
+each Ritz vector psi comes back with its partner T psi (the one
+``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells solve the
+whole 6N matrix with the same solver, and only they take a further 6N
+Rayleigh-Ritz step.  No part of the package imports scipy.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -46,7 +49,7 @@ latter for a whole strain sweep from one batched bulk eigensolve.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -55,6 +58,7 @@ from . import kp_bulk
 from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project
 from .elasticity import StrainState, uniaxial_sweep
+from .kp_bulk import _herm
 from .materials import MaterialParams, algaas
 
 __all__ = [
@@ -168,10 +172,6 @@ _RESIDUAL_TOL_EV = 1e-11
 _MAX_ITERATIONS = 200
 # block cyclic reduction stops at this many nodes and inverts them densely
 _DENSE_NODES = 8
-# VB bands {HH+3/2, LH-1/2, SO-1/2} and their Kramers partners {LH+1/2,
-# HH-3/2, SO+1/2}: only S couples the two sets
-_KEPT_BANDS = np.array([0, 2, 5])
-_PARTNER_BANDS = np.array([1, 3, 4])
 
 
 def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
@@ -251,16 +251,6 @@ def _dense(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _time_reversal() -> np.ndarray:
-    """U of time reversal on the six VB coefficients, T psi = U conj(psi):
-    i sigma_y K on the spin of the (S, X, Y, Z) x spin products of
-    ``kp_bulk.bloch_orbital_matrix``, whose orbitals are real."""
-    b = kp_bulk.bloch_orbital_matrix()
-    spin = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
-    vb = kp_bulk.VB_SLICE
-    return (np.conj(b.T) @ spin @ np.conj(b))[vb, vb]
-
-
 def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H x for node blocks (diagonal (n, m, m), then the n - 1 blocks
     coupling node i to i + 1, then their conjugate transposes; index
@@ -270,10 +260,6 @@ def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     y[:-1] += blocks[n:2 * n - 1] @ x[1:]
     y[1:] += blocks[2 * n - 1:] @ x[:-1]
     return y
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def _hpd_inverse(a: np.ndarray) -> np.ndarray:
@@ -367,10 +353,10 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
-        -> np.ndarray:
-    """The k topmost eigenvectors (n, m, k), descending, of the
-    block-tridiagonal H of ``blocks`` (the ``_block_apply`` layout), with
-    sigma above its spectrum.
+        -> tuple[np.ndarray, np.ndarray]:
+    """The k topmost eigenpairs, descending, of the block-tridiagonal H of
+    ``blocks`` (the ``_block_apply`` layout), with sigma above its
+    spectrum: Ritz values (k,) and Ritz vectors (n, m, k).
 
     Shift-invert block subspace iteration with Chebyshev acceleration
     (Rutishauser, Numer. Math. 16, 205 (1970)): a block of p = min(mn,
@@ -411,7 +397,7 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
         residual = np.linalg.norm(hq @ w[:, :k] - x[:, :k] * theta[:k],
                                   axis=0).max()
         if residual <= tol:
-            return x[:, :k].reshape(n, m, k)
+            return theta[:k], x[:, :k].reshape(n, m, k)
         scale = 2.0 * (sigma - theta[-1])
         previous, y = x, scale * solve(x) - x
         for _ in range(2):
@@ -421,14 +407,20 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
         f"iterations: residual {residual:.3g} eV exceeds {tol:.3g} eV")
 
 
-def _split_blocks(blocks: np.ndarray):
-    """The node blocks restricted to ``_KEPT_BANDS`` (real when their
-    imaginary part is exactly zero) if no entry couples them to
-    ``_PARTNER_BANDS``, else None."""
-    if blocks[:, _KEPT_BANDS[:, None], _PARTNER_BANDS].any():
-        return None
-    kept = blocks[:, _KEPT_BANDS[:, None], _KEPT_BANDS]
-    return kept if kept.imag.any() else kept.real
+def _solve_6n(blocks: np.ndarray, sigma: float, n_states: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_states`` topmost eigenpairs of the 6N node blocks, energies
+    descending and vectors (n, 6, n_states), with every Kramers pair the
+    Ritz vectors touch completed by time reversal."""
+    n = (len(blocks) + 2) // 3
+    _, ritz = _top_eigenvectors(blocks, sigma, n_states)
+    ritz = np.concatenate([ritz, kp_bulk._TIME_REVERSAL @ np.conj(ritz)],
+                          axis=2)
+    q, _ = np.linalg.qr(ritz.reshape(6 * n, 2 * n_states))
+    hq = _block_apply(blocks, q.reshape(n, 6, -1)).reshape(q.shape)
+    energies, u = np.linalg.eigh(np.conj(q.T) @ hq)
+    return (energies[:-n_states - 1:-1],
+            (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states))
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
@@ -474,22 +466,26 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     entry of H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their
     Kramers partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
     (1985)).  When every such entry of the assembled blocks is exactly
-    zero, only the 3N block of the first set is solved, for one vector
-    per Kramers pair, ceil(n_states / 2) of them.  The block is real
-    unless e_xy makes R complex.  Sheared wells solve the whole 6N matrix
-    for ``n_states`` vectors.
+    zero (``kp_bulk._kramers_block``, the rule the bulk doublets use),
+    only the 3N block of the first set is solved, for one vector per
+    Kramers pair, ceil(n_states / 2) of them.  The block is real unless
+    e_xy makes R complex.  Each Ritz pair (theta, psi) of the block then
+    gives the pair (psi, T psi) at energy theta, with T psi =
+    U conj(psi) node by node (T commutes with H at k_parallel = 0): psi
+    lives in the first set of bands and T psi in the second, so the two
+    are exactly degenerate and orthogonal, and they are returned as they
+    are (an odd ``n_states`` keeps psi of the last pair).
 
-    The iteration starts from a fixed, seeded Gaussian block of the
-    solved matrix's size and type, so repeated solves are bit for bit
-    identical.  On the split path each Ritz vector lives in the first set
-    of bands and its partner T psi in the second, so the pair is exactly
-    degenerate by construction; on the 6N matrix an odd ``n_states`` ends
-    inside a pair.  On both paths the Ritz vectors are therefore joined
-    by their time-reversed copies T psi = U conj(psi) (node by node; T
-    commutes with H at k_parallel = 0), which completes every pair they
-    touch.  The joined vectors are orthonormalized (QR), the full 6N H is
-    diagonalized on their span (Rayleigh-Ritz, H applied block by block),
-    and the topmost ``n_states`` are kept before the phases are fixed.
+    Sheared wells solve the whole 6N matrix for ``n_states`` vectors.
+    There an odd ``n_states`` ends inside a pair, and a pair may come out
+    mixed, so the Ritz vectors are joined by their time-reversed copies,
+    which completes every pair they touch; the joined vectors are
+    orthonormalized (QR), the 6N H is diagonalized on their span
+    (Rayleigh-Ritz, H applied block by block), and the topmost
+    ``n_states`` are kept.  On both paths the iteration starts from a
+    fixed, seeded Gaussian block of the solved matrix's size and type,
+    so repeated solves are bit for bit identical, and the phases are
+    fixed last.
     """
     n = geometry.grid_points
     dim = 6 * n
@@ -507,20 +503,17 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
 
     blocks = np.concatenate([diag, upper, _herm(upper)])
-    kept = _split_blocks(blocks)
+    kept = kp_bulk._kramers_block(blocks)
     if kept is None:
-        k = n_states
-        ritz = _top_eigenvectors(blocks, sigma, k)
+        energies, vectors = _solve_6n(blocks, sigma, n_states)
     else:
         k = (n_states + 1) // 2
-        ritz = np.zeros((n, 6, k), dtype=complex)
-        ritz[:, _KEPT_BANDS] = _top_eigenvectors(kept, sigma, k)
-    ritz = np.concatenate([ritz, _time_reversal() @ np.conj(ritz)], axis=2)
-    q, _ = np.linalg.qr(ritz.reshape(dim, 2 * k))
-    hq = _block_apply(blocks, q.reshape(n, 6, -1)).reshape(q.shape)
-    energies, u = np.linalg.eigh(np.conj(q.T) @ hq)
-    energies = energies[:-n_states - 1:-1]
-    vectors = (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states)
+        theta, psi = _top_eigenvectors(kept, sigma, k)
+        # (node, vector, band, pair member) -> (node, band, 2 k states)
+        doublets = kp_bulk._kramers_pairs(np.swapaxes(psi, 1, 2))
+        energies = np.repeat(theta, 2)[:n_states]
+        vectors = doublets.transpose(0, 2, 1, 3).reshape(n, 6, 2 * k)[
+            ..., :n_states]
     vectors = kp_bulk._fix_phases(
         vectors.transpose(1, 0, 2).reshape(dim, n_states))
     pairs = n_states // 2
@@ -567,10 +560,12 @@ def _mixing_sweep(geometries, stresses_gpa, axes, table,
     _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
 
     def one(geometry, voigt):
+        # solve_qw has checked the pair, so it is projected without
+        # envelope_projection's second check
         states = solve_qw(geometry, StrainState(*voigt), table, 2)
-        row = [voigt[0]] + [
-            v for axis in axes
-            for v in astuple(envelope_projection(states[:2], axis))]
+        psi = np.hstack([s.coefficients for s in states])
+        row = [voigt[0]] + [v for axis in axes
+                            for v in _project(psi, axis).tolist()]
         return row, states[0].energy
 
     sweeps = []

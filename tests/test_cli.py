@@ -1,12 +1,15 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import strainkp
 from strainkp import axis, kp_bulk, optics, qw
 from strainkp.cli import _CHUNK_CELLS, _Grid, _write_table, main
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
@@ -99,6 +102,11 @@ WRITER_TABLES = {
                     (np.int32(-2), 3, np.float32(1e30))],
     "mixed_tuples": [(0.1, np.float64(2.0 / 3.0), 1),
                      [np.float64(-1e-300), 1.0 / 3.0, np.float32(0.5)]],
+    # cells whose %.9g text is not JSON's float text: exponents 9 to 15,
+    # integer-looking cells, and exponents of -308 and below (subnormals)
+    "exponents": [(1e9, -2.5e12, 999999999.5), (9.87654321e15, 1e16, -1e-5),
+                  (1e-308, 2.2250738585072014e-308, -3.3e-320),
+                  (123456789.0, -7.0, 1.7976931348623157e308)],
     "ndarray": np.random.default_rng(7).standard_normal((6, 3))
     * np.logspace(-30, 30, 6)[:, None],
     "empty": [],
@@ -155,6 +163,18 @@ def test_write_table_memory_is_bounded(output_format):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_import_loads_no_thread_pool_or_scipy():
+    # the thread pool is imported only by a threaded sweep, and no module
+    # imports scipy
+    src = os.path.dirname(os.path.dirname(strainkp.__file__))
+    code = ("import sys, strainkp, strainkp.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('concurrent', 'scipy')))")
+    printed = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+    assert printed.strip() == "[]"
 
 
 def test_grid_outputs_are_theta_major(tmp_path):

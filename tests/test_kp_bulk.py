@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from strainkp import kp_bulk
+from strainkp.axis import QuantizationAxis, _project
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_strain
 from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, SpinorState,
                               Wavevector, build_h8, dispersion, eigensolve,
                               h4_topmost, h6_vb, top_valence_doublet,
                               validate_doublet)
+from strainkp.optics import _strengths
 
 K0 = (0.0, 0.0, 0.0)
 ZERO = StrainState()
@@ -167,6 +170,95 @@ def test_top_valence_doublet_contract(gaas):
     validate_doublet(a, b)
     assert a.coefficients.shape == (8,)
     assert np.all(a.coefficients[:2] == 0.0)
+
+
+def _shear_free_voigt(rng, n, xy):
+    """Seeded Voigt strains (n, 6) without e_xz and e_yz, and with e_xy
+    only when ``xy``."""
+    voigt = rng.uniform(-0.01, 0.01, size=(n, 6))
+    voigt[:, 3:5] = 0.0
+    if not xy:
+        voigt[:, 5] = 0.0
+    return voigt
+
+
+def _projector(states):
+    return states @ np.conj(np.swapaxes(states, -1, -2))
+
+
+@pytest.mark.parametrize("xy", [False, True], ids=["real", "exy"])
+def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch, xy):
+    # without e_xz and e_yz the doublet sweep solves the kept 3x3 block
+    # (real, or complex with e_xy) and takes each partner by time reversal;
+    # the 6x6 eigh of the same stack is its oracle, also at k along z and
+    # with the emulation shifts
+    axes = (QuantizationAxis(0.0), QuantizationAxis(math.pi / 2.0),
+            QuantizationAxis(rng.uniform(0.0, math.pi),
+                             rng.uniform(0.0, 2.0 * math.pi)))
+    voigt = _shear_free_voigt(rng, 200, xy)
+    for k, shifts in ((K0, {}), ((0.0, 0.0, 0.4), {}),
+                      (K0, {"hh_shift": -0.0091, "lh_shift": -0.01})):
+        kept = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas))
+        assert kept.shape == (200, 3, 3)
+        assert kept.dtype == (np.complex128 if xy else np.float64)
+        energies, states = kp_bulk._doublet_stack(voigt, gaas, k, **shifts)
+        with monkeypatch.context() as m:
+            m.setattr(kp_bulk, "_kramers_block", lambda h: None)
+            ref_energies, ref_states = kp_bulk._doublet_stack(
+                voigt, gaas, k, **shifts)
+        assert np.abs(energies - ref_energies).max() < 1e-12
+        assert np.abs(_projector(states) - _projector(ref_states)).max() \
+            < 1e-10
+        for axis in axes:
+            assert np.abs(_project(states, axis)
+                          - _project(ref_states, axis)).max() < 1e-10
+        assert np.abs(_strengths(states) - _strengths(ref_states)).max() \
+            < 1e-10
+        # psi lives in the kept bands, T psi in their partners
+        vb = states[:, kp_bulk.VB_SLICE]
+        assert not vb[:, kp_bulk._PARTNER_BANDS, 0].any()
+        assert not vb[:, kp_bulk._KEPT_BANDS, 1].any()
+
+
+def test_sheared_doublets_take_the_6x6_path(gaas, rng, monkeypatch):
+    # any e_xz or e_yz, or k with both an in-plane and a z component, makes
+    # S couple the two sets: no split, one 6x6 eigh of the stack
+    calls = []
+    eigh = kp_bulk._eigh_descending
+
+    def record(h, *args):
+        calls.append(h.shape)
+        return eigh(h, *args)
+
+    monkeypatch.setattr(kp_bulk, "_eigh_descending", record)
+    kp_bulk._doublet_stack(_shear_free_voigt(rng, 5, True), gaas)
+    assert calls == []
+    for column, k in ((3, K0), (4, K0), (None, (0.3, 0.0, 0.4))):
+        voigt = _shear_free_voigt(rng, 5, True)
+        if column is not None:
+            voigt[:, column] = rng.uniform(-0.01, 0.01, size=5)
+        assert kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas)) \
+            is None
+        energies, states = kp_bulk._doublet_stack(voigt, gaas, k)
+        assert calls.pop() == (5, 6, 6)
+        assert energies.shape == (5, 2) and states.shape == (5, 8, 2)
+
+
+def test_split_path_keeps_the_hermitian_check(gaas, monkeypatch):
+    # a shear-free stack with one non-Hermitian diagonal entry still splits,
+    # and the split path must reject it as the 6x6 path does
+    vb_hole = kp_bulk._vb_hole
+
+    def broken(*args):
+        h = vb_hole(*args)
+        h[..., 0, 0] += 1e-9j
+        return h
+
+    monkeypatch.setattr(kp_bulk, "_vb_hole", broken)
+    voigt = uniaxial_strain(0.5, gaas).as_voigt()
+    assert kp_bulk._kramers_block(-broken(K0, voigt, gaas)) is not None
+    with pytest.raises(NonHermitianError, match="not Hermitian"):
+        kp_bulk._doublet_stack(voigt, gaas)
 
 
 def test_spinor_norm_enforced():

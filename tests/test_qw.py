@@ -198,9 +198,42 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
         states = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, dense[:n_states], axes)
         with monkeypatch.context() as m:
-            m.setattr(qw, "_split_blocks", lambda blocks: None)
+            m.setattr(kp_bulk, "_kramers_block", lambda h: None)
             full = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, full, axes)
+
+
+@pytest.mark.parametrize("xy", [False, True], ids=["real", "exy"])
+@pytest.mark.parametrize("n_states", [3, 4])
+def test_split_solve_returns_kramers_pairs_of_dense_states(
+        table, rng, monkeypatch, n_states, xy):
+    # the split path returns each kept-block Ritz vector psi and its
+    # partner T psi as they are, with no 6N step; the dense eigh of the
+    # dense builder is the oracle of energies and pair projectors, and an
+    # unpaired last state must lie in its dense pair
+    def no_6n(*args):
+        raise AssertionError("a shear-free well took the 6N path")
+
+    monkeypatch.setattr(qw, "_solve_6n", no_6n)
+    strain = _shear_free_strain(rng, xy)
+    geometry = QwGeometry(rng.uniform(3.0, 12.0), barrier_thickness_nm=10.0,
+                          grid_points=51)
+    energies, vectors = np.linalg.eigh(
+        build_qw_hamiltonian(geometry, strain, table))
+    states = solve_qw(geometry, strain, table, n_states)
+    assert len(states) == n_states
+    assert [s.energy for s in states] == pytest.approx(
+        energies[:-n_states - 1:-1], abs=1e-10)
+    c = np.array([s.coefficients.ravel() for s in states]).T
+    assert np.abs(np.conj(c.T) @ c - np.eye(n_states)).max() < 1e-12
+    for j in range(0, n_states, 2):
+        dense = vectors[:, [-1 - j, -2 - j]]
+        dense_pair = dense @ np.conj(dense.T)
+        pair = c[:, j:j + 2]
+        if pair.shape[1] == 2:
+            assert np.abs(pair @ np.conj(pair.T) - dense_pair).max() < 1e-8
+        else:
+            assert np.abs(dense_pair @ pair - pair).max() < 1e-8
 
 
 def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
@@ -314,7 +347,8 @@ def _missing_partner(top):
     returning a state of the third pair in its place."""
 
     def solve(blocks, sigma, k):
-        return top(blocks, sigma, k + 1)[..., [0, 1, 2, 4]]
+        theta, x = top(blocks, sigma, k + 1)
+        return theta[[0, 1, 2, 4]], x[..., [0, 1, 2, 4]]
 
     return solve
 
@@ -323,9 +357,10 @@ def test_time_reversal_commutes_with_well_hamiltonian(table,
                                                       random_strain):
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
     # T maps the bands of the split 3N block onto their partners
-    t = qw._time_reversal()
-    assert not t[np.ix_(qw._KEPT_BANDS, qw._KEPT_BANDS)].any()
-    assert not t[np.ix_(qw._PARTNER_BANDS, qw._PARTNER_BANDS)].any()
+    t = kp_bulk._TIME_REVERSAL
+    kept, partners = kp_bulk._KEPT_BANDS, kp_bulk._PARTNER_BANDS
+    assert not t[np.ix_(kept, kept)].any()
+    assert not t[np.ix_(partners, partners)].any()
     u = np.kron(t, np.eye(geometry.grid_points))
     assert np.allclose(u @ np.conj(u), -np.eye(u.shape[0]), atol=1e-15)
     for _ in range(3):
@@ -360,7 +395,7 @@ def test_solve_qw_checks_every_returned_pair(table, random_strain,
     # second pair, and the pair check must catch it there
     monkeypatch.setattr(qw, "_top_eigenvectors",
                         _missing_partner(qw._top_eigenvectors))
-    monkeypatch.setattr(qw, "_time_reversal", lambda: np.eye(6))
+    monkeypatch.setattr(kp_bulk, "_TIME_REVERSAL", np.eye(6))
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     with pytest.raises(NumericalError, match="not degenerate"):
         solve_qw(geometry, random_strain(scale=0.005), table, 4)
@@ -464,6 +499,27 @@ def test_qw_mixing_vs_strain_tables(table):
     assert rows[:, 3] == pytest.approx(rows[:, 6], abs=1e-12)
     only_x = qw_mixing_vs_strain([geometry], stresses, (X_AXIS,), table)
     assert np.array_equal(only_x[0], rows[:, :4])
+
+
+def test_qw_mixing_vs_strain_checks_each_pair_once(table, monkeypatch):
+    # solve_qw checks the pair it returns; the sweep projects it without
+    # the second check of envelope_projection
+    calls = []
+    check = kp_bulk._check_doublets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(kp_bulk, "_check_doublets", counted)
+    geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
+    rows, = qw_mixing_vs_strain([geometry], [-1.0, 0.0, 1.0],
+                                (X_AXIS, Z_AXIS), table)
+    assert len(calls) == 3
+    states = solve_qw(geometry, uniaxial_strain(1.0, table["GaAs"]), table, 2)
+    assert rows[2, 1:] == pytest.approx(
+        astuple(envelope_projection(states, X_AXIS))
+        + astuple(envelope_projection(states, Z_AXIS)), abs=1e-15)
 
 
 def test_qw_mixing_vs_strain_keeps_geometry_order(table):
