@@ -100,12 +100,14 @@ class ActuatorGeometry:
     gap_um: float
 
     def __post_init__(self):
-        if not self.finger_length_mm > 0:
-            raise ValueError("finger length must be positive")
-        if not self.gap_um > 0:
-            raise ValueError("gap width must be positive")
+        if not 0 < self.finger_length_mm < math.inf:
+            raise ValueError("finger length must be positive and finite")
+        if not 0 < self.gap_um < math.inf:
+            raise ValueError("gap width must be positive and finite")
         if not self.amplification > 1:
             raise ValueError("geometry does not amplify (2l/d <= 1)")
+        if not math.isfinite(self.amplification):
+            raise ValueError("gain 2l/d overflows")
 
     @property
     def amplification(self) -> float:
@@ -203,4 +205,6 @@ def superpose(a: StrainState, b: StrainState) -> StrainState:
 
 def actuator_strain(geometry: ActuatorGeometry, piezo_strain: float) -> float:
     """Membrane strain delivered by the actuator: (2l/d) * piezo strain."""
+    if not math.isfinite(piezo_strain):
+        raise ValueError(f"piezo strain must be finite, got {piezo_strain}")
     return geometry.amplification * piezo_strain

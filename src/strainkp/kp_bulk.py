@@ -98,6 +98,8 @@ _ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
 # partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
 _PARTNER_BANDS = np.array([1, 3, 4])
+# largest max|h - h^dagger| (eV) a matrix may have and still be solved
+_HERMITIAN_ATOL = 1e-12
 
 
 class NumericalError(ValueError):
@@ -145,18 +147,23 @@ class SpinorState:
 
 
 def _kvec(k) -> np.ndarray:
+    """A Wavevector, or wavevectors of shape (..., 3), as an array."""
     if isinstance(k, Wavevector):
         return k.as_array()
     arr = np.asarray(k, dtype=float)
-    if arr.shape != (3,):
+    if arr.shape[-1:] != (3,):
         raise ValueError("wavevector must have three components")
     return arr
 
 
 def _scalars(k, voigt, p: MaterialParams):
     """Hole-picture scalar entries (C is returned in the electron picture)
-    for Voigt strains of shape (..., 6); each entry has the batch shape."""
-    kx, ky, kz = _kvec(k)
+    for wavevectors (..., 3) and Voigt strains (..., 6); each entry has
+    the broadcast batch shape."""
+    k = _kvec(k)
+    # the components as numpy scalars at one point, whose arithmetic is
+    # several times faster than that of 0-d arrays
+    kx, ky, kz = k.transpose(-1, *range(k.ndim - 1))
     k2 = kx * kx + ky * ky + kz * kz
     exx, eyy, ezz, eyz, exz, exy = np.moveaxis(voigt, -1, 0)
     tr = exx + eyy + ezz
@@ -208,17 +215,18 @@ def h6_vb(k, strain: StrainState, p: MaterialParams, *,
 
 
 def build_h8(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
-    """Full 8x8 Hamiltonian (eV), CB block decoupled from the VB block."""
-    c_elec = _scalars(k, strain.as_voigt(), p)[0]
-    h = np.zeros((8, 8), dtype=complex)
-    h[0, 0] = h[1, 1] = c_elec
-    h[VB_SLICE, VB_SLICE] = h6_vb(k, strain, p)
+    """Full 8x8 Hamiltonian (eV), CB block decoupled from the VB block;
+    a stack (..., 8, 8) for wavevectors of shape (..., 3)."""
+    k = _kvec(k)
+    h = np.zeros(k.shape[:-1] + (8, 8), dtype=complex)
+    h[..., 0, 0] = h[..., 1, 1] = _scalars(k, strain.as_voigt(), p)[0]
+    h[..., VB_SLICE, VB_SLICE] = h6_vb(k, strain, p)
     return h
 
 
 def h4_topmost(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     """HH/LH 4x4 block (rows/cols 2..5 of the 8x8), electron picture."""
-    return h6_vb(k, strain, p)[:4, :4]
+    return h6_vb(k, strain, p)[..., :4, :4]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -230,15 +238,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / (lead / np.abs(lead))
 
 
-def _check_hermitian(h: np.ndarray, hermitian_atol: float = 1e-12) -> None:
+def _check_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianError for the first matrix of (..., m, m), in
-    stack order, with ``max|h - h^dagger|`` above the tolerance."""
+    stack order, with ``max|h - h^dagger|`` above ``_HERMITIAN_ATOL``."""
     resid = np.abs(h - _herm(h)).max(axis=(-2, -1)).ravel()
-    bad = np.flatnonzero(resid > hermitian_atol)
+    bad = np.flatnonzero(resid > _HERMITIAN_ATOL)
     if bad.size:
         raise NonHermitianError(
             f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
-            f"{hermitian_atol:g}")
+            f"{_HERMITIAN_ATOL:g}")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -254,8 +262,7 @@ def _check_norms(vectors: np.ndarray) -> None:
         SpinorState(columns[np.flatnonzero(drift)[0]])
 
 
-def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
-        -> tuple[np.ndarray, np.ndarray]:
+def _eigh_descending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies (..., m), descending, and phase-fixed unit eigenvectors
     (..., m, m), one per column, of Hermitian matrices (..., m, m).
 
@@ -263,25 +270,23 @@ def _eigh_descending(h: np.ndarray, hermitian_atol: float = 1e-12) \
     the first one (in stack order) that fails raises their error.
     """
     h = np.asarray(h, dtype=complex)
-    _check_hermitian(h, hermitian_atol)
+    _check_hermitian(h)
     energies, vectors = np.linalg.eigh((h + _herm(h)) / 2.0)
     vectors = _fix_phases(vectors[..., ::-1])
     _check_norms(vectors)
     return energies[..., ::-1], vectors
 
 
-def eigensolve(h: np.ndarray, *, hermitian_atol: float = 1e-12) \
-        -> list[SpinorState]:
+def eigensolve(h: np.ndarray) -> list[SpinorState]:
     """Eigenpairs of a Hermitian matrix, energies descending.
 
     The phase of each eigenvector is fixed by making its first
     significant coefficient real and positive, so degenerate subspaces
     come out reproducibly for identical inputs.
 
-    Raises NonHermitianError if ``max|h - h^dagger|`` exceeds the
-    tolerance.
+    Raises NonHermitianError if ``max|h - h^dagger|`` exceeds 1e-12 eV.
     """
-    energies, vectors = _eigh_descending(h, hermitian_atol)
+    energies, vectors = _eigh_descending(h)
     return [SpinorState(vectors[:, i], energy=float(energies[i]))
             for i in range(energies.size)]
 
@@ -437,5 +442,5 @@ def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:
     tracked through crossings: inside a Kramers pair no overlap
     criterion could tell them apart.
     """
-    h = np.array([build_h8(k, strain, p) for k in path]).reshape(-1, 8, 8)
-    return _eigh_descending(h)[0]
+    k = np.array([_kvec(q) for q in path]).reshape(-1, 3)
+    return _eigh_descending(build_h8(k, strain, p))[0]

@@ -37,8 +37,9 @@ Kramers partners.  The split is read from the node blocks by
 too; then only that 3N block is solved, real unless e_xy is nonzero, and
 each Ritz vector psi comes back with its partner T psi (the one
 ``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells solve the
-whole 6N matrix with the same solver, and only they take a further 6N
-Rayleigh-Ritz step.  No part of the package imports scipy.
+whole 6N matrix with the same solver, two vectors per Kramers pair, and
+return its Ritz pairs as they are.  No part of the package imports
+scipy.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -407,22 +408,6 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
         f"iterations: residual {residual:.3g} eV exceeds {tol:.3g} eV")
 
 
-def _solve_6n(blocks: np.ndarray, sigma: float, n_states: int) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """The ``n_states`` topmost eigenpairs of the 6N node blocks, energies
-    descending and vectors (n, 6, n_states), with every Kramers pair the
-    Ritz vectors touch completed by time reversal."""
-    n = (len(blocks) + 2) // 3
-    _, ritz = _top_eigenvectors(blocks, sigma, n_states)
-    ritz = np.concatenate([ritz, kp_bulk._TIME_REVERSAL @ np.conj(ritz)],
-                          axis=2)
-    q, _ = np.linalg.qr(ritz.reshape(6 * n, 2 * n_states))
-    hq = _block_apply(blocks, q.reshape(n, 6, -1)).reshape(q.shape)
-    energies, u = np.linalg.eigh(np.conj(q.T) @ hq)
-    return (energies[:-n_states - 1:-1],
-            (q @ u)[:, :-n_states - 1:-1].reshape(n, 6, n_states))
-
-
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
              n_states: int = 4, *, well: MaterialParams | None = None,
              barrier: MaterialParams | None = None) -> list[EnvelopeState]:
@@ -474,18 +459,17 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     U conj(psi) node by node (T commutes with H at k_parallel = 0): psi
     lives in the first set of bands and T psi in the second, so the two
     are exactly degenerate and orthogonal, and they are returned as they
-    are (an odd ``n_states`` keeps psi of the last pair).
+    are.
 
-    Sheared wells solve the whole 6N matrix for ``n_states`` vectors.
-    There an odd ``n_states`` ends inside a pair, and a pair may come out
-    mixed, so the Ritz vectors are joined by their time-reversed copies,
-    which completes every pair they touch; the joined vectors are
-    orthonormalized (QR), the 6N H is diagonalized on their span
-    (Rayleigh-Ritz, H applied block by block), and the topmost
-    ``n_states`` are kept.  On both paths the iteration starts from a
-    fixed, seeded Gaussian block of the solved matrix's size and type,
-    so repeated solves are bit for bit identical, and the phases are
-    fixed last.
+    Sheared wells solve the whole 6N matrix for both members of each
+    pair, 2 ceil(n_states / 2) vectors, and return its Ritz pairs as they
+    are: the block holds both directions of every degenerate pair, so
+    each wanted Ritz pair converges whole, and a missed partner fails the
+    pair check instead of being patched up.  Both paths keep the first
+    ``n_states`` states (an odd count drops the partner of the last
+    pair).  The iteration starts from a fixed, seeded Gaussian block of
+    the solved matrix's size and type, so repeated solves are bit for bit
+    identical, and the phases are fixed last.
     """
     n = geometry.grid_points
     dim = 6 * n
@@ -504,16 +488,16 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
 
     blocks = np.concatenate([diag, upper, _herm(upper)])
     kept = kp_bulk._kramers_block(blocks)
+    k = (n_states + 1) // 2
     if kept is None:
-        energies, vectors = _solve_6n(blocks, sigma, n_states)
+        energies, vectors = _top_eigenvectors(blocks, sigma, 2 * k)
     else:
-        k = (n_states + 1) // 2
         theta, psi = _top_eigenvectors(kept, sigma, k)
         # (node, vector, band, pair member) -> (node, band, 2 k states)
         doublets = kp_bulk._kramers_pairs(np.swapaxes(psi, 1, 2))
-        energies = np.repeat(theta, 2)[:n_states]
-        vectors = doublets.transpose(0, 2, 1, 3).reshape(n, 6, 2 * k)[
-            ..., :n_states]
+        energies = np.repeat(theta, 2)
+        vectors = doublets.transpose(0, 2, 1, 3).reshape(n, 6, 2 * k)
+    energies, vectors = energies[:n_states], vectors[..., :n_states]
     vectors = kp_bulk._fix_phases(
         vectors.transpose(1, 0, 2).reshape(dim, n_states))
     pairs = n_states // 2

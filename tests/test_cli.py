@@ -224,8 +224,18 @@ def test_amplify_membrane_strain(capsys):
 
 
 def test_amplify_invalid_geometry(capsys):
-    assert main(["amplify", "--finger-length-mm", "-1", "--gap-um", "20"]) \
-        == 2
+    # a negative or infinite length and a piezo strain that is not finite
+    # are rejected, never printed as inf or nan
+    for args in (["--finger-length-mm", "-1", "--gap-um", "20"],
+                 ["--finger-length-mm", "inf", "--gap-um", "10"],
+                 ["--finger-length-mm", "1.5", "--gap-um", "20",
+                  "--piezo-strain", "nan"],
+                 ["--finger-length-mm", "1.5", "--gap-um", "20",
+                  "--piezo-strain", "inf"]):
+        assert main(["amplify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_actuator_invariants():
         ActuatorGeometry(1.5, 0.0)
     with pytest.raises(ValueError, match="amplify"):
         ActuatorGeometry(1e-6, 100.0)
+    for length, gap in ((math.inf, 10.0), (math.nan, 10.0), (1.5, math.inf),
+                        (1.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ActuatorGeometry(length, gap)
+    # finite inputs whose gain 2l/d overflows
+    with pytest.raises(ValueError, match="overflows"):
+        ActuatorGeometry(1e306, 1e-6)
+    geometry = ActuatorGeometry(1.5, 20.0)
+    for piezo in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            actuator_strain(geometry, piezo)
 
 
 def test_provenance_attached(gaas):

@@ -266,10 +266,24 @@ def test_spinor_norm_enforced():
         SpinorState(np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
 
 
-def test_dispersion_single_point_matches_eigensolve(gaas):
+def test_dispersion_single_point_matches_eigensolve(gaas, rng,
+                                                   random_strain):
     energies = dispersion([Wavevector()], ZERO, gaas)
     expected = [s.energy for s in eigensolve(build_h8(K0, ZERO, gaas))]
     assert energies[0] == pytest.approx(expected, abs=1e-12)
+    # a path is solved as one stack, bit for bit the eigenvalues of
+    # build_h8 at each point, for array and Wavevector paths alike
+    for _ in range(5):
+        strain = random_strain(scale=0.005)
+        path = rng.uniform(-0.5, 0.5, size=(9, 3))
+        single = [[s.energy for s in eigensolve(build_h8(k, strain, gaas))]
+                  for k in path]
+        assert np.array_equal(dispersion(path, strain, gaas), single)
+        assert np.array_equal(
+            dispersion([Wavevector(*k) for k in path], strain, gaas), single)
+    assert dispersion([], ZERO, gaas).shape == (0, 8)
+    with pytest.raises(ValueError, match="three components"):
+        dispersion([(0.1, 0.2)], ZERO, gaas)
 
 
 def test_dispersion_isotropic_masses_spherical_variant(gaas):

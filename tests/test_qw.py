@@ -124,8 +124,9 @@ def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
                                          grid_points):
     # the dense eigh of the dense builder is the oracle of the sparse
     # shift-invert solve: same energies, same doublet character along z
-    # and a random axis, orthonormal states, reproducible coefficients.
-    # Zero strain has the most symmetry for a start vector to miss.
+    # and a random axis for every full pair, orthonormal states,
+    # reproducible coefficients.  Odd counts end inside a pair.  Zero
+    # strain has the most symmetry for a start vector to miss.
     axes = (Z_AXIS, QuantizationAxis(rng.uniform(0.0, math.pi),
                                      rng.uniform(0.0, 2.0 * math.pi)))
     strains = [random_strain(scale=0.005)]
@@ -140,13 +141,13 @@ def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
             ham, subset_by_index=[dim - 4, dim - 1])
         dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
                  for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
-        for n_states in (2, 4):
+        for n_states in (1, 2, 3, 4):
             states = solve_qw(geometry, strain, table, n_states)
             assert [s.energy for s in states] == pytest.approx(
                 [s.energy for s in dense[:n_states]], abs=1e-10)
             c = np.array([s.coefficients.ravel() for s in states]).T
             assert np.abs(np.conj(c.T) @ c - np.eye(n_states)).max() < 1e-8
-            for j in range(0, n_states, 2):
+            for j in range(0, n_states - 1, 2):
                 for axis in axes:
                     assert astuple(envelope_projection(states[j:j + 2],
                                                        axis)) == \
@@ -208,13 +209,16 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
 def test_split_solve_returns_kramers_pairs_of_dense_states(
         table, rng, monkeypatch, n_states, xy):
     # the split path returns each kept-block Ritz vector psi and its
-    # partner T psi as they are, with no 6N step; the dense eigh of the
-    # dense builder is the oracle of energies and pair projectors, and an
-    # unpaired last state must lie in its dense pair
-    def no_6n(*args):
-        raise AssertionError("a shear-free well took the 6N path")
+    # partner T psi as they are, and never solves a 6-band block; the
+    # dense eigh of the dense builder is the oracle of energies and pair
+    # projectors, and an unpaired last state must lie in its dense pair
+    top = qw._top_eigenvectors
 
-    monkeypatch.setattr(qw, "_solve_6n", no_6n)
+    def only_3_bands(blocks, sigma, k):
+        assert blocks.shape[-2:] == (3, 3), "a shear-free well took 6N"
+        return top(blocks, sigma, k)
+
+    monkeypatch.setattr(qw, "_top_eigenvectors", only_3_bands)
     strain = _shear_free_strain(rng, xy)
     geometry = QwGeometry(rng.uniform(3.0, 12.0), barrier_thickness_nm=10.0,
                           grid_points=51)
@@ -369,12 +373,11 @@ def test_time_reversal_commutes_with_well_hamiltonian(table,
         assert np.abs(u @ np.conj(ham) @ np.conj(u.T) - ham).max() < 1e-12
 
 
-def test_solve_qw_completes_missed_kramers_partner(table, gaas,
-                                                   monkeypatch):
-    # a single-vector Krylov solver (ARPACK) returned one member of the
-    # second pair and a third-pair state for this sheared well (second
-    # and third pairs 1.9 meV apart); the time-reversed copies must
-    # restore the partner, also when the miss is forced
+def test_sheared_solve_matches_dense_on_close_pairs(table, gaas):
+    # a single-vector Krylov solver (ARPACK) once returned one member of
+    # the second pair and a third-pair state for this sheared well
+    # (second and third pairs 1.9 meV apart); the block solve must find
+    # both pairs whole
     geometry = QwGeometry(4.688, barrier_thickness_nm=10.0,
                           barrier_al_fraction=0.214, grid_points=61)
     strain = strain_from_stress(StressTensor(
@@ -383,19 +386,14 @@ def test_solve_qw_completes_missed_kramers_partner(table, gaas,
     dense = scipy.linalg.eigvalsh(ham)[:-5:-1]
     energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
     assert energies == pytest.approx(dense, abs=1e-10)
-    monkeypatch.setattr(qw, "_top_eigenvectors",
-                        _missing_partner(qw._top_eigenvectors))
-    energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
-    assert energies == pytest.approx(dense, abs=1e-10)
 
 
 def test_solve_qw_checks_every_returned_pair(table, random_strain,
                                              monkeypatch):
-    # without the time-reversal completion the forced miss splits the
-    # second pair, and the pair check must catch it there
+    # a sheared solve returns its Ritz pairs as solved, so a forced miss
+    # splits the second pair, and the pair check must catch it there
     monkeypatch.setattr(qw, "_top_eigenvectors",
                         _missing_partner(qw._top_eigenvectors))
-    monkeypatch.setattr(kp_bulk, "_TIME_REVERSAL", np.eye(6))
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     with pytest.raises(NumericalError, match="not degenerate"):
         solve_qw(geometry, random_strain(scale=0.005), table, 4)
