@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import (HH_INDICES, LH_INDICES, SO_INDICES, SpinorState,
-                      _doublet_stack, _full8, bloch_orbital_matrix,
-                      validate_doublet)
+from .kp_bulk import (_BLOCH_ORBITALS, HH_INDICES, LH_INDICES, SO_INDICES,
+                      SpinorState, _doublet_stack, _full8, validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 MIXING_CURVE_COLUMNS = ("strain_xx", "p_hh", "p_lh", "p_so")
-
-_U0 = bloch_orbital_matrix()
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ def _rotation_matrix(axis: QuantizationAxis) -> np.ndarray:
     # holds that primed basis vector expressed in the canonical products;
     # the same products as np.kron(rs.T, ro.T), without its overhead
     t = (rs.T[:, None, :, None] * ro.T[None, :, None, :]).reshape(8, 8)
-    return _U0.conj().T @ t @ _U0
+    return _BLOCH_ORBITALS.conj().T @ t @ _BLOCH_ORBITALS
 
 
 def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
@@ -142,13 +139,6 @@ def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
     """
     w = _rotation_matrix(axis)
     return [SpinorState(w[:, j]) for j in range(8)]
-
-
-def _doublet_weights(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Weights (1/2) sum_j |b^dagger psi_j|^2, shape (..., n_b), of each
-    column b of ``basis`` (..., m, n_b) over the columns of ``psi``."""
-    overlap = np.conj(np.swapaxes(basis, -1, -2)) @ psi
-    return 0.5 * np.sum(np.abs(overlap) ** 2, axis=-1)
 
 
 def project_hgs(doublet, axis: QuantizationAxis, *,
@@ -165,8 +155,10 @@ def project_hgs(doublet, axis: QuantizationAxis, *,
 
 def _project(psi: np.ndarray, axis: QuantizationAxis) -> np.ndarray:
     """(p_hh, p_lh, p_so), last axis, of states psi (..., 6 or 8, j),
-    averaged over the j columns; each is the weight of a rotated pair."""
-    weight = _doublet_weights(_rotation_matrix(axis), _full8(psi))
+    averaged over the j columns; each is the weight (1/2) sum_j
+    |b^dagger psi_j|^2 of the rotated basis states b of a pair."""
+    overlap = np.conj(_rotation_matrix(axis).T) @ _full8(psi)
+    weight = 0.5 * np.sum(np.abs(overlap) ** 2, axis=-1)
     pairs = weight[..., HH_INDICES + LH_INDICES + SO_INDICES]
     return pairs.reshape(weight.shape[:-1] + (3, 2)).sum(axis=-1)
 

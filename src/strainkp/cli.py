@@ -175,8 +175,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 2, got {steps}")
         if not self.qw_thicknesses_nm:
             raise ConfigError("qw thicknesses_nm must not be empty")
-        if not self.lifetime_ps > 0:
-            raise ConfigError("reference_lifetime_ps must be positive")
+        try:
+            optics.RateCalibration(self.lifetime_ps)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[calibration] reference_lifetime_ps: {exc}") from exc
         for key, stem_of, values in (
                 ("[qw] thicknesses_nm", _qw_stem, self.qw_thicknesses_nm),
                 ("[dipoles] snapshot_stresses_gpa", _snapshot_stem,
@@ -403,17 +406,18 @@ def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
     results = [("dipole_sweep", optics.DIPOLE_SWEEP_COLUMNS, rows)]
 
     _, snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
-    for sigma, strain in zip(cfg.snapshot_stresses_gpa, snapshots):
-        doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
-        densities = [optics.angular_density(s) for s in doublet]
-        # doublet-averaged density is basis independent; normalize on
+    _, doublets = kp_bulk._doublet_stack(snapshots, p)
+    # the default grid of optics.angular_density
+    theta, phi, orbitals, weights = optics._sphere_grid(90, 180)
+    for sigma, psi in zip(cfg.snapshot_stresses_gpa, doublets):
+        # the doublet's density is basis independent; it is normalized on
         # the grid before export
-        avg = 0.5 * (densities[0].density + densities[1].density)
-        dens = densities[0]
-        avg = avg / np.sum(avg * dens.weights)
+        density = optics._orbital_weights(psi, orbitals.T).reshape(
+            weights.shape)
+        density = density / np.sum(density * weights)
         results.append((_snapshot_stem(sigma),
                         ("theta_rad", "phi_rad", "density"),
-                        _Grid(dens.theta, dens.phi, avg)))
+                        _Grid(theta, phi, density)))
     return results
 
 

@@ -165,7 +165,7 @@ def _scalars(k, voigt, p: MaterialParams):
     # several times faster than that of 0-d arrays
     kx, ky, kz = k.transpose(-1, *range(k.ndim - 1))
     k2 = kx * kx + ky * ky + kz * kz
-    exx, eyy, ezz, eyz, exz, exy = np.moveaxis(voigt, -1, 0)
+    exx, eyy, ezz, eyz, exz, exy = voigt.transpose(-1, *range(voigt.ndim - 1))
     tr = exx + eyy + ezz
     kin = HBAR2_OVER_2M0
 
@@ -291,15 +291,6 @@ def eigensolve(h: np.ndarray) -> list[SpinorState]:
             for i in range(energies.size)]
 
 
-def _time_reversal() -> np.ndarray:
-    """U of time reversal on the six VB coefficients, T psi = U conj(psi):
-    i sigma_y K on the spin of the (S, X, Y, Z) x spin products of
-    ``bloch_orbital_matrix``, whose orbitals are real."""
-    b = bloch_orbital_matrix()
-    spin = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
-    return (np.conj(b.T) @ spin @ np.conj(b))[VB_SLICE, VB_SLICE]
-
-
 def _kramers_block(h: np.ndarray) -> np.ndarray | None:
     """The (..., 3, 3) restriction of VB matrices (..., 6, 6) to
     ``_KEPT_BANDS`` (real when its imaginary part is exactly zero) if no
@@ -396,18 +387,19 @@ def _check_doublets(energies: np.ndarray, states: np.ndarray,
                              f"(|overlap| = {overlap[bad[0]]:g})")
 
 
-def validate_doublet(a: SpinorState, b: SpinorState,
-                     *, degeneracy_atol: float = 1e-6) -> np.ndarray:
-    """Check that two states form a degenerate orthonormal pair; returns
-    their coefficients as the columns of an (m, 2) array."""
+def validate_doublet(a, b, *, degeneracy_atol: float = 1e-6) -> np.ndarray:
+    """Check that two states, ``SpinorState`` coefficients (m,) or well
+    envelopes (6, N), form a degenerate orthonormal pair; returns their
+    coefficients side by side, (m, 2) or (6, 2N)."""
     if a.energy is None or b.energy is None:
         raise ValueError("doublet states need energies attached")
     if a.coefficients.shape != b.coefficients.shape:
         raise ValueError("doublet states live in different bases")
-    psi = np.array([a.coefficients, b.coefficients]).T
-    _check_doublets(np.array([a.energy, b.energy]), psi,
+    pair = np.array([a.coefficients, b.coefficients])
+    _check_doublets(np.array([a.energy, b.energy]), pair.reshape(2, -1).T,
                     degeneracy_atol=degeneracy_atol)
-    return psi
+    # (2, m) -> (m, 2), or (2, 6, N) -> (6, 2N) as np.hstack joins them
+    return pair.swapaxes(0, 1).reshape(pair.shape[1], -1)
 
 
 def bloch_orbital_matrix() -> np.ndarray:
@@ -429,7 +421,13 @@ def bloch_orbital_matrix() -> np.ndarray:
     return u
 
 
-_TIME_REVERSAL = _time_reversal()
+# the package's one Bloch-orbital table, and time reversal T psi = U conj(psi)
+# on the six VB coefficients: i sigma_y K on the table's spin (real orbitals)
+_BLOCH_ORBITALS = bloch_orbital_matrix()
+_TIME_REVERSAL = (np.conj(_BLOCH_ORBITALS.T)
+                  @ np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
+                  @ np.conj(_BLOCH_ORBITALS))[VB_SLICE, VB_SLICE]
+_BLOCH_ORBITALS.flags.writeable = False
 _TIME_REVERSAL.flags.writeable = False
 
 

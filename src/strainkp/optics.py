@@ -1,10 +1,12 @@
 """Optical observables of valence doublets.
 
 The conduction Bloch state is orbitally spherical, so the transition
-dipole of a hole state along a cubic axis reduces to its X/Y/Z orbital
-weight; constant momentum-matrix prefactors are absorbed into a single
-rate calibration anchored to the measured lifetime of the unstrained
-bright doublet.
+dipole of a hole state along a direction n reduces to its p-orbital
+weight along n, and its Bloch angular density at a point of the sphere
+is that weight along the point's direction: one kernel,
+``_orbital_weights``, gives both.  Constant momentum-matrix prefactors
+are absorbed into a single rate calibration anchored to the measured
+lifetime of the unstrained bright doublet.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .axis import _doublet_weights
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import (SpinorState, _doublet_stack, _full8,
-                      bloch_orbital_matrix, validate_doublet)
+from .kp_bulk import (_BLOCH_ORBITALS, VB_SLICE, SpinorState, _doublet_stack,
+                      _full8, validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -38,12 +39,9 @@ __all__ = [
 DIPOLE_SWEEP_COLUMNS = ("strain_xx", "s_x", "s_y", "s_z",
                         "rate_x_ghz", "rate_y_ghz", "rate_z_ghz")
 
-_U0 = bloch_orbital_matrix()
-# rows of the product representation holding X/Y/Z content per spin
-_XYZ_UP, _XYZ_DN = [1, 2, 3], [5, 6, 7]
-_S_ROWS = (0, 4)
-# (X, Y, Z) x (up, dn) product states in the Bloch basis, spin-major
-_PRODUCT_XYZ = _U0.conj().T[:, _XYZ_UP + _XYZ_DN]
+# (X, Y, Z) x (up, dn) content of the six VB coefficients, spin-major:
+# the X/Y/Z rows of the Bloch-orbital table (no VB state holds S)
+_XYZ_CONTENT = _BLOCH_ORBITALS[[1, 2, 3, 5, 6, 7], VB_SLICE]
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,11 @@ class RateCalibration:
     reference_lifetime_ps: float = 250.0
 
     def __post_init__(self):
-        if not self.reference_lifetime_ps > 0:
-            raise ValueError("reference lifetime must be positive")
+        # tau/2 must neither underflow to 0 nor give 1e3/(tau/2) = inf
+        if not (0 < 0.5 * self.reference_lifetime_ps < math.inf
+                and math.isfinite(self.ghz_per_strength)):
+            raise ValueError("reference lifetime must be positive and "
+                             "finite, with a finite rate scale 1e3/(tau/2)")
 
     @property
     def ghz_per_strength(self) -> float:
@@ -128,6 +129,27 @@ def _sphere_grid(n_theta: int, n_phi: int):
     return th, ph, orbitals, weights
 
 
+def _orbital_weights(psi: np.ndarray,
+                     directions: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the columns of states psi (..., 8, j) and both spins of
+    |n . v|^2 per row n of ``directions`` (d, 3), or cubic axis if None:
+    shape (..., d), with v a column's (X, Y, Z) content for one spin, its
+    real and imaginary parts projected apart.  Each column's four squares
+    (up, dn of the real, then of the imaginary part) are summed first,
+    then the columns.  For a unit n this is the p-orbital weight along n:
+    twice a doublet's dipole strength s_n, or on a sphere grid the density.
+    """
+    # 2-D products over all columns: a stack takes a BLAS call per matrix
+    columns = np.swapaxes(psi[..., VB_SLICE, :], -1, -2)
+    v = columns.reshape(-1, 6) @ _XYZ_CONTENT.T
+    amp = np.concatenate([v.real, v.imag], 1).reshape(-1, 3)
+    if directions is not None:
+        amp = amp @ np.asarray(directions, dtype=float).T
+    amp *= amp
+    amp = amp.reshape(columns.shape[:-1] + (4, amp.shape[-1]))
+    return amp.sum(axis=-2).sum(axis=-2)
+
+
 def angular_density(state: SpinorState, n_theta: int = 90,
                     n_phi: int = 180) -> AngularDensity:
     """Angular probability density of a valence state's Bloch part.
@@ -140,27 +162,12 @@ def angular_density(state: SpinorState, n_theta: int = 90,
     The returned theta, phi and weights are read-only arrays shared by
     every call on the same grid.
     """
-    v = _U0 @ _full8(state.coefficients[:, None])[:, 0]
-    s_weight = sum(abs(v[i]) ** 2 for i in _S_ROWS)
-    if s_weight > 1e-9:
+    psi = _full8(state.coefficients[:, None])
+    if np.sum(np.abs(psi[:2]) ** 2) > 1e-9:
         raise ValueError("angular density is defined for VB states only")
     th, ph, orbitals, weights = _sphere_grid(n_theta, n_phi)
-    # the orbitals are real, so the real and imaginary parts of both spin
-    # amplitudes come from one real (4, 3) @ (3, n_theta n_phi) product
-    xyz = v[[_XYZ_UP, _XYZ_DN]]
-    amp = np.vstack([xyz.real, xyz.imag]) @ orbitals
-    density = np.sum(amp ** 2, axis=0).reshape(weights.shape)
+    density = _orbital_weights(psi, orbitals.T).reshape(weights.shape)
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
-
-
-def _strengths(psi: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
-    """(s_x, s_y, s_z), last axis, of doublets ``psi`` (..., 8, 2)."""
-    basis = _PRODUCT_XYZ
-    if frame is not None:
-        rot = np.asarray(frame).T
-        basis = np.hstack([basis[:, :3] @ rot, basis[:, 3:] @ rot])
-    weight = _doublet_weights(basis, psi)
-    return weight[..., :3] + weight[..., 3:]
 
 
 def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
@@ -173,7 +180,7 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
     to one for valence states.
     """
     psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
-    s = _strengths(_full8(psi), frame)
+    s = 0.5 * _orbital_weights(_full8(psi), frame)
     return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))
 
 
@@ -202,7 +209,7 @@ def dipole_sweep(stresses_gpa, prestress: StrainState | None,
     calibration = calibration or RateCalibration()
     _, total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
-    s = _strengths(psi)
+    s = 0.5 * _orbital_weights(psi)
     return np.hstack([total[:, :1], s, s * calibration.ghz_per_strength])
 
 

@@ -90,6 +90,8 @@ class QwGeometry:
             raise ValueError("well thickness must be positive")
         if not self.barrier_thickness_nm > 0:
             raise ValueError("barrier thickness must be positive")
+        if not math.isfinite(self.total_length_nm):
+            raise ValueError("well plus barriers must have a finite length")
         if not 0.0 <= self.barrier_al_fraction <= 1.0:
             raise ValueError("barrier Al fraction must lie in [0, 1]")
         if self.grid_points < 51 or self.grid_points % 2 == 0:
@@ -516,11 +518,7 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
     on the grid index, so the weights reduce to the per-band content at
     axis = z and stay doublet-remix invariant for any axis.
     """
-    a, b = doublet
-    kp_bulk._check_doublets(
-        np.array([a.energy, b.energy]),
-        np.array([a.coefficients.ravel(), b.coefficients.ravel()]).T)
-    psi = np.hstack([a.coefficients, b.coefficients])
+    psi = kp_bulk.validate_doublet(*doublet)
     return ProjectionResult(*_project(psi, axis).tolist())
 
 

@@ -177,17 +177,25 @@ def test_import_loads_no_thread_pool_or_scipy():
     assert printed.strip() == "[]"
 
 
+SNAPSHOTS_GPA = (-0.888, -0.194, -0.03, 0.0, 1.0)
+
+
 def test_grid_outputs_are_theta_major(tmp_path):
     # mixing-map and the angular-density snapshots against rows built one
-    # grid point at a time, theta outermost
+    # grid point at a time, theta outermost; each snapshot against the
+    # public recipe: two angular_density calls, their mean, normalized on
+    # the grid
     cfg = tmp_path / "run.ini"
     cfg.write_text("[sweep]\nsteps = 3\n[axis]\ntheta_steps = 4\n"
-                   "phi_deg = 30\n[dipoles]\nsnapshot_stresses_gpa = -0.7\n",
+                   "phi_deg = 30\n[dipoles]\nsnapshot_stresses_gpa = "
+                   + ", ".join(map(str, SNAPSHOTS_GPA)) + "\n",
                    encoding="utf-8")
     out = tmp_path / "out"
     assert main(["mixing-map", "--config", str(cfg), "--out", str(out)]) \
         == 0
-    assert main(["dipoles", "--config", str(cfg), "--out", str(out)]) == 0
+    for output_format in ("csv", "json"):
+        assert main(["dipoles", "--config", str(cfg), "--out", str(out),
+                     "--format", output_format]) == 0
 
     p = default_parameter_table()["GaAs"]
     pre = biaxial_strain(-0.12, p)
@@ -199,16 +207,26 @@ def test_grid_outputs_are_theta_major(tmp_path):
     assert (out / "mixing_map.csv").read_text(encoding="utf-8") \
         == oracle_text(("theta_rad", "strain_xx", "p_hh"), rows, "csv")
 
-    _, (strain,) = uniaxial_sweep((-0.7,), p, pre)
-    doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
-    dens = [optics.angular_density(s) for s in doublet]
-    avg = 0.5 * (dens[0].density + dens[1].density)
-    avg = avg / np.sum(avg * dens[0].weights)
-    rows = [(dens[0].theta[i], dens[0].phi[j], avg[i, j])
-            for i in range(dens[0].theta.size)
-            for j in range(dens[0].phi.size)]
-    assert (out / "angular_density_-0.7gpa.csv").read_text(encoding="utf-8") \
-        == oracle_text(("theta_rad", "phi_rad", "density"), rows, "csv")
+    _, strains = uniaxial_sweep(SNAPSHOTS_GPA, p, pre)
+    for sigma, strain in zip(SNAPSHOTS_GPA, strains):
+        doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
+        dens = [optics.angular_density(s) for s in doublet]
+        avg = 0.5 * (dens[0].density + dens[1].density)
+        avg = avg / np.sum(avg * dens[0].weights)
+        rows = [(dens[0].theta[i], dens[0].phi[j], avg[i, j])
+                for i in range(dens[0].theta.size)
+                for j in range(dens[0].phi.size)]
+        for output_format in ("csv", "json"):
+            name = f"angular_density_{sigma:g}gpa.{output_format}"
+            assert (out / name).read_text(encoding="utf-8") == oracle_text(
+                ("theta_rad", "phi_rad", "density"), rows, output_format)
+
+    # the default empty snapshot list writes the sweep alone
+    cfg.write_text("[dipoles]\nsnapshot_stresses_gpa =\n", encoding="utf-8")
+    assert main(["dipoles", "--config", str(cfg), "--steps", "3",
+                 "--out", str(tmp_path / "none")]) == 0
+    assert [f.name for f in (tmp_path / "none").iterdir()] \
+        == ["dipole_sweep.csv"]
 
 
 def test_amplify_factor(capsys):
@@ -465,6 +483,32 @@ def test_invalid_configs_exit_2(tmp_path, body, capsys):
                  "--out", str(out)]) == 2
     assert not out.exists()  # no partial outputs
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("command, body, message", [
+    # the rate scale 1e3/(tau/2) overflows: Infinity and NaN in the table
+    ("dipoles", "[calibration]\nreference_lifetime_ps = 1e-320\n",
+     "reference_lifetime_ps: reference lifetime must be positive"),
+    # w + 2b overflows: a NaN grid and 200 iterations, then exit 3
+    ("qw", "[qw]\nbarrier_thickness_nm = 1e308\n", "finite length"),
+], ids=["lifetime", "barrier"])
+def test_overflowing_inputs_exit_2_before_any_solve(
+        tmp_path, monkeypatch, capsys, command, body, message,
+        output_format):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validation")
+
+    monkeypatch.setattr(qw, "solve_qw", no_solve)
+    monkeypatch.setattr(optics, "dipole_sweep", no_solve)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--format", output_format,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
 
 
 def test_qw_rejects_non_gaas_material(tmp_path, capsys):

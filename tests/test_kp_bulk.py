@@ -11,7 +11,7 @@ from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, SpinorState,
                               Wavevector, build_h8, dispersion, eigensolve,
                               h4_topmost, h6_vb, top_valence_doublet,
                               validate_doublet)
-from strainkp.optics import _strengths
+from strainkp.optics import _orbital_weights
 
 K0 = (0.0, 0.0, 0.0)
 ZERO = StrainState()
@@ -172,6 +172,17 @@ def test_top_valence_doublet_contract(gaas):
     assert np.all(a.coefficients[:2] == 0.0)
 
 
+def test_bloch_orbital_table_is_built_once_and_read_only():
+    # one shared read-only table; the public function returns a fresh copy
+    table = kp_bulk._BLOCH_ORBITALS
+    assert not table.flags.writeable
+    fresh = kp_bulk.bloch_orbital_matrix()
+    assert np.array_equal(fresh, table) and fresh.flags.writeable
+    fresh[:] = 0.0
+    assert np.array_equal(kp_bulk.bloch_orbital_matrix(), table)
+    assert np.allclose(table.conj().T @ table, np.eye(8), atol=1e-15)
+
+
 def _shear_free_voigt(rng, n, xy):
     """Seeded Voigt strains (n, 6) without e_xz and e_yz, and with e_xy
     only when ``xy``."""
@@ -180,6 +191,11 @@ def _shear_free_voigt(rng, n, xy):
     if not xy:
         voigt[:, 5] = 0.0
     return voigt
+
+
+def _strengths(states):
+    """(s_x, s_y, s_z), last axis, of doublets (..., 8, 2)."""
+    return 0.5 * _orbital_weights(states, np.eye(3))
 
 
 def _projector(states):

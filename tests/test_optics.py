@@ -86,6 +86,25 @@ def test_frame_rotation_permutes_strengths():
     assert s.s_z == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_frame_strengths_match_product_basis_oracle(gaas, random_strain,
+                                                    rng):
+    # s_n = (1/2) sum over the doublet and both spins of |n . v|^2, with v
+    # the (X, Y, Z) products of the Bloch-orbital table, for random
+    # orthogonal frames (reflections included)
+    u = bloch_orbital_matrix()
+    for _ in range(20):
+        doublet = top_valence_doublet(random_strain(), gaas)
+        frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        products = u @ np.column_stack([s.coefficients for s in doublet])
+        expected = [0.5 * sum(abs(n @ products[rows, j]) ** 2
+                              for rows in ([1, 2, 3], [5, 6, 7])
+                              for j in range(2))
+                    for n in frame]
+        s = dipole_strengths(doublet, frame=frame).as_array()
+        assert s == pytest.approx(expected, abs=1e-14)
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_non_degenerate_doublet_rejected():
     a = basis_state(2)
     b = SpinorState(basis_state(5).coefficients, energy=1.0)
@@ -106,6 +125,12 @@ def test_rates_anchor_points():
 def test_calibration_validation():
     with pytest.raises(ValueError):
         RateCalibration(0.0)
+    # a lifetime that is not finite, or whose rate scale 1e3/(tau/2)
+    # overflows (or divides by zero once tau/2 underflows)
+    for lifetime in (-1.0, math.nan, math.inf, 1e-320, 5e-324):
+        with pytest.raises(ValueError):
+            RateCalibration(lifetime)
+    assert math.isfinite(RateCalibration(1e-300).ghz_per_strength)
     with pytest.raises(ValueError):
         DipoleStrengths(-0.1, 0.5, 0.5)
 
@@ -115,6 +140,7 @@ def test_dipole_sweep_rows(gaas):
     stresses = np.linspace(-2.0, 2.0, 9)
     rows = dipole_sweep(stresses, pre, gaas, RateCalibration(250.0))
     assert rows.shape == (9, len(DIPOLE_SWEEP_COLUMNS))
+    assert dipole_sweep([], pre, gaas).shape == (0, len(DIPOLE_SWEEP_COLUMNS))
     mid = rows[4]
     assert mid[1] == pytest.approx(0.5, abs=1e-12)   # s_x
     assert mid[2] == pytest.approx(0.5, abs=1e-12)   # s_y

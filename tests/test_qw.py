@@ -11,7 +11,7 @@ import scipy.linalg
 
 import strainkp
 from strainkp import kp_bulk, qw
-from strainkp.axis import QuantizationAxis
+from strainkp.axis import QuantizationAxis, project_hgs
 from strainkp.elasticity import (StrainState, StressTensor,
                                  strain_from_stress, uniaxial_strain,
                                  uniaxial_sweep)
@@ -37,6 +37,10 @@ def test_geometry_validation():
         QwGeometry(12.0, grid_points=31)  # too coarse
     with pytest.raises(ValueError):
         QwGeometry(12.0, barrier_al_fraction=1.4)
+    # a total w + 2b that is not finite, also from two finite lengths
+    for well, barrier in ((12.0, 1e308), (1e308, 1e308), (math.inf, 20.0)):
+        with pytest.raises(ValueError, match="finite"):
+            QwGeometry(well, barrier_thickness_nm=barrier)
 
 
 def test_grid_is_symmetric_and_odd():
@@ -581,6 +585,19 @@ def test_transition_energy_rejects_unknown_target(table):
 def test_emulation_offsets_validation():
     with pytest.raises(ValueError):
         EmulationOffsets(float("nan"), 0.0, 0.0)
+
+
+def test_envelope_projection_is_project_hgs(table, random_strain):
+    # one doublet check and one projection for bulk states and envelopes
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=61)
+    states = solve_qw(geometry, random_strain(scale=0.005), table, 4)
+    axis = QuantizationAxis(0.7, 1.9)
+    for j in (0, 2):
+        assert envelope_projection(states[j:j + 2], axis) \
+            == project_hgs(states[j:j + 2], axis)
+    for project in (envelope_projection, project_hgs):
+        with pytest.raises(NumericalError, match="degenerate"):
+            project((states[0], states[2]), axis)
 
 
 def test_envelope_projection_requires_degeneracy(table):
