@@ -41,7 +41,9 @@ no entry couples {HH+3/2, LH-1/2, SO-1/2} to their Kramers partners
 matrices, never an option.  The doublet sweep then diagonalizes the 3x3
 block of the first set, real unless e_xy or kx ky makes R complex, and
 takes each partner by time reversal, T psi = U conj(psi) with the one
-``_TIME_REVERSAL`` U; any other matrix takes the full 6x6 ``eigh``.
+``_TIME_REVERSAL`` U, an exact signed permutation; any other matrix takes
+the full 6x6 ``eigh``.  The sweep decides this per matrix, so every
+doublet has the same bits in any batch as alone.
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ _ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
 # partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
 _PARTNER_BANDS = np.array([1, 3, 4])
+# the 18 entries of a 6x6 that couple the two sets, in either direction
+_COUPLINGS = np.zeros((6, 6), dtype=bool)
+_COUPLINGS[_KEPT_BANDS[:, None], _PARTNER_BANDS] = True
+_COUPLINGS |= _COUPLINGS.T
 # largest max|h - h^dagger| (eV) a matrix may have and still be solved
 _HERMITIAN_ATOL = 1e-12
 
@@ -302,11 +308,19 @@ def _kramers_block(h: np.ndarray) -> np.ndarray | None:
     well at k_parallel = 0 do, the partner block holds the time-reversed
     states of the kept one, with the same energies.
     """
-    if h[..., _KEPT_BANDS[:, None], _PARTNER_BANDS].any() \
-            or h[..., _PARTNER_BANDS[:, None], _KEPT_BANDS].any():
+    if h[..., _COUPLINGS].any():
         return None
     kept = h[..., _KEPT_BANDS[:, None], _KEPT_BANDS]
     return kept if kept.imag.any() else kept.real
+
+
+def _kramers_kinds(h: np.ndarray) -> np.ndarray:
+    """``_kramers_block``'s decision for each matrix of (..., 6, 6) on
+    its own: 2 if it does not split, else 1 if its kept block is complex
+    and 0 if it is real."""
+    kept = h[..., _KEPT_BANDS[:, None], _KEPT_BANDS]
+    return np.where(h[..., _COUPLINGS].any(axis=-1), 2,
+                    kept.imag.any(axis=(-2, -1)))
 
 
 def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
@@ -322,18 +336,42 @@ def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
 def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
                    hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[np.ndarray, np.ndarray]:
-    """Topmost VB doublets of Voigt strains (..., 6) from one batched
-    eigensolve: energies (..., 2) and 8-component states (..., 8, 2).
+    """Topmost VB doublets of Voigt strains (..., 6) from batched
+    eigensolves: energies (..., 2) and 8-component states (..., 8, 2).
 
-    A stack that splits (``_kramers_block``) is solved on its kept 3x3
-    blocks, and each doublet is the top eigenvector psi and its partner
-    T psi; any other stack takes the 6x6 ``eigh``.  Either way every
-    matrix passes the Hermitian check of ``eigensolve``, and every
-    doublet the norm check of ``SpinorState`` and the checks of
-    ``validate_doublet``.
+    Each matrix takes the path it would take alone (``_kramers_kinds``),
+    so a doublet has the same bits in any batch, and alone: a stack that
+    mixes paths is solved as one stack per path.  A stack that splits
+    (``_kramers_block``) is solved on its kept 3x3 blocks, and each
+    doublet is the top eigenvector psi and its partner T psi; any other
+    stack takes the 6x6 ``eigh``.  Either way every matrix passes the
+    Hermitian check of ``eigensolve``, and every doublet the norm check
+    of ``SpinorState`` and the checks of ``validate_doublet``.
     """
     h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
     kept = _kramers_block(h)
+    # only a stack of real kept blocks is one path for sure
+    if h.ndim > 2 and (kept is None or np.iscomplexobj(kept)):
+        kinds = _kramers_kinds(h)
+        # not np.unique, which would import numpy.ma (about 1.5 MB)
+        picks = [pick for pick in (kinds == path for path in range(3))
+                 if pick.any()]
+        if len(picks) > 1:
+            energies = np.empty(kinds.shape + (2,))
+            states = np.empty(kinds.shape + (8, 2), dtype=complex)
+            for pick in picks:
+                sub = h[pick]
+                energies[pick], states[pick] = _top_doublets(
+                    sub, _kramers_block(sub))
+            return energies, states
+    return _top_doublets(h, kept)
+
+
+def _top_doublets(h: np.ndarray, kept: np.ndarray | None) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """``_doublet_stack`` of the VB matrices h (..., 6, 6), one path for
+    all: the 3x3 path on their ``_kramers_block`` ``kept``, or the 6x6
+    ``eigh`` if it is None."""
     if kept is None:
         energies, vectors = _eigh_descending(h)
         energies, vectors = energies[..., :2], vectors[..., :2]
@@ -422,11 +460,16 @@ def bloch_orbital_matrix() -> np.ndarray:
 
 
 # the package's one Bloch-orbital table, and time reversal T psi = U conj(psi)
-# on the six VB coefficients: i sigma_y K on the table's spin (real orbitals)
+# on the six VB coefficients: i sigma_y K on the table's spin (real orbitals).
+# U is a real signed permutation; the product is off from it by round-off
+# (entries 1 +- 2.2e-16, cross terms 2.8e-17), so it is rounded to the
+# exact matrix (+ 0.0 clears the negative zeros), and a partner
+# T psi then has the same bits whatever stack psi is solved in.
 _BLOCH_ORBITALS = bloch_orbital_matrix()
 _TIME_REVERSAL = (np.conj(_BLOCH_ORBITALS.T)
                   @ np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
                   @ np.conj(_BLOCH_ORBITALS))[VB_SLICE, VB_SLICE]
+_TIME_REVERSAL = np.round(_TIME_REVERSAL.real) + 0.0
 _BLOCH_ORBITALS.flags.writeable = False
 _TIME_REVERSAL.flags.writeable = False
 

@@ -175,10 +175,17 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
     """Doublet-averaged orbital weights along three orthogonal axes.
 
     ``frame`` optionally rotates the dipole axes: a 3x3 orthogonal
-    matrix whose rows are the desired axes in cubic coordinates.  The
-    weights are invariant under unitary remixing of the doublet and sum
-    to one for valence states.
+    matrix whose rows are the desired axes in cubic coordinates; any
+    other matrix (frame frame^T off the identity by more than 1e-10)
+    raises ValueError.  The weights are invariant under unitary
+    remixing of the doublet and sum to one for valence states.
     """
+    if frame is not None:
+        frame = np.asarray(frame, dtype=float)
+        if frame.shape != (3, 3) \
+                or np.abs(frame @ frame.T - np.eye(3)).max() > 1e-10:
+            raise ValueError("frame must be a 3x3 orthogonal matrix whose "
+                             "rows are the dipole axes")
     psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
     s = 0.5 * _orbital_weights(_full8(psi), frame)
     return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))

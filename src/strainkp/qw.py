@@ -27,9 +27,11 @@ benchmarks; ``solve_qw`` keeps them as node blocks (site-major, block
 tridiagonal) and finds the topmost states in numpy alone: shift-invert
 block subspace iteration with a shift proven to lie above the spectrum,
 so sigma I - H is Hermitian positive definite and block cyclic
-reduction factors it without pivoting (see its docstring).  It stops
-when every wanted Ritz pair has a residual |H x - theta x| of at most
-1e-11 eV, and fails after 200 Rayleigh-Ritz steps.  Without e_xz and
+reduction factors it without pivoting (see its docstring).  The
+iteration starts from a fixed block of uniform values on [-1, 1) hashed
+from their index (``_start_block``), so no run imports ``numpy.random``.
+It stops when every wanted Ritz pair has a residual |H x - theta x| of
+at most 1e-11 eV, and fails after 200 Rayleigh-Ritz steps.  Without e_xz and
 e_yz (every uniaxial or biaxial stress along the cubic axes) S vanishes
 and the matrix splits exactly into {HH+3/2, LH-1/2, SO-1/2} and their
 Kramers partners.  The split is read from the node blocks by
@@ -355,6 +357,25 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
     return q
 
 
+def _start_block(rows: int, cols: int) -> np.ndarray:
+    """The solver's fixed start block (rows, cols), uniform on [-1, 1).
+
+    Entry i (row-major) is the SplitMix64 output (Steele, Lea & Flood,
+    OOPSLA 2014) for the state i + ``_START_SEED``, its top 53 bits
+    mapped to [-1, 1): a generic block, the same bits on every call and
+    numpy version, with no ``numpy.random`` import.  Only uint64 arrays
+    and ``np.uint64`` constants enter the arithmetic, so it wraps modulo
+    2^64 without warnings under either numpy casting rule.
+    """
+    z = np.arange(rows * cols, dtype=np.uint64) + np.uint64(_START_SEED)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    top = (z >> np.uint64(11)).astype(float)
+    return (top * 2.0 ** -52 - 1.0).reshape(rows, cols)
+
+
 def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
         -> tuple[np.ndarray, np.ndarray]:
     """The k topmost eigenpairs, descending, of the block-tridiagonal H of
@@ -363,7 +384,8 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
 
     Shift-invert block subspace iteration with Chebyshev acceleration
     (Rutishauser, Numer. Math. 16, 205 (1970)): a block of p = min(mn,
-    max(2k, k + 8)) vectors, started from a seeded Gaussian block, is
+    max(2k, k + 8)) vectors, started from the hashed uniform block of
+    ``_start_block`` (complex blocks pair its columns), is
     orthonormalized (``_orthonormal``) and H is diagonalized on its span
     (Rayleigh-Ritz).  The first step multiplies the block by
     A = (sigma I - H)^-1 (``_cr_solve``); each later one by the degree-3
@@ -387,9 +409,8 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
     def solve(v):
         return _cr_solve(factor, v.reshape(n, m, p)).reshape(dim, p)
 
-    rng = np.random.default_rng(_START_SEED)
-    x = rng.standard_normal((dim, 2 * p)).view(complex) \
-        if np.iscomplexobj(blocks) else rng.standard_normal((dim, p))
+    x = _start_block(dim, 2 * p).view(complex) \
+        if np.iscomplexobj(blocks) else _start_block(dim, p)
     y = solve(x)
     for _ in range(_MAX_ITERATIONS):
         q = _orthonormal(y)
@@ -469,9 +490,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     each wanted Ritz pair converges whole, and a missed partner fails the
     pair check instead of being patched up.  Both paths keep the first
     ``n_states`` states (an odd count drops the partner of the last
-    pair).  The iteration starts from a fixed, seeded Gaussian block of
-    the solved matrix's size and type, so repeated solves are bit for bit
-    identical, and the phases are fixed last.
+    pair).  The iteration starts from a fixed block of the solved
+    matrix's size and type, uniform on [-1, 1) and hashed from the entry
+    index and a seed, so repeated solves are bit for bit identical, and
+    the phases are fixed last.
     """
     n = geometry.grid_points
     dim = 6 * n

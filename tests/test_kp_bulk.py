@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strainkp import kp_bulk
 from strainkp.axis import QuantizationAxis, _project
-from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_strain
+from strainkp.elasticity import (StrainState, biaxial_strain, uniaxial_strain,
+                                 uniaxial_sweep)
 from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, SpinorState,
                               Wavevector, build_h8, dispersion, eigensolve,
                               h4_topmost, h6_vb, top_valence_doublet,
@@ -181,6 +184,65 @@ def test_bloch_orbital_table_is_built_once_and_read_only():
     fresh[:] = 0.0
     assert np.array_equal(kp_bulk.bloch_orbital_matrix(), table)
     assert np.allclose(table.conj().T @ table, np.eye(8), atol=1e-15)
+
+
+def test_time_reversal_is_an_exact_signed_permutation():
+    # U is the rounded product of the Bloch table, so T psi is exact
+    u = kp_bulk._TIME_REVERSAL
+    bloch = kp_bulk.bloch_orbital_matrix()
+    product = (np.conj(bloch.T) @ np.kron([[0.0, 1.0], [-1.0, 0.0]],
+                                          np.eye(4))
+               @ np.conj(bloch))[kp_bulk.VB_SLICE, kp_bulk.VB_SLICE]
+    assert u.dtype == np.float64 and not u.flags.writeable
+    assert np.abs(u - product).max() <= 1e-15
+    assert set(np.unique(u)) <= {-1.0, 0.0, 1.0}
+    assert not np.signbit(u[u == 0.0]).any()
+    assert np.array_equal(u @ u.T, np.eye(6))
+    assert np.array_equal(u @ np.conj(u), -np.eye(6))
+
+
+def _sweep_voigt(gaas, kind):
+    """Voigt strains (43, 6) of a +-2 GPa uniaxial [100] sweep at the
+    default -0.12 GPa biaxial prestress: as is (split, real 3x3), with a
+    varying e_xy (split, complex) or with e_xz and e_yz (sheared, 6x6).
+    The shears ramp through zero at the middle point, which so takes
+    the real 3x3 path in every sweep."""
+    _, voigt = uniaxial_sweep(np.linspace(-2.0, 2.0, 43), gaas,
+                              biaxial_strain(-0.12, gaas))
+    ramp = np.linspace(-2e-3, 2e-3, 43)
+    if kind in ("exy", "sheared"):
+        voigt[:, 5] = ramp
+    if kind == "sheared":
+        voigt[:, 3], voigt[:, 4] = ramp[::-1], 0.5 * ramp
+    return voigt
+
+
+@pytest.mark.parametrize("kind", ["uniaxial", "exy", "sheared"])
+def test_sweep_doublets_match_single_points_bit_for_bit(gaas, kind):
+    voigt = _sweep_voigt(gaas, kind)
+    paths = {"uniaxial": [0], "exy": [0, 1], "sheared": [0, 2]}[kind]
+    kinds = kp_bulk._kramers_kinds(-kp_bulk._vb_hole(K0, voigt, gaas))
+    assert np.unique(kinds).tolist() == paths
+    energies, states = kp_bulk._doublet_stack(voigt, gaas)
+    for e, psi, v in zip(energies, states, voigt):
+        single = top_valence_doublet(StrainState(*v), gaas)
+        assert np.array_equal([s.energy for s in single], e)
+        assert np.array_equal(np.column_stack(
+            [s.coefficients for s in single]), psi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["uniaxial", "exy", "sheared"]),
+       order=st.permutations(range(43)), size=st.integers(1, 43))
+def test_doublets_do_not_depend_on_the_batch(gaas, kind, order, size):
+    # any permutation or sub-batch of a sweep gives the same bits as the
+    # whole sweep at every point
+    voigt = _sweep_voigt(gaas, kind)
+    energies, states = kp_bulk._doublet_stack(voigt, gaas)
+    pick = np.array(order[:size])
+    sub_energies, sub_states = kp_bulk._doublet_stack(voigt[pick], gaas)
+    assert np.array_equal(sub_energies, energies[pick])
+    assert np.array_equal(sub_states, states[pick])
 
 
 def _shear_free_voigt(rng, n, xy):

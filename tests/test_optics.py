@@ -105,6 +105,18 @@ def test_frame_strengths_match_product_basis_oracle(gaas, random_strain,
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("frame", [
+    [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    np.diag([2.0, 1.0, 1.0]),
+    np.eye(3)[:2],
+], ids=["skewed", "scaled", "two_rows"])
+def test_non_orthogonal_frame_rejected(gaas, frame):
+    # such a frame once gave strengths that do not sum to one
+    doublet = top_valence_doublet(uniaxial_strain(1.0, gaas), gaas)
+    with pytest.raises(ValueError, match="orthogonal"):
+        dipole_strengths(doublet, frame=frame)
+
+
 def test_non_degenerate_doublet_rejected():
     a = basis_state(2)
     b = SpinorState(basis_state(5).coefficients, energy=1.0)

@@ -403,9 +403,26 @@ def test_solve_qw_checks_every_returned_pair(table, random_strain,
         solve_qw(geometry, random_strain(scale=0.005), table, 4)
 
 
-def test_import_does_not_load_scipy(tmp_path):
-    # no module imports scipy: bulk-only runs, a shear-free `strainkp qw`
-    # and a sheared well solve all run without it
+def test_start_block_is_fixed_uniform_and_full_rank():
+    a, b = qw._start_block(903, 9), qw._start_block(903, 9)
+    assert a.shape == (903, 9) and a.dtype == np.float64
+    assert np.array_equal(a, b)
+    assert -1.0 <= a.min() and a.max() < 1.0
+    assert np.linalg.cond(a) < 1e3
+    # a complex block pairs the columns of a real one twice as wide
+    c = qw._start_block(366, 24).view(complex)
+    assert c.shape == (366, 12)
+    assert np.array_equal(c, qw._start_block(366, 24).view(complex))
+    assert np.linalg.cond(c) < 1e3
+    # the first rows of a taller block are the smaller block: entry i
+    # hashes index i alone
+    assert np.array_equal(qw._start_block(1806, 9)[:903], a)
+
+
+def test_runs_load_no_scipy_or_numpy_random(tmp_path):
+    # no module imports scipy or numpy.random: bulk-only runs, a
+    # shear-free `strainkp qw` and a sheared well solve all run without
+    # them
     src = os.path.dirname(os.path.dirname(strainkp.__file__))
     config = tmp_path / "run.ini"
     config.write_text("[qw]\nthicknesses_nm = 6\nbarrier_thickness_nm = 10\n"
@@ -420,7 +437,7 @@ def test_import_does_not_load_scipy(tmp_path):
     for run in runs:
         code = (f"import sys, strainkp, strainkp.cli; {run}"
                 "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy')))")
+                "if m.startswith(('scipy', 'numpy.random'))))")
         printed = subprocess.run([sys.executable, "-c", code], check=True,
                                  capture_output=True, text=True,
                                  env={**os.environ, "PYTHONPATH": src}).stdout
