@@ -1,21 +1,22 @@
 """Quantization-axis analysis of valence states.
 
-Provides the total-angular-momentum operators on the HH/LH quadruplet,
-the HH/LH/SO basis rotated to an arbitrary axis n(theta, phi), and the
-projection of a degenerate valence doublet onto that rotated basis.
-The doublet-averaged projection
+Provides the angular-momentum operators on the HH/LH quadruplet, the
+HH/LH/SO basis rotated to an axis n(theta, phi), and the doublet-averaged
+projection onto it,
 
-    p_b = (1/2) sum_{i in doublet} sum_{j in pair b} |<state_i|b_n^j>|^2
+    p_b = (1/2) sum_{i in doublet} sum_{j in pair b} |<state_i|b_n^j>|^2,
 
-is invariant under any unitary remixing of the degenerate pair, which
-makes it the only basis-independent notion of HH/LH/SO character.
-Written with the projector P_b = sum_{j in pair b} b_n^j b_n^j^dagger
-and the doublet density matrix rho = sum_i state_i state_i^dagger, it is
+the only basis-independent HH/LH/SO character, as no unitary remixing of
+the degenerate pair changes it.  On the J = 3/2 quadruplet the HH
+projector along n is ((J.n)^2 - 1/4)/2, and the J = 3/2 and 1/2
+subspaces do not depend on n.  So with q_i the HH/LH part of state_i,
+M_ab = Re sum_i (J_a q_i)^dagger (J_b q_i), t = sum_i |q_i|^2 and s the
+SO weight,
 
-    p_b = (1/2) tr(P_b rho),
+    p_hh(n) = n^T M n / 4 - t/16,  p_lh = t/2 - p_hh,  p_so = s/2:
 
-which ``mixing_map`` evaluates for a whole (theta, strain) grid as one
-real matrix product of the flattened P_hh(theta) and rho(strain).
+one real symmetric 3x3 tensor per doublet (``_hgs_tensor``) gives every
+axis without a rotated basis; ``rotated_basis`` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import (_BLOCH_ORBITALS, HH_INDICES, LH_INDICES, SO_INDICES,
-                      SpinorState, _doublet_stack, _full8, validate_doublet)
+from .kp_bulk import (_BLOCH_ORBITALS, VB_SLICE, SpinorState, _doublet_stack,
+                      _full8, validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -85,10 +86,8 @@ def j_operator(component: str) -> np.ndarray:
     in units of hbar.  J_y follows from [J_z, J_x] = i J_y."""
     s32 = math.sqrt(3.0) / 2.0
     jz = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
-    jx = np.array([[0.0, s32, 0.0, 0.0],
-                   [s32, 0.0, 1.0, 0.0],
-                   [0.0, 1.0, 0.0, s32],
-                   [0.0, 0.0, s32, 0.0]], dtype=complex)
+    jx = np.diag([s32, 1.0, s32], 1).astype(complex)
+    jx += jx.T
     if component == "z":
         return jz
     if component == "x":
@@ -96,37 +95,6 @@ def j_operator(component: str) -> np.ndarray:
     if component == "y":
         return -1j * (jz @ jx - jx @ jz)
     raise ValueError(f"component must be 'x', 'y' or 'z', got {component!r}")
-
-
-def _spin_rotation(theta: float, phi: float) -> np.ndarray:
-    """Rows express the spinors quantized along n in the z-spinors."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-    return np.array([[em * c, ep * s],
-                     [-em * s, ep * c]])
-
-
-def _orbital_rotation(theta: float, phi: float) -> np.ndarray:
-    """Rows express the primed orbitals (X', Y', Z') in (X, Y, Z);
-    Z' points along n."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return np.array([[ct * cp, ct * sp, -st],
-                     [-sp, cp, 0.0],
-                     [st * cp, st * sp, ct]])
-
-
-def _rotation_matrix(axis: QuantizationAxis) -> np.ndarray:
-    """8x8 unitary whose columns are the rotated Bloch basis states
-    (ordering of kp_bulk.BLOCH_LABELS) expressed in the canonical basis."""
-    ro = np.eye(4, dtype=complex)
-    ro[1:, 1:] = _orbital_rotation(axis.theta, axis.phi)  # S is spherical
-    rs = _spin_rotation(axis.theta, axis.phi)
-    # product-basis transform, index = 4*spin + orbital: column (o', s')
-    # holds that primed basis vector expressed in the canonical products;
-    # the same products as np.kron(rs.T, ro.T), without its overhead
-    t = (rs.T[:, None, :, None] * ro.T[None, :, None, :]).reshape(8, 8)
-    return _BLOCH_ORBITALS.conj().T @ t @ _BLOCH_ORBITALS
 
 
 def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
@@ -137,7 +105,17 @@ def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
     doublet for every axis, so the three pair subspaces are rotation
     covariant.
     """
-    w = _rotation_matrix(axis)
+    ct, st = math.cos(axis.theta), math.sin(axis.theta)
+    cp, sp = math.cos(axis.phi), math.sin(axis.phi)
+    c, s = math.cos(axis.theta / 2.0), math.sin(axis.theta / 2.0)
+    em, ep = np.exp(-0.5j * axis.phi), np.exp(0.5j * axis.phi)
+    # rows: the orbitals (S, X', Y', Z'), Z' along n, in (S, X, Y, Z) and
+    # the spinors quantized along n in the z-spinors
+    ro = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, ct * cp, ct * sp, -st],
+                   [0.0, -sp, cp, 0.0], [0.0, st * cp, st * sp, ct]])
+    rs = np.array([[em * c, ep * s], [-em * s, ep * c]])
+    # column 4 s' + o' is that primed product in the canonical products
+    w = _BLOCH_ORBITALS.conj().T @ np.kron(rs.T, ro.T) @ _BLOCH_ORBITALS
     return [SpinorState(w[:, j]) for j in range(8)]
 
 
@@ -150,17 +128,46 @@ def project_hgs(doublet, axis: QuantizationAxis, *,
     was split by the eigensolver.
     """
     psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
-    return ProjectionResult(*_project(psi, axis).tolist())
+    return ProjectionResult(*_project(psi, [axis.unit_vector])[0].tolist())
 
 
-def _project(psi: np.ndarray, axis: QuantizationAxis) -> np.ndarray:
-    """(p_hh, p_lh, p_so), last axis, of states psi (..., 6 or 8, j),
-    averaged over the j columns; each is the weight (1/2) sum_j
-    |b^dagger psi_j|^2 of the rotated basis states b of a pair."""
-    overlap = np.conj(_rotation_matrix(axis).T) @ _full8(psi)
-    weight = 0.5 * np.sum(np.abs(overlap) ** 2, axis=-1)
-    pairs = weight[..., HH_INDICES + LH_INDICES + SO_INDICES]
-    return pairs.reshape(weight.shape[:-1] + (3, 2)).sum(axis=-1)
+# a row (Re c, Im c) of six VB coefficients c times this is (Re, Im) of
+# the rows (J_x q, J_y q, J_z q), q the HH/LH part of c, component-minor
+_J_ROWS = np.vstack([np.stack([j_operator(c).T for c in "xyz"], -1)
+                     .reshape(4, 12), np.zeros((2, 12))])
+_J_REAL = np.block([[_J_ROWS.real, _J_ROWS.imag],
+                    [-_J_ROWS.imag, _J_ROWS.real]])
+
+
+def _hgs_tensor(psi: np.ndarray):
+    """(M, t, s) of the module docstring for the j columns of states psi
+    (..., 6 or 8, j): shapes (..., 3, 3), (...) and (...)."""
+    # one 2-D product over all columns, then one 3x3 product per doublet
+    columns = np.swapaxes(_full8(psi)[..., VB_SLICE, :], -1, -2)
+    batch = columns.shape[:-2]
+    v = columns.reshape(-1, 6)
+    x = np.concatenate([v.real, v.imag], 1)
+    amp = (x @ _J_REAL).reshape(batch + (-1, 3))
+    w = (x * x).reshape(batch + (-1, 6)).sum(-2)
+    return amp.swapaxes(-1, -2) @ amp, w[..., :4].sum(-1), w[..., 4:].sum(-1)
+
+
+def _project(psi: np.ndarray, directions) -> np.ndarray:
+    """(p_hh, p_lh, p_so), shape (..., d, 3), of states psi (..., 6 or 8,
+    j) averaged over the j columns, along each unit row of ``directions``."""
+    m, t, s = _hgs_tensor(psi)
+    p = np.empty(t.shape + (len(directions), 3))
+    p[..., 0] = _p_hh(m, t, np.asarray(directions, dtype=float))
+    p[..., 1] = 0.5 * t[..., None] - p[..., 0]
+    p[..., 2] = 0.5 * s[..., None]
+    return p
+
+
+def _p_hh(m: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """p_hh (..., d) along the unit rows of n (d, 3) from M and t: one
+    (..., 9) @ (9, d) product with the outer products n n^T."""
+    nn = (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
+    return 0.25 * (m.reshape(t.shape + (9,)) @ nn.T) - t[..., None] / 16
 
 
 def commutator_norm(j: np.ndarray, h4: np.ndarray) -> float:
@@ -199,7 +206,8 @@ def _mixing_curves(stresses_gpa, prestress: StrainState | None, axes,
     uniaxial, total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
     exx = (total if abscissa == "total" else uniaxial)[:, :1]
-    return [np.hstack([exx, _project(psi, axis)]) for axis in axes]
+    weights = _project(psi, [axis.unit_vector for axis in axes])
+    return [np.hstack([exx, weights[:, i]]) for i in range(len(axes))]
 
 
 def mixing_map(stresses_gpa, prestress: StrainState | None,
@@ -214,19 +222,12 @@ def mixing_map(stresses_gpa, prestress: StrainState | None,
     stresses = np.asarray(stresses_gpa, dtype=float)
     if thetas.size == 0 or stresses.size == 0:
         raise ValueError("theta and stress grids must be nonempty")
-    # p_hh = (1/2) tr(P rho) with both factors Hermitian, so it is the real
-    # dot product of their flattened real and imaginary parts: one
-    # (n_theta, 128) @ (128, n_strain) product for the whole grid
-    hh = np.stack([_rotation_matrix(QuantizationAxis(t, phi))[:, HH_INDICES]
-                   for t in thetas])
+    if not (np.isfinite(thetas).all() and math.isfinite(phi)):
+        raise ValueError("axis angles must be finite")
     _, total = uniaxial_sweep(stresses, p, prestress)
     _, psi = _doublet_stack(total, p)
-    proj = _real_flat(hh @ np.conj(np.swapaxes(hh, -1, -2)))
-    rho = _real_flat(psi @ np.conj(np.swapaxes(psi, -1, -2)))
-    return thetas, total[:, 0], 0.5 * (proj @ rho.T)
-
-
-def _real_flat(m: np.ndarray) -> np.ndarray:
-    """Matrices (n, a, b) as rows (n, 2ab): real parts, then imaginary."""
-    m = m.reshape(len(m), -1)
-    return np.hstack([m.real, m.imag])
+    # n(theta, phi) as in QuantizationAxis.unit_vector, one row per theta
+    n = np.column_stack([math.cos(phi) * np.sin(thetas),
+                         math.sin(phi) * np.sin(thetas), np.cos(thetas)])
+    m, t, _ = _hgs_tensor(psi)
+    return thetas, total[:, 0], _p_hh(m, t, n).T

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import kp_bulk
 from ._parallel import map_ordered
-from .axis import ProjectionResult, QuantizationAxis, _project
+from .axis import ProjectionResult, QuantizationAxis, _project, project_hgs
 from .elasticity import StrainState, uniaxial_sweep
 from .kp_bulk import _herm
 from .materials import MaterialParams, algaas
@@ -540,8 +540,7 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
     on the grid index, so the weights reduce to the per-band content at
     axis = z and stay doublet-remix invariant for any axis.
     """
-    psi = kp_bulk.validate_doublet(*doublet)
-    return ProjectionResult(*_project(psi, axis).tolist())
+    return project_hgs(doublet, axis)
 
 
 def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
@@ -562,14 +561,14 @@ def _mixing_sweep(geometries, stresses_gpa, axes, table,
     """``qw_mixing_vs_strain`` with the hole ground-state energy (eV) of
     every sweep point: one (rows, energies) pair per geometry."""
     _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
+    directions = [axis.unit_vector for axis in axes]
 
     def one(geometry, voigt):
         # solve_qw has checked the pair, so it is projected without
         # envelope_projection's second check
         states = solve_qw(geometry, StrainState(*voigt), table, 2)
         psi = np.hstack([s.coefficients for s in states])
-        row = [voigt[0]] + [v for axis in axes
-                            for v in _project(psi, axis).tolist()]
+        row = [voigt[0]] + _project(psi, directions).ravel().tolist()
         return row, states[0].energy
 
     sweeps = []

@@ -1,15 +1,19 @@
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from strainkp.axis import (QuantizationAxis, commutator_norm,
+from strainkp.axis import (QuantizationAxis, _hgs_tensor, commutator_norm,
                            default_theta_grid, j_operator, mixing_curve,
                            mixing_map, project_hgs, rotated_basis)
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain, uniaxial_sweep)
-from strainkp.kp_bulk import (SpinorState, bloch_orbital_matrix, h4_topmost,
-                              top_valence_doublet)
+from strainkp.kp_bulk import (SpinorState, _doublet_stack,
+                              bloch_orbital_matrix, dispersion, h4_topmost,
+                              top_valence_doublet, validate_doublet)
+from strainkp.qw import QwGeometry, envelope_projection, solve_qw
 
 X_AXIS = QuantizationAxis(math.pi / 2.0)
 Z_AXIS = QuantizationAxis(0.0)
@@ -230,8 +234,10 @@ def test_mixing_map_edges_match_curves(gaas):
 
 
 def test_mixing_map_interior_matches_point_projections(gaas):
-    # the grid's tr(P rho) product against one project_hgs call per cell,
-    # off the z/x edges and off the phi = 0 plane
+    # the grid's one n n^T product against one project_hgs call per cell,
+    # off the z/x edges and off the phi = 0 plane; both read the same
+    # tensor, so this checks the grid's axes, and the overlap oracle
+    # test_projection_matches_rotated_basis_overlaps the weights
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(-2, 2, 7)
     phi = math.radians(30.0)
@@ -258,6 +264,136 @@ def test_mixing_map_ridge_migrates(gaas):
 def test_mixing_map_rejects_empty_grid(gaas):
     with pytest.raises(ValueError):
         mixing_map([], biaxial_strain(-0.12, gaas), gaas)
+
+
+def overlap_oracle(states, axis):
+    """(p_hh, p_lh, p_so): (1/2) sum |b^dagger psi|^2 over each rotated
+    pair b of ``rotated_basis(axis)`` and over the states, bulk spinors
+    (8,) or well envelopes (6, N) (the overlap is taken node by node)."""
+    basis = np.column_stack([b.coefficients for b in rotated_basis(axis)])
+    weights = np.zeros(8)
+    for state in states:
+        c = state.coefficients.reshape(len(state.coefficients), -1)
+        c = np.vstack([np.zeros((8 - len(c), c.shape[1])), c])
+        weights += 0.5 * np.sum(np.abs(basis.conj().T @ c) ** 2, axis=1)
+    return weights[[2, 5]].sum(), weights[[3, 4]].sum(), weights[[6, 7]].sum()
+
+
+def random_axis(rng):
+    return QuantizationAxis(rng.uniform(0.0, math.pi),
+                            rng.uniform(0.1, 2.0 * math.pi - 0.1))
+
+
+def test_projection_matches_rotated_basis_overlaps(table, gaas, rng,
+                                                   random_strain):
+    # the tensor readout against the overlaps with the rotated states
+    for _ in range(20):
+        doublet = top_valence_doublet(random_strain(), gaas)
+        for _ in range(3):
+            axis = random_axis(rng)
+            assert astuple(project_hgs(doublet, axis)) == pytest.approx(
+                overlap_oracle(doublet, axis), abs=1e-12)
+    geometry = QwGeometry(4.0, barrier_thickness_nm=8.0, grid_points=61)
+    states = solve_qw(geometry, random_strain(scale=0.005), table, 4)
+    for j in (0, 2):
+        for _ in range(3):
+            axis = random_axis(rng)
+            oracle = overlap_oracle(states[j:j + 2], axis)
+            assert astuple(envelope_projection(states[j:j + 2], axis)) \
+                == pytest.approx(oracle, abs=1e-12)
+            assert astuple(project_hgs(states[j:j + 2], axis)) \
+                == pytest.approx(oracle, abs=1e-12)
+
+
+def test_j_operator_is_l_plus_s_of_the_bloch_table():
+    # J = L + S on (S, X, Y, Z) x (up, dn), (L_a)_bc = -i eps_abc on the p
+    # orbitals, taken to the Bloch basis: its HH/LH block is j_operator,
+    # phases included, so the tensor kernel and the Bloch table agree
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in itertools.permutations(range(3)):
+        eps[a, b, c] = np.linalg.det(np.eye(3)[[a, b, c]])
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+             np.array([[1, 0], [0, -1]]))
+    u = bloch_orbital_matrix()
+    for a, component in enumerate("xyz"):
+        orbital = np.zeros((4, 4), dtype=complex)
+        orbital[1:, 1:] = -1j * eps[a]
+        j8 = np.kron(np.eye(2), orbital) + np.kron(pauli[a] / 2, np.eye(4))
+        j_bloch = u.conj().T @ j8 @ u
+        assert np.abs(j_bloch[2:6, 2:6] - j_operator(component)).max() \
+            <= 1e-15
+        assert np.abs(j_bloch[2:6, 6:]).max() <= 1e-15  # J keeps J^2
+
+
+def test_flip_stress_cancels_the_prestress(gaas):
+    # at uniaxial 0.12 GPa on the -0.12 GPa biaxial prestress the net
+    # stress is uniaxial along y, so z and x are equivalent axes; the
+    # difference changes sign through that stress
+    pre = biaxial_strain(-0.12, gaas)
+    stresses = [0.1199, 0.12, 0.1201]
+    z = mixing_curve(stresses, pre, Z_AXIS, gaas)[:, 1]
+    x = mixing_curve(stresses, pre, X_AXIS, gaas)[:, 1]
+    diff = z - x
+    assert abs(diff[1]) <= 1e-12
+    assert diff[0] > 1e-4 and diff[2] < -1e-4
+
+
+def test_exact_theta_maximum_matches_the_grid(gaas):
+    # criterion 04's maximum over 61 theta, exactly: max over n in the xz
+    # plane of n^T M n / 4 - t/16 is the top eigenvalue of M's xz block.
+    # A shear-free strain keeps the mirror z -> -z, so M_xz = 0 and the
+    # maximum sits on a grid edge: the grid misses it by round-off only
+    pre = biaxial_strain(-0.12, gaas)
+    stresses = np.linspace(0.0, 2.0, 201)
+    _, _, phh = mixing_map(stresses, pre, gaas, thetas=default_theta_grid(61))
+    _, total = uniaxial_sweep(stresses, gaas, pre)
+    m, t, _ = _hgs_tensor(_doublet_stack(total, gaas)[1])
+    exact = 0.25 * np.linalg.eigvalsh(m[:, ::2, ::2])[:, -1] - t / 16
+    excess = exact - phh.max(axis=0)
+    assert excess.min() >= -1e-12
+    assert excess.max() <= 1e-12
+    assert exact[0] >= 0.9 and exact[-1] >= 0.9 and exact[1:-1].min() < 0.9
+
+
+# the 48 operations of O_h as signed permutation matrices
+CUBIC_GROUP = [np.diag(signs) @ np.eye(3)[list(order)]
+               for order in itertools.permutations(range(3))
+               for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
+def strain_of(e):
+    return StrainState(e[0, 0], e[1, 1], e[2, 2], e[1, 2], e[0, 2], e[0, 1])
+
+
+def axis_of(n):
+    return QuantizationAxis(math.acos(max(-1.0, min(1.0, n[2]))),
+                            math.atan2(n[1], n[0]))
+
+
+def test_cubic_group_symmetry(gaas, rng):
+    # energies are invariant under e -> g e g^T, k -> g k for all 48 cubic
+    # operations, and the weights turn with the axis, p_b(g n; g e g^T) =
+    # p_b(n; e), as does the tensor, M(g e g^T) = g M g^T
+    assert len({tuple(g.ravel()) for g in CUBIC_GROUP}) == 48
+    for _ in range(3):
+        e = rng.uniform(-0.01, 0.01, size=(3, 3))
+        e = (e + e.T) / 2.0
+        k = rng.uniform(-0.3, 0.3, size=3)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        bands = dispersion([k], strain_of(e), gaas)
+        doublet = top_valence_doublet(strain_of(e), gaas)
+        weights = astuple(project_hgs(doublet, axis_of(n)))
+        m = _hgs_tensor(validate_doublet(*doublet))[0]
+        for g in CUBIC_GROUP:
+            strain = strain_of(g @ e @ g.T)
+            assert np.abs(dispersion([g @ k], strain, gaas) - bands).max() \
+                <= 1e-12
+            turned = top_valence_doublet(strain, gaas)
+            assert astuple(project_hgs(turned, axis_of(g @ n))) \
+                == pytest.approx(weights, abs=1e-12)
+            assert np.abs(_hgs_tensor(validate_doublet(*turned))[0]
+                          - g @ m @ g.T).max() <= 1e-12
 
 
 def test_axis_unit_vector():

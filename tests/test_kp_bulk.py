@@ -287,9 +287,9 @@ def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch, xy):
         assert np.abs(energies - ref_energies).max() < 1e-12
         assert np.abs(_projector(states) - _projector(ref_states)).max() \
             < 1e-10
-        for axis in axes:
-            assert np.abs(_project(states, axis)
-                          - _project(ref_states, axis)).max() < 1e-10
+        n = [axis.unit_vector for axis in axes]
+        assert np.abs(_project(states, n) - _project(ref_states, n)).max() \
+            < 1e-10
         assert np.abs(_strengths(states) - _strengths(ref_states)).max() \
             < 1e-10
         # psi lives in the kept bands, T psi in their partners
