@@ -126,7 +126,7 @@ def stiffness_matrix(p: MaterialParams) -> np.ndarray:
     """6x6 cubic stiffness (GPa) acting on engineering-shear strain."""
     c = np.zeros((6, 6))
     c[:3, :3] = p.c12
-    np.fill_diagonal(c[:3, :3], p.c11)
+    c[0, 0] = c[1, 1] = c[2, 2] = p.c11
     c[3, 3] = c[4, 4] = c[5, 5] = p.c44
     return c
 

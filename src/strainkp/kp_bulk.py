@@ -96,6 +96,9 @@ _SQ32 = math.sqrt(1.5)
 _ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
                          (0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
                          (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]).T
+# the same entries, and the mirror images of the 12 off the diagonal, as
+# indices into a flat 6x6
+_UPPER_FLAT, _LOWER_FLAT = _ROWS * 6 + _COLS, (_COLS * 6 + _ROWS)[6:]
 # VB bands {HH+3/2, LH-1/2, SO-1/2} kept by the Kramers split, and their
 # partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
@@ -135,17 +138,19 @@ class SpinorState:
 
     ``coefficients`` may have 8 entries (full basis) or 6 (VB-only
     restriction in basis order HH+3/2, LH+1/2, LH-1/2, HH-3/2, SO+1/2,
-    SO-1/2).
+    SO-1/2).  The state keeps a read-only copy of the coefficients, so
+    no later write to the caller's array changes it.
     """
 
     coefficients: np.ndarray
     energy: float | None = None
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=complex)
+        coeff = np.array(self.coefficients, dtype=complex)
         if coeff.ndim != 1 or coeff.size < 2:
             raise ValueError(f"unsupported spinor shape {coeff.shape}")
-        norm = np.linalg.norm(coeff)
+        # np.linalg.norm of a complex vector, without its wrapper
+        norm = math.sqrt(coeff.real @ coeff.real + coeff.imag @ coeff.imag)
         if abs(norm - 1.0) > 1e-10:
             raise NumericalError(f"spinor norm {norm} deviates from 1")
         coeff.flags.writeable = False
@@ -200,9 +205,16 @@ def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
         rr, -_SQ2 * qq, _SQ32 * ss,
         ss, _SQ32 * sc, _SQ2 * qq,
         -_SQ2 * rc, -sc / _SQ2)
-    # one strided write per entry: a third of the time of stacking the
-    # entries and scattering them with fancy indices, for a 1001-point
-    # sweep
+    if np.ndim(pp) == 0:
+        # one point: two scatters instead of 36 scalar writes, with the
+        # same bits (np.conj of a real entry keeps a +0 imaginary part)
+        h = np.zeros(36, dtype=complex)
+        h[_UPPER_FLAT] = upper
+        h[_LOWER_FLAT] = [np.conj(value) for value in upper[6:]]
+        return h.reshape(6, 6)
+    # a stack: one strided write per entry, a third of the time of
+    # stacking the entries and scattering them with fancy indices, for a
+    # 1001-point sweep
     h = np.zeros(np.shape(pp) + (6, 6), dtype=complex)
     for row, col, value in zip(_ROWS.tolist(), _COLS.tolist(), upper):
         h[..., col, row] = np.conj(value)
@@ -239,19 +251,26 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Unit columns of (..., m, j) with the first coefficient above 1e-10
     of each (a unit column always has one) made real and positive, so
     degenerate subspaces come out reproducibly for identical inputs."""
-    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)[..., None, :]
-    lead = np.take_along_axis(vectors, pivot, axis=-2)
+    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)
+    # the pivot entries by plain integer indexing over the stack: the
+    # gather of np.take_along_axis, without its Python-level index setup
+    stack = vectors.reshape((-1,) + vectors.shape[-2:])
+    rows = np.arange(len(stack))[:, None]
+    columns = np.arange(vectors.shape[-1])
+    lead = stack[rows, pivot.reshape(rows.size, columns.size), columns]
+    lead = lead.reshape(pivot.shape)[..., None, :]
     return vectors / (lead / np.abs(lead))
 
 
 def _check_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianError for the first matrix of (..., m, m), in
     stack order, with ``max|h - h^dagger|`` above ``_HERMITIAN_ATOL``."""
-    resid = np.abs(h - _herm(h)).max(axis=(-2, -1)).ravel()
-    bad = np.flatnonzero(resid > _HERMITIAN_ATOL)
-    if bad.size:
+    resid = np.abs(h - _herm(h)).max(axis=(-2, -1))
+    bad = resid > _HERMITIAN_ATOL
+    if bad.any():
         raise NonHermitianError(
-            f"matrix is not Hermitian: residual {resid[bad[0]]:g} exceeds "
+            f"matrix is not Hermitian: residual "
+            f"{resid.ravel()[np.flatnonzero(bad)[0]]:g} exceeds "
             f"{_HERMITIAN_ATOL:g}")
 
 
@@ -262,7 +281,8 @@ def _herm(a: np.ndarray) -> np.ndarray:
 def _check_norms(vectors: np.ndarray) -> None:
     """Raise SpinorState's error for the first column of (..., m, j) whose
     norm drifts from 1 by more than 1e-10."""
-    drift = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0) > 1e-10
+    squares = (np.conj(vectors) * vectors).real.sum(axis=-2)
+    drift = np.abs(np.sqrt(squares) - 1.0) > 1e-10
     if drift.any():
         columns = np.moveaxis(vectors, -1, -2).reshape(-1, vectors.shape[-2])
         SpinorState(columns[np.flatnonzero(drift)[0]])
@@ -411,18 +431,21 @@ def _full8(states: np.ndarray) -> np.ndarray:
 def _check_doublets(energies: np.ndarray, states: np.ndarray,
                     *, degeneracy_atol: float = 1e-6) -> None:
     """Check that pairs, energies (..., 2) and states (..., m, 2), are
-    degenerate and orthogonal; the first failing pair raises."""
-    gap = np.abs(energies[..., 0] - energies[..., 1]).ravel()
-    gram = np.conj(np.swapaxes(states, -1, -2)) @ states
-    overlap = np.abs(gram[..., 0, 1]).ravel()
-    bad = np.flatnonzero((gap > degeneracy_atol) | (overlap > 1e-8))
-    if bad.size and gap[bad[0]] > degeneracy_atol:
+    degenerate and orthogonal; the first failing pair raises, with its
+    gap reported before its overlap."""
+    gap = np.abs(energies[..., 0] - energies[..., 1])
+    overlap = np.abs((np.conj(states[..., 0]) * states[..., 1]).sum(axis=-1))
+    bad = (gap > degeneracy_atol) | (overlap > 1e-8)
+    if not bad.any():
+        return
+    first = np.flatnonzero(bad)[0]
+    gap, overlap = gap.ravel()[first], overlap.ravel()[first]
+    if gap > degeneracy_atol:
         raise NumericalError(
-            f"states are not degenerate: |dE| = {gap[bad[0]]:g} eV exceeds "
+            f"states are not degenerate: |dE| = {gap:g} eV exceeds "
             f"{degeneracy_atol:g} eV")
-    if bad.size:
-        raise NumericalError(f"doublet states are not orthogonal "
-                             f"(|overlap| = {overlap[bad[0]]:g})")
+    raise NumericalError(f"doublet states are not orthogonal "
+                         f"(|overlap| = {overlap:g})")
 
 
 def validate_doublet(a, b, *, degeneracy_atol: float = 1e-6) -> np.ndarray:

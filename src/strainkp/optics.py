@@ -12,7 +12,7 @@ lifetime of the unstrained bright doublet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -200,8 +200,9 @@ def rates(strengths: DipoleStrengths, calibration: RateCalibration) \
     to twice that.
     """
     scale = calibration.ghz_per_strength
-    return replace(strengths, r_x=strengths.s_x * scale,
-                   r_y=strengths.s_y * scale, r_z=strengths.s_z * scale)
+    s_x, s_y, s_z = strengths.s_x, strengths.s_y, strengths.s_z
+    return DipoleStrengths(s_x, s_y, s_z, s_x * scale, s_y * scale,
+                           s_z * scale)
 
 
 def dipole_sweep(stresses_gpa, prestress: StrainState | None,

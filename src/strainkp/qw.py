@@ -119,14 +119,15 @@ class QwGeometry:
 @dataclass(frozen=True)
 class EnvelopeState:
     """One hole state: energy plus band-resolved envelope coefficients
-    of shape (6, N) over the grid, unit-normalized."""
+    of shape (6, N) over the grid, unit-normalized; the state keeps a
+    read-only copy of the coefficients."""
 
     energy: float
     coefficients: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 2 or c.shape[0] != 6:
             raise ValueError("envelope coefficients must have shape (6, N)")
         norm = np.linalg.norm(c)

@@ -391,3 +391,181 @@ def test_dispersion_anisotropic_mass_under_uniaxial_tension(gaas):
         curv[direction] = np.polyfit(ks, energies[:, 2], 2)[0]
     assert curv["x"] < 0 and curv["y"] < 0
     assert abs(curv["x"]) < abs(curv["y"])
+
+
+def test_spinor_state_copies_the_callers_array():
+    # the state keeps its own read-only copy: the caller's array stays
+    # writable, and no later write to it (or to the base of a view) leaks in
+    c = np.zeros(8, dtype=complex)
+    c[2] = 1.0
+    state = SpinorState(c)
+    assert c.flags.writeable and not state.coefficients.flags.writeable
+    c[2], c[3] = 0.0, 1.0
+    assert state.coefficients[2] == 1.0 and state.coefficients[3] == 0.0
+    base = np.zeros((2, 8), dtype=complex)
+    base[0, 5] = 1.0
+    view = base[0]
+    state = SpinorState(view)
+    assert view.flags.writeable and base.flags.writeable
+    base[0, 5] = 2.0
+    view[4] = 3.0
+    assert state.coefficients.tolist() == [0j] * 5 + [1 + 0j, 0j, 0j]
+
+
+def test_single_point_assembly_matches_the_stack_bit_for_bit(gaas, rng):
+    # one point takes its own assembly path; the integer views tell
+    # signed zeros apart (a real entry's mirror keeps a +0 imaginary part)
+    voigt = rng.uniform(-0.01, 0.01, size=(5, 6))
+    k = rng.uniform(-0.3, 0.3, size=(5, 3))
+    # a biaxial strain at k = 0 gives entries with signed zeros
+    k[0] = 0.0
+    voigt[0] = biaxial_strain(-0.12, gaas).as_voigt()
+    stack = kp_bulk._vb_hole(k, voigt, gaas, 0.01, -0.02)
+    for i in range(5):
+        single = kp_bulk._vb_hole(k[i], voigt[i], gaas, 0.01, -0.02)
+        assert single.shape == (6, 6)
+        assert np.array_equal(single.view(np.uint64),
+                              stack[i].view(np.uint64))
+
+
+def _take_along_phases(vectors):
+    """``_fix_phases`` as it was written with ``np.take_along_axis``."""
+    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, pivot, axis=-2)
+    return vectors / (lead / np.abs(lead))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.sampled_from([(), (1,), (5,), (2, 3), (3, 1)]),
+       m=st.integers(1, 8), j=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), reversed_columns=st.booleans())
+def test_fix_phases_matches_take_along_axis_bit_for_bit(
+        batch, m, j, seed, reversed_columns):
+    # columns lead with up to m - 1 entries below 1e-10 (zeros of either
+    # sign among them), so the pivot is not always the first row
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=batch + (m, j)) \
+        + 1j * rng.normal(size=batch + (m, j))
+    tiny = rng.integers(0, m, size=batch + (j,))
+    below = np.arange(m)[:, None] < tiny[..., None, :]
+    small = rng.choice([0.0, -0.0, 1e-11, -9e-11], size=vectors.shape) \
+        + 1j * rng.choice([0.0, -0.0, 5e-11, -1e-12], size=vectors.shape)
+    vectors = np.where(below, small, vectors)
+    if reversed_columns:
+        vectors = vectors[..., ::-1]
+    fixed = kp_bulk._fix_phases(vectors)
+    expected = _take_along_phases(vectors)
+    # the integer views tell -0.0 from +0.0
+    assert fixed.shape == expected.shape
+    assert np.array_equal(np.ascontiguousarray(fixed).view(np.uint64),
+                          np.ascontiguousarray(expected).view(np.uint64))
+
+
+def _basis_pairs(n, m=8):
+    """n orthonormal degenerate pairs (n, m, 2) of basis vectors, with
+    energies (n, 2)."""
+    states = np.zeros((n, m, 2), dtype=complex)
+    states[:, 0, 0] = states[:, 1, 1] = 1.0
+    return np.full((n, 2), -0.25), states
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_check_doublets_reports_the_first_failing_pair(n, data):
+    # planted gaps and overlaps anywhere in a stack: the earliest failing
+    # pair raises, and at one pair the gap is reported before the overlap
+    energies, states = _basis_pairs(n)
+    gaps = data.draw(st.sets(st.integers(0, n - 1)))
+    overlaps = data.draw(st.sets(st.integers(0, n - 1)))
+    for i in gaps:
+        energies[i, 1] += 3.5e-6 * (i + 1)
+    for i in overlaps:
+        a = 2.0 ** -(i + 10)
+        states[i, :2, 1] = a, math.sqrt(1.0 - a * a)
+    if not gaps | overlaps:
+        kp_bulk._check_doublets(energies, states)
+        return
+    first = min(gaps | overlaps)
+    if first in gaps:
+        gap = abs(energies[first, 0] - energies[first, 1])
+        message = (f"states are not degenerate: |dE| = {gap:g} eV exceeds "
+                   f"{1e-6:g} eV")
+    else:
+        message = (f"doublet states are not orthogonal "
+                   f"(|overlap| = {2.0 ** -(first + 10):g})")
+    with pytest.raises(kp_bulk.NumericalError) as info:
+        kp_bulk._check_doublets(energies, states)
+    assert str(info.value) == message
+    # the same stack as (a, b) batch axes reports the same pair
+    if n % 3 == 0:
+        with pytest.raises(kp_bulk.NumericalError) as info:
+            kp_bulk._check_doublets(energies.reshape(3, -1, 2),
+                                    states.reshape(3, -1, 8, 2))
+        assert str(info.value) == message
+
+
+def test_check_doublets_passes_tolerances_and_single_pairs():
+    # a gap of exactly 1e-6 eV and an overlap of exactly 1e-8 pass
+    energies, states = _basis_pairs(4)
+    energies[:] = 0.0
+    energies[:, 1] = 1e-6
+    states[:, 0, 1] = 1e-8
+    kp_bulk._check_doublets(energies, states)
+    kp_bulk._check_doublets(energies[0], states[0])
+    energies[0, 1] += 1e-6
+    with pytest.raises(kp_bulk.NumericalError, match="not degenerate"):
+        kp_bulk._check_doublets(energies[0], states[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.sampled_from([(1,), (7,), (2, 3)]), m=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_check_hermitian_reports_the_first_failing_matrix(batch, m, seed,
+                                                          data):
+    # a non-Hermitian entry in either triangle of any matrix of a stack;
+    # the residual is max|h - h^dagger| of the first matrix that fails
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=batch + (m, m)) + 1j * rng.normal(size=batch + (m, m))
+    h = np.ascontiguousarray(a + np.conj(np.swapaxes(a, -1, -2)))
+    flat = h.reshape(-1, m, m)
+    planted = data.draw(st.sets(st.integers(0, len(flat) - 1)))
+    for i in planted:
+        row, col = data.draw(st.tuples(st.integers(0, m - 1),
+                                       st.integers(0, m - 1)))
+        # imaginary parts, so a diagonal entry fails too
+        flat[i, row, col] += data.draw(
+            st.sampled_from([1e-9j, 2e-12 + 2e-11j, -1.0j]))
+    # below the tolerance nothing raises
+    flat[:, 0, m - 1] += 1e-13
+    if not planted:
+        kp_bulk._check_hermitian(h)
+        return
+    first = flat[min(planted)]
+    resid = np.abs(first - np.conj(first.T)).max()
+    with pytest.raises(NonHermitianError) as info:
+        kp_bulk._check_hermitian(h)
+    assert str(info.value) == (f"matrix is not Hermitian: residual "
+                               f"{resid:g} exceeds 1e-12")
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.sampled_from([(), (4,), (2, 3)]), j=st.integers(1, 6),
+       data=st.data())
+def test_check_norms_reports_the_first_drifting_column(batch, j, data):
+    # columns in stack order, then column order; a drift of 1e-10 or less
+    # passes, and the first larger one raises SpinorState's error
+    vectors = np.zeros(batch + (8, j), dtype=complex)
+    vectors[..., 0, :] = 1.0
+    columns = np.moveaxis(vectors, -1, -2).reshape(-1, 8)
+    planted = data.draw(st.sets(st.integers(0, len(columns) - 1)))
+    for i in planted:
+        columns[i, 0] = 1.0 + 2e-10 * (i + 1)
+    vectors = np.moveaxis(columns.reshape(batch + (j, 8)), -1, -2)
+    vectors[..., 3, 0] = 9e-6   # norm 1 + 4e-11: within the tolerance
+    if not planted:
+        kp_bulk._check_norms(vectors)
+        return
+    norm = np.linalg.norm(columns[min(planted)])
+    with pytest.raises(kp_bulk.NumericalError) as info:
+        kp_bulk._check_norms(vectors)
+    assert str(info.value) == f"spinor norm {norm} deviates from 1"

@@ -622,3 +622,21 @@ def test_envelope_projection_requires_degeneracy(table):
                                  grid_points=61), ZERO, table, 4)
     with pytest.raises(ValueError, match="degenerate"):
         envelope_projection((states[0], states[2]), Z_AXIS)
+
+
+def test_envelope_state_copies_the_callers_array():
+    # as SpinorState: the state keeps its own read-only copy, whether it
+    # gets a complex (6, N) array or a view into a larger one
+    z = np.linspace(-1.0, 1.0, 5)
+    c = np.zeros((6, 5), dtype=complex)
+    c[0, 2] = 1.0
+    state = EnvelopeState(-0.1, c, z)
+    assert c.flags.writeable and not state.coefficients.flags.writeable
+    c[0, 2], c[1, 1] = 0.0, 1.0
+    assert state.density().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    base = np.zeros((2, 6, 5), dtype=complex)
+    base[1, 3, 4] = 1.0
+    state = EnvelopeState(-0.1, base[1], z)
+    assert base.flags.writeable
+    base[1, 3, 4], base[1, 3, 0] = 0.0, 1.0
+    assert state.coefficients[3].tolist() == [0j, 0j, 0j, 0j, 1 + 0j]
