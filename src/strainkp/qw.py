@@ -20,28 +20,30 @@ terms at interfaces (Foreman, PRB 48, 4964 (1993)) does not arise.  The
 applied strain is taken constant through the stack and is computed from
 the well material's stiffness (the barrier inherits it).
 
-One private builder gives each node's 6x6 diagonal block and the block
-coupling it to the next node.  ``build_qw_hamiltonian`` assembles them
-into a dense band-major matrix, kept as the reference for tests and
-benchmarks; ``solve_qw`` keeps them as node blocks (site-major, block
-tridiagonal) and finds the topmost states in numpy alone: shift-invert
-block subspace iteration with a shift proven to lie above the spectrum,
-so sigma I - H is Hermitian positive definite and block cyclic
-reduction factors it without pivoting (see its docstring).  The
-iteration starts from a fixed block of uniform values on [-1, 1) hashed
-from their index (``_start_block``), so no run imports ``numpy.random``.
-It stops when every wanted Ritz pair has a residual |H x - theta x| of
-at most 1e-11 eV, and fails after 200 Rayleigh-Ritz steps.  Without e_xz and
-e_yz (every uniaxial or biaxial stress along the cubic axes) S vanishes
-and the matrix splits exactly into {HH+3/2, LH-1/2, SO-1/2} and their
-Kramers partners.  The split is read from the node blocks by
+One private builder gives the k = 0 bulk 6x6 and the kz^2 matrix of the
+well and the barrier material, and one assembles from them each node's
+diagonal block and the block coupling it to the next node.
+``build_qw_hamiltonian`` assembles them into a dense band-major matrix,
+kept as the reference for tests and benchmarks; ``solve_qw`` keeps them
+as node blocks (site-major, block tridiagonal) and finds the topmost
+states in numpy alone: shift-invert block subspace iteration with a
+shift proven to lie above the spectrum, so sigma I - H is Hermitian
+positive definite and block cyclic reduction factors it without pivoting
+(see its docstring).  The iteration starts from a fixed block of uniform
+values on [-1, 1) hashed from their index (``_start_block``), so no run
+imports ``numpy.random``.  It stops when every wanted Ritz pair has a
+residual |H x - theta x| of at most 1e-11 eV, and fails after 200
+Rayleigh-Ritz steps.  Without e_xz and e_yz (every uniaxial or biaxial
+stress along the cubic axes) S vanishes and the matrix splits exactly
+into {HH+3/2, LH-1/2, SO-1/2} and their Kramers partners.  The split is
+read from the material blocks, before any node block is assembled, by
 ``kp_bulk._kramers_block``, the one rule the bulk doublet sweep uses
-too; then only that 3N block is solved, real unless e_xy is nonzero, and
-each Ritz vector psi comes back with its partner T psi (the one
-``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells solve the
-whole 6N matrix with the same solver, two vectors per Kramers pair, and
-return its Ritz pairs as they are.  No part of the package imports
-scipy.
+too; then only that 3N block is assembled and solved, real unless e_xy
+is nonzero, and each Ritz vector psi comes back with its partner T psi
+(the one ``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells
+solve the whole 6N matrix with the same solver, two vectors per Kramers
+pair, and return its Ritz pairs as they are.  No part of the package
+imports scipy.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -119,8 +121,8 @@ class QwGeometry:
 @dataclass(frozen=True)
 class EnvelopeState:
     """One hole state: energy plus band-resolved envelope coefficients
-    of shape (6, N) over the grid, unit-normalized; the state keeps a
-    read-only copy of the coefficients."""
+    of shape (6, N) over the grid z, unit-normalized; the state keeps
+    read-only copies of the coefficients and of z."""
 
     energy: float
     coefficients: np.ndarray
@@ -134,8 +136,10 @@ class EnvelopeState:
         if abs(norm - 1.0) > 1e-8:
             raise kp_bulk.NumericalError(
                 f"envelope norm {norm} deviates from 1")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
+        z = np.array(self.z, dtype=float)
+        for name, value in (("coefficients", c), ("z", z)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def density(self) -> np.ndarray:
         """|envelope|^2 summed over bands (length N)."""
@@ -199,14 +203,15 @@ def vb_edge_profile(geometry: QwGeometry, table, well=None, barrier=None):
 
 def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
                  barrier):
-    """Block formulas of the well Hamiltonian, shared by the dense
+    """Material blocks of the well Hamiltonian, shared by the dense
     assembly and the solver.
 
-    Returns (diag, upper, onsite, a): each node's diagonal 6x6 block
-    (N, 6, 6), the block coupling node i to node i + 1 (N - 1, 6, 6),
-    and the k = 0 bulk 6x6 and kz^2 matrix A / h^2 of the well and the
-    barrier material (2, 6, 6) each.  The block coupling node i + 1 to
-    node i is the conjugate transpose of ``upper[i]``.
+    Returns (onsite, a, node): the k = 0 bulk 6x6 and the kz^2 matrix
+    A / h^2 of the well and the barrier material (2, 6, 6) each, and the
+    material of each grid node (N,), 0 in the well and 1 in the barrier.
+    ``_assemble`` turns them into node blocks; ``solve_qw`` decides the
+    Kramers split on them first (``_kept_blocks``), so a shear-free well
+    never assembles its 6x6 node blocks.
     """
     _, inside, well, barrier = _materials_profile(geometry, table,
                                                   well, barrier)
@@ -216,12 +221,48 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
     # A / h^2: the bulk kz^2 term at kz = 1/h (k-independent parts drop out)
     a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in (well, barrier)]) \
         - onsite
-    node = np.where(inside, 0, 1)
+    return onsite, a, np.where(inside, 0, 1)
+
+
+def _assemble(onsite: np.ndarray, a: np.ndarray,
+              node: np.ndarray) -> np.ndarray:
+    """Node blocks in the ``_block_apply`` layout from material blocks
+    ``onsite`` and ``a`` (2, m, m) and the material of each node ``node``
+    (N,): each node's diagonal block, the block coupling node i to node
+    i + 1 by the box scheme of the module docstring, and their conjugate
+    transposes, (3N - 2, m, m).  Every entry depends on the same entries
+    of the material blocks alone, so assembling a restriction to some
+    bands gives the same bits as restricting the assembled blocks.
+    """
     an = a[node]
     ae = np.concatenate([an[:1], an, an[-1:]])
     diag = onsite[node] + (ae[:-2] + 2.0 * an + ae[2:]) / 2.0
     upper = -(an[:-1] + an[1:]) / 2.0
-    return diag, upper, onsite, a
+    return np.concatenate([diag, upper, _herm(upper)])
+
+
+def _kept_blocks(onsite: np.ndarray, a: np.ndarray,
+                 node: np.ndarray) -> np.ndarray | None:
+    """The 3N block of the well on ``kp_bulk._KEPT_BANDS``, in the
+    ``_block_apply`` layout, if ``kp_bulk._kramers_block`` splits the
+    material blocks of the materials on the grid, else None.
+
+    Each coupling entry of an assembled block is a sum of the materials'
+    coupling entries, so when theirs are all zero so are the assembled
+    ones, and the kept block is bit for bit the restriction of the
+    assembled 6N blocks: it is assembled complex and taken real (a view,
+    as ``kp_bulk._kramers_block`` takes it) when its imaginary part is
+    exactly zero.  A material with no node on the grid (a barrier thinner
+    than the spacing) does not count, as it adds no entry to the blocks.
+    """
+    # a mask, not np.unique, which would import numpy.ma (about 10 ms)
+    present = np.bincount(node, minlength=2) > 0
+    if kp_bulk._kramers_block(np.concatenate([onsite[present],
+                                              a[present]])) is None:
+        return None
+    bands = (..., kp_bulk._KEPT_BANDS[:, None], kp_bulk._KEPT_BANDS)
+    kept = _assemble(onsite[bands], a[bands], node)
+    return kept if kept.imag.any() else kept.real
 
 
 def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
@@ -239,9 +280,10 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
     assembling them; this dense form is the reference the tests compare
     it with.
     """
-    diag, upper, _, _ = _node_blocks(geometry, strain, table, well, barrier)
+    blocks = _assemble(*_node_blocks(geometry, strain, table, well, barrier))
     n = geometry.grid_points
-    return _dense(diag, upper).transpose(1, 0, 3, 2).reshape(6 * n, 6 * n)
+    return _dense(blocks[:n], blocks[n:2 * n - 1]).transpose(
+        1, 0, 3, 2).reshape(6 * n, 6 * n)
 
 
 def _dense(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -474,16 +516,21 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     cubic axes, also with e_xy), S vanishes at k_parallel = 0, and no
     entry of H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their
     Kramers partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
-    (1985)).  When every such entry of the assembled blocks is exactly
-    zero (``kp_bulk._kramers_block``, the rule the bulk doublets use),
-    only the 3N block of the first set is solved, for one vector per
-    Kramers pair, ceil(n_states / 2) of them.  The block is real unless
-    e_xy makes R complex.  Each Ritz pair (theta, psi) of the block then
-    gives the pair (psi, T psi) at energy theta, with T psi =
+    (1985)).  When every such entry of the well's and the barrier's k = 0
+    bulk block and kz^2 matrix is exactly zero (``kp_bulk._kramers_block``,
+    the rule the bulk doublets use, on the materials that have a node on
+    the grid), so is every such entry of the assembled blocks, which are
+    sums of them; then only the 3N blocks of the first set are assembled,
+    with the bits of the restriction of the 6N ones, and solved for one
+    vector per Kramers pair, ceil(n_states / 2) of them.  The block is
+    real unless e_xy makes R complex.  Each Ritz pair (theta, psi) of the
+    block then gives the pair (psi, T psi) at energy theta, with T psi =
     U conj(psi) node by node (T commutes with H at k_parallel = 0): psi
     lives in the first set of bands and T psi in the second, so the two
     are exactly degenerate and orthogonal, and they are returned as they
-    are.
+    are.  Only if the materials' coupling entries cancelled exactly in
+    the sums would the assembled blocks split where the materials do not;
+    such a well takes the 6N path, which is valid for every well.
 
     Sheared wells solve the whole 6N matrix for both members of each
     pair, 2 ceil(n_states / 2) vectors, and return its Ritz pairs as they
@@ -502,8 +549,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
         raise ValueError(f"n_states must lie in 1 ... {dim} for "
                          f"{n} grid points, got {n_states}")
 
-    diag, upper, onsite, a = _node_blocks(geometry, strain, table, well,
-                                          barrier)
+    onsite, a, node = _node_blocks(geometry, strain, table, well, barrier)
     if np.linalg.eigvalsh(a).max() > 1e-12 * np.abs(a).max():
         raise kp_bulk.NumericalError(
             "the kz^2 matrix of the well or barrier material is not "
@@ -511,11 +557,11 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
             "above the QW spectrum is known")
     sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
 
-    blocks = np.concatenate([diag, upper, _herm(upper)])
-    kept = kp_bulk._kramers_block(blocks)
+    kept = _kept_blocks(onsite, a, node)
     k = (n_states + 1) // 2
     if kept is None:
-        energies, vectors = _top_eigenvectors(blocks, sigma, 2 * k)
+        energies, vectors = _top_eigenvectors(_assemble(onsite, a, node),
+                                              sigma, 2 * k)
     else:
         theta, psi = _top_eigenvectors(kept, sigma, k)
         # (node, vector, band, pair member) -> (node, band, 2 k states)

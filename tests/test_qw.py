@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg
 import strainkp
 from strainkp import kp_bulk, qw
 from strainkp.axis import QuantizationAxis, project_hgs
-from strainkp.elasticity import (StrainState, StressTensor,
+from strainkp.elasticity import (StrainState, StressTensor, biaxial_strain,
                                  strain_from_stress, uniaxial_strain,
                                  uniaxial_sweep)
 from strainkp.kp_bulk import HBAR2_OVER_2M0, NumericalError, h6_vb
@@ -262,9 +263,86 @@ def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
     for strain, m, dtype, k in (
             (uniaxial_strain(1.0, gaas), 3, np.float64, 2),
             (StrainState(exy=0.003), 3, np.complex128, 2),
-            (StrainState(exz=0.003), 6, np.complex128, 4)):
+            (StrainState(exz=0.003), 6, np.complex128, 4),
+            (StrainState(eyz=0.003), 6, np.complex128, 4)):
         solve_qw(geometry, strain, table, 4)
         assert seen.pop() == ((3 * n - 2, m, m), dtype, k)
+
+
+def _split_first_and_assembled(geometry, strain, table, well=None):
+    """``qw._kept_blocks`` of the material blocks, and its oracle: the
+    rule ``kp_bulk._kramers_block`` on the assembled 6N stack."""
+    materials = qw._node_blocks(geometry, strain, table, well, None)
+    return qw._kept_blocks(*materials), kp_bulk._kramers_block(
+        qw._assemble(*materials))
+
+
+def _bits(blocks):
+    # uint64 words, so -0.0 and +0.0 differ
+    return np.ascontiguousarray(blocks).view(np.uint64)
+
+
+@pytest.mark.parametrize("grid_points", [51, 301])
+@pytest.mark.parametrize("well_nm", [8.0, 0.05], ids=["well", "one_node"])
+@pytest.mark.parametrize("kind, dtype", [("uniaxial", np.float64),
+                                         ("biaxial", np.float64),
+                                         ("exy", np.complex128)])
+def test_split_first_blocks_have_the_bits_of_the_assembled_split(
+        table, gaas, kind, dtype, well_nm, grid_points):
+    # the 3N blocks assembled from the materials' kept bands are the kept
+    # bands of the assembled 6N blocks, word for word, real or complex
+    strain = {"uniaxial": uniaxial_strain(0.8, gaas),
+              "biaxial": biaxial_strain(-0.6, gaas),
+              "exy": StrainState(0.002, -0.001, 0.0005, exy=0.003)}[kind]
+    geometry = QwGeometry(well_nm, barrier_thickness_nm=10.0,
+                          grid_points=grid_points)
+    if well_nm < 1.0:
+        assert np.count_nonzero(np.abs(geometry.grid()) <= well_nm / 2) == 1
+    kept, oracle = _split_first_and_assembled(geometry, strain, table)
+    assert kept.dtype == oracle.dtype == dtype
+    assert kept.shape == oracle.shape == (3 * grid_points - 2, 3, 3)
+    assert np.array_equal(_bits(kept), _bits(oracle))
+
+
+@pytest.mark.parametrize("strain", [StrainState(exz=0.003),
+                                    StrainState(eyz=-0.002)],
+                         ids=["exz", "eyz"])
+def test_sheared_well_does_not_split_first(table, strain):
+    geometry = QwGeometry(8.0, barrier_thickness_nm=10.0, grid_points=51)
+    assert _split_first_and_assembled(geometry, strain, table) == (None,
+                                                                    None)
+
+
+def test_split_is_decided_on_the_materials_on_the_grid(table, gaas):
+    # a well material with d = 0 does not couple the two band sets under
+    # e_xz, the barrier does: the well splits exactly when no barrier node
+    # lies on the grid, as the assembled blocks do
+    well = dataclasses.replace(gaas, d=0.0)
+    strain = StrainState(0.001, 0.001, -0.002, exz=0.003)
+    thin = QwGeometry(12.0, barrier_thickness_nm=0.1, grid_points=51)
+    assert np.all(np.abs(thin.grid()) <= 6.0)
+    kept, oracle = _split_first_and_assembled(thin, strain, table, well)
+    assert np.array_equal(_bits(kept), _bits(oracle))
+    thick = QwGeometry(12.0, barrier_thickness_nm=4.0, grid_points=51)
+    assert _split_first_and_assembled(thick, strain, table, well) == (None,
+                                                                      None)
+
+
+def test_shear_free_solve_memory_is_bounded(table, gaas):
+    # the split is decided before assembly, so a shear-free solve never
+    # builds the (3N - 2, 6, 6) complex stack: the tracemalloc peak of one
+    # 12 nm solve at N = 603 measured 1.57 MB (3.30 MB when the 6N stack
+    # was assembled and scanned first)
+    geometry = QwGeometry(12.0, grid_points=603)
+    strain = uniaxial_strain(0.5, gaas)
+    solve_qw(geometry, strain, table, 2)
+    tracemalloc.start()
+    try:
+        solve_qw(geometry, strain, table, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def _dense_site_major(diag, upper):
@@ -640,3 +718,24 @@ def test_envelope_state_copies_the_callers_array():
     assert base.flags.writeable
     base[1, 3, 4], base[1, 3, 0] = 0.0, 1.0
     assert state.coefficients[3].tolist() == [0j, 0j, 0j, 0j, 1 + 0j]
+
+
+def test_envelope_state_keeps_its_own_read_only_z(table):
+    # z as the coefficients: a read-only float copy, so neither the
+    # caller's array nor another state's z reaches it
+    c = np.zeros((6, 5), dtype=complex)
+    c[0, 2] = 1.0
+    z = np.linspace(-1.0, 1.0, 5)
+    state = EnvelopeState(-0.1, c, z)
+    assert not state.z.flags.writeable
+    z[0] = 99.0
+    assert state.z.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert EnvelopeState(-0.1, c, range(5)).z.dtype == np.float64
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    first, second = solve_qw(geometry, ZERO, table, 2)
+    assert not first.z.flags.writeable and not second.z.flags.writeable
+    with pytest.raises(ValueError):
+        second.z[0] = 99.0
+    second.z.flags.writeable = True     # the state owns its copy
+    second.z[0] = 99.0
+    assert first.z.tolist() == geometry.grid().tolist()
