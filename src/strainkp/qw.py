@@ -42,8 +42,12 @@ too; then only that 3N block is assembled and solved, real unless e_xy
 is nonzero, and each Ritz vector psi comes back with its partner T psi
 (the one ``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells
 solve the whole 6N matrix with the same solver, two vectors per Kramers
-pair, and return its Ritz pairs as they are.  No part of the package
-imports scipy.
+pair, and return its Ritz pairs as they are.  Complex blocks (sheared
+and e_xy wells) are factored in complex arithmetic and then applied
+through their real embeddings E(A) = [[Re A, -Im A], [Im A, Re A]], as
+real products of twice the size, because numpy's stacked complex matmul
+on blocks this small costs several times the real one.  No part of the
+package imports scipy.
 
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
@@ -80,6 +84,15 @@ __all__ = [
     "vb_edge_profile",
 ]
 
+
+def _require_integer(name: str, value) -> None:
+    """Reject a count that is not an integer (a float, or a bool, which
+    Python counts as one) before it reaches numpy's sizes; numpy integers
+    pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QwGeometry:
     """Well of thickness h embedded between two identical barriers."""
@@ -98,6 +111,7 @@ class QwGeometry:
             raise ValueError("well plus barriers must have a finite length")
         if not 0.0 <= self.barrier_al_fraction <= 1.0:
             raise ValueError("barrier Al fraction must lie in [0, 1]")
+        _require_integer("grid_points", self.grid_points)
         if self.grid_points < 51 or self.grid_points % 2 == 0:
             raise ValueError(
                 f"grid must have at least 51 points and be odd so a node "
@@ -226,11 +240,11 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
 
 def _assemble(onsite: np.ndarray, a: np.ndarray,
               node: np.ndarray) -> np.ndarray:
-    """Node blocks in the ``_block_apply`` layout from material blocks
-    ``onsite`` and ``a`` (2, m, m) and the material of each node ``node``
-    (N,): each node's diagonal block, the block coupling node i to node
-    i + 1 by the box scheme of the module docstring, and their conjugate
-    transposes, (3N - 2, m, m).  Every entry depends on the same entries
+    """The node-block stack of a well from material blocks ``onsite`` and
+    ``a`` (2, m, m) and the material of each node ``node`` (N,): each
+    node's diagonal block, the block coupling node i to node i + 1 by the
+    box scheme of the module docstring, and their conjugate transposes,
+    (3N - 2, m, m).  Every entry depends on the same entries
     of the material blocks alone, so assembling a restriction to some
     bands gives the same bits as restricting the assembled blocks.
     """
@@ -243,9 +257,9 @@ def _assemble(onsite: np.ndarray, a: np.ndarray,
 
 def _kept_blocks(onsite: np.ndarray, a: np.ndarray,
                  node: np.ndarray) -> np.ndarray | None:
-    """The 3N block of the well on ``kp_bulk._KEPT_BANDS``, in the
-    ``_block_apply`` layout, if ``kp_bulk._kramers_block`` splits the
-    material blocks of the materials on the grid, else None.
+    """The 3N block of the well on ``kp_bulk._KEPT_BANDS``, as the
+    node-block stack of ``_assemble``, if ``kp_bulk._kramers_block``
+    splits the material blocks of the materials on the grid, else None.
 
     Each coupling entry of an assembled block is a sum of the materials'
     coupling entries, so when theirs are all zero so are the assembled
@@ -299,15 +313,71 @@ def _dense(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x for node blocks (diagonal (n, m, m), then the n - 1 blocks
-    coupling node i to i + 1, then their conjugate transposes; index
-    node * m + band) and x of shape (n, m, p) (node, band, vector)."""
-    n = x.shape[0]
-    y = blocks[:n] @ x
-    y[:-1] += blocks[n:2 * n - 1] @ x[1:]
-    y[1:] += blocks[2 * n - 1:] @ x[:-1]
+def _block_apply(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """H x for the block-tridiagonal H with diagonal blocks ``diag``
+    (n, m, m), ``upper[i]`` coupling node i to node i + 1 and ``lower[i]``
+    node i + 1 to node i (n - 1, m, m each; index node * m + band), and x
+    of shape (n, m, p) (node, band, vector)."""
+    y = diag @ x
+    y[:-1] += upper @ x[1:]
+    y[1:] += lower @ x[:-1]
     return y
+
+
+def _embed(a: np.ndarray) -> np.ndarray:
+    """Real embeddings E(A) = [[Re A, -Im A], [Im A, Re A]] (..., 2m, 2m)
+    of complex matrices A (..., m, m).
+
+    E(A) [Re x; Im x] = [Re A x; Im A x] and E(A B) = E(A) E(B), so a
+    product of complex blocks runs as one real product of twice the size,
+    and E(A^H) is E(A)^T entry for entry.
+    """
+    m = a.shape[-1]
+    e = np.empty(a.shape[:-2] + (2 * m, 2 * m))
+    e[..., :m, :m] = e[..., m:, m:] = a.real
+    e[..., m:, :m] = a.imag
+    e[..., :m, m:] = -a.imag
+    return e
+
+
+def _embed_factor(factor, m: int):
+    """The ``_cr_factor`` of complex m x m blocks with every stored matrix
+    replaced by its ``_embed``, so ``_cr_solve`` runs in real arithmetic
+    on right-hand sides in the ``_to_real`` layout (n, 2m, p).
+
+    The levels are replaced in place, so each complex level is dropped as
+    it is embedded, and the conjugate transposes become transposed views
+    of the embedded multipliers.  The dense inverse of the last nodes is
+    embedded node block by node block, so its rows follow the node-major
+    (node, 2m) layout of the right-hand side.
+    """
+    levels, last = factor
+    for i, (inverse, right, left, _, _) in enumerate(levels):
+        right, left = _embed(right), _embed(left)
+        levels[i] = (_embed(inverse), right, left,
+                     np.swapaxes(right, -1, -2), np.swapaxes(left, -1, -2))
+    size = len(last)
+    nodes = last.reshape(size // m, m, size // m, m).swapaxes(1, 2)
+    return levels, _embed(nodes).swapaxes(1, 2).reshape(2 * size, 2 * size)
+
+
+def _to_real(x: np.ndarray) -> np.ndarray:
+    """[Re x; Im x] node by node: (n, 2m, p) real from x (n, m, p)."""
+    n, m, p = x.shape
+    y = np.empty((n, 2 * m, p))
+    y[:, :m] = x.real
+    y[:, m:] = x.imag
+    return y
+
+
+def _from_real(y: np.ndarray) -> np.ndarray:
+    """The complex x (n, m, p) of ``_to_real(x) = y``."""
+    n, m2, p = y.shape
+    x = np.empty((n, m2 // 2, p), complex)
+    x.real = y[:, :m2 // 2]
+    x.imag = y[:, m2 // 2:]
+    return x
 
 
 def _hpd_inverse(a: np.ndarray) -> np.ndarray:
@@ -419,10 +489,24 @@ def _start_block(rows: int, cols: int) -> np.ndarray:
     return (top * 2.0 ** -52 - 1.0).reshape(rows, cols)
 
 
+def _rayleigh_ritz(apply, q: np.ndarray, k: int):
+    """Rayleigh-Ritz of the Hermitian operator ``apply`` on the span of
+    the orthonormal columns of q (dim, p): the Ritz values (p,) and
+    vectors (dim, p), descending, and the largest residual norm
+    |H x - theta x| of the first k pairs."""
+    hq = apply(q)
+    theta, w = np.linalg.eigh(np.conj(q.T) @ hq)
+    theta, w = theta[::-1], w[:, ::-1]
+    x = q @ w
+    residual = np.linalg.norm(hq @ w[:, :k] - x[:, :k] * theta[:k],
+                              axis=0).max()
+    return theta, x, residual
+
+
 def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
         -> tuple[np.ndarray, np.ndarray]:
     """The k topmost eigenpairs, descending, of the block-tridiagonal H of
-    ``blocks`` (the ``_block_apply`` layout), with sigma above its
+    the node-block stack ``blocks`` of ``_assemble``, with sigma above its
     spectrum: Ritz values (k,) and Ritz vectors (n, m, k).
 
     Shift-invert block subspace iteration with Chebyshev acceleration
@@ -439,30 +523,54 @@ def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
     |H x - theta x| <= ``_RESIDUAL_TOL_EV`` (or 100 eps max |H_ij|, if
     larger) and raises ``kp_bulk.NumericalError`` with the residual
     after ``_MAX_ITERATIONS`` steps.
+
+    Complex blocks (sheared or e_xy wells) are factored in complex
+    arithmetic, so every pivot check is the same, and then every stored
+    matrix of the factor and the diagonal and coupling blocks of H are
+    replaced by their real embeddings (``_embed_factor``, ``_embed``).
+    Each solve and each product with H then runs as real products on
+    (n, 2m, p) stacks in the ``_to_real`` layout: on blocks this small,
+    numpy's stacked complex matmul costs more than the real product of
+    the embedding, which is twice the size (at N = 61, m = 6, p = 12 on
+    one core a solve took about 165 against 90-115 us and a product with
+    H 75 against 31 us; the embedding costs about 0.1 ms per factor and
+    each layout conversion about 5 us).  The Ritz vectors stay complex,
+    so the orthonormalization, Rayleigh-Ritz and residual are the same;
+    results move at round-off only.  E(A^H) = E(A)^T, so the couplings
+    to the previous node and the conjugate-transposed multipliers are
+    transposed views.  The complex node blocks are released once
+    embedded, and ``_rayleigh_ritz`` keeps its block products to itself,
+    so the filter's solves run without them: the tracemalloc peak of a
+    sheared N = 61 four-state solve is 902 KB, against 854 KB with
+    complex products.  Real blocks take none of this.
     """
     m = blocks.shape[-1]
     n = (len(blocks) + 2) // 3
     dim = m * n
-    factor = _cr_factor(sigma * np.eye(m) - blocks[:n],
-                        -blocks[n:2 * n - 1])
+    diag, upper, lower = blocks[:n], blocks[n:2 * n - 1], blocks[2 * n - 1:]
+    factor = _cr_factor(sigma * np.eye(m) - diag, -upper)
     p = min(dim, max(2 * k, k + 8))
     tol = max(_RESIDUAL_TOL_EV,
               100.0 * np.finfo(float).eps * np.abs(blocks).max())
+    embedded = np.iscomplexobj(blocks)
+    if embedded:
+        factor = _embed_factor(factor, m)
+        blocks = _embed(blocks[:2 * n - 1])
+        diag, upper = blocks[:n], blocks[n:]
+        lower = np.swapaxes(upper, -1, -2)
 
-    def solve(v):
-        return _cr_solve(factor, v.reshape(n, m, p)).reshape(dim, p)
+    def through(op, v):
+        v = v.reshape(n, m, p)
+        return (_from_real(op(_to_real(v))) if embedded
+                else op(v)).reshape(dim, p)
 
+    solve = partial(through, partial(_cr_solve, factor))
+    apply = partial(through, partial(_block_apply, diag, upper, lower))
     x = _start_block(dim, 2 * p).view(complex) \
-        if np.iscomplexobj(blocks) else _start_block(dim, p)
+        if embedded else _start_block(dim, p)
     y = solve(x)
     for _ in range(_MAX_ITERATIONS):
-        q = _orthonormal(y)
-        hq = _block_apply(blocks, q.reshape(n, m, p)).reshape(dim, p)
-        theta, w = np.linalg.eigh(np.conj(q.T) @ hq)
-        theta, w = theta[::-1], w[:, ::-1]
-        x = q @ w
-        residual = np.linalg.norm(hq @ w[:, :k] - x[:, :k] * theta[:k],
-                                  axis=0).max()
+        theta, x, residual = _rayleigh_ritz(apply, _orthonormal(y), k)
         if residual <= tol:
             return theta[:k], x[:, :k].reshape(n, m, k)
         scale = 2.0 * (sigma - theta[-1])
@@ -481,10 +589,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
 
     The hole ground state is the first returned doublet.  Phases follow
     ``kp_bulk.eigensolve``: the first significant coefficient is real and
-    positive.  ``n_states`` must lie in 1 ... 6N.  Every returned pair
-    (states 2j and 2j + 1) is checked to be a degenerate orthogonal
-    doublet; a failed check, an eigensolve that does not converge or a
-    shifted matrix that is not positive definite raises
+    positive.  ``n_states`` must be an integer in 1 ... 6N.  Every
+    returned pair (states 2j and 2j + 1) is checked to be a degenerate
+    orthogonal doublet; a failed check, an eigensolve that does not
+    converge or a shifted matrix that is not positive definite raises
     ``kp_bulk.NumericalError``.
 
     The blocks of ``build_qw_hamiltonian`` are taken site-major (index
@@ -545,6 +653,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     """
     n = geometry.grid_points
     dim = 6 * n
+    _require_integer("n_states", n_states)
     if not 1 <= n_states <= dim:
         raise ValueError(f"n_states must lie in 1 ... {dim} for "
                          f"{n} grid points, got {n_states}")

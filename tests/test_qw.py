@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import strainkp
-from strainkp import kp_bulk, qw
+from strainkp import cli, kp_bulk, qw
 from strainkp.axis import QuantizationAxis, project_hgs
 from strainkp.elasticity import (StrainState, StressTensor, biaxial_strain,
                                  strain_from_stress, uniaxial_strain,
@@ -42,6 +42,29 @@ def test_geometry_validation():
     for well, barrier in ((12.0, 1e308), (1e308, 1e308), (math.inf, 20.0)):
         with pytest.raises(ValueError, match="finite"):
             QwGeometry(well, barrier_thickness_nm=barrier)
+
+
+@pytest.mark.parametrize("grid_points", [301.0, np.float64(301.0), True],
+                         ids=["float", "numpy_float", "bool"])
+def test_geometry_rejects_non_integer_grid_points(grid_points):
+    # a float grid size used to pass and fail deep inside the solver
+    with pytest.raises(ValueError, match="grid_points"):
+        QwGeometry(12.0, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("n_states", [2.0, np.float64(2.0), True],
+                         ids=["float", "numpy_float", "bool"])
+def test_solve_qw_rejects_non_integer_state_count(table, n_states):
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    with pytest.raises(ValueError, match="n_states"):
+        solve_qw(geometry, ZERO, table, n_states)
+
+
+def test_numpy_integer_sizes_are_accepted(table):
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0,
+                          grid_points=np.int64(51))
+    states = solve_qw(geometry, ZERO, table, np.int32(2))
+    assert len(states) == 2 and states[0].coefficients.shape == (6, 51)
 
 
 def test_grid_is_symmetric_and_odd():
@@ -357,26 +380,49 @@ def _dense_site_major(diag, upper):
 
 @pytest.mark.parametrize("complex_blocks", [False, True],
                          ids=["real", "complex"])
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 51])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 61])
 def test_cyclic_reduction_solve_matches_dense(rng, n, complex_blocks):
     # a seeded Hermitian block-tridiagonal matrix shifted to be positive
-    # definite; odd and even n cover the end nodes of every level
+    # definite; odd and even n cover the end nodes of every level, n <= 8
+    # only the dense last block, and m = 6 the sheared well's blocks
     def draw(shape):
         a = rng.standard_normal(shape)
         return a + 1j * rng.standard_normal(shape) if complex_blocks else a
 
-    diag, upper = draw((n, 3, 3)), draw((n - 1, 3, 3))
-    diag = diag + np.conj(np.swapaxes(diag, -1, -2))
-    dense = _dense_site_major(diag, upper)
-    shift = np.linalg.eigvalsh(dense).max() + 0.5
-    diag, upper = shift * np.eye(3) - diag, -upper
-    b = draw((n, 3, 4))
-    x = qw._cr_solve(qw._cr_factor(diag, upper), b)
-    expected = np.linalg.solve(_dense_site_major(diag, upper),
-                               b.reshape(3 * n, 4))
-    assert x.dtype == expected.dtype
-    assert np.abs(x.reshape(3 * n, 4) - expected).max() \
-        <= 1e-12 * np.abs(expected).max()
+    for m in (3, 6):
+        diag, upper = draw((n, m, m)), draw((n - 1, m, m))
+        diag = diag + np.conj(np.swapaxes(diag, -1, -2))
+        dense = _dense_site_major(diag, upper)
+        shift = np.linalg.eigvalsh(dense).max() + 0.5
+        diag, upper = shift * np.eye(m) - diag, -upper
+        b = draw((n, m, 4))
+        factor = qw._cr_factor(diag, upper)
+        x = qw._cr_solve(factor, b)
+        expected = np.linalg.solve(_dense_site_major(diag, upper),
+                                   b.reshape(m * n, 4))
+        assert x.dtype == expected.dtype
+        assert np.abs(x.reshape(m * n, 4) - expected).max() \
+            <= 1e-12 * np.abs(expected).max()
+        if complex_blocks:
+            # the real embedding of the factor solves the same system on
+            # [Re b; Im b] node by node, the reordered last block included
+            embedded = qw._from_real(qw._cr_solve(
+                qw._embed_factor(factor, m), qw._to_real(b)))
+            assert np.abs(embedded - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_real_embedding_is_exact_algebra(rng):
+    a = rng.standard_normal((7, 6, 6)) + 1j * rng.standard_normal((7, 6, 6))
+    e = qw._embed(a)
+    assert e.dtype == np.float64 and e.shape == (7, 12, 12)
+    # E(A^H) = E(A)^T bit for bit: the solver's transposed views
+    assert np.array_equal(qw._embed(kp_bulk._herm(a)), np.swapaxes(e, 1, 2))
+    x = rng.standard_normal((7, 6, 5)) + 1j * rng.standard_normal((7, 6, 5))
+    stacked = qw._to_real(x)
+    assert np.array_equal(stacked, np.concatenate([x.real, x.imag], axis=1))
+    assert np.array_equal(qw._from_real(stacked), x)
+    scale = (np.abs(a) @ np.abs(x)).max()
+    assert np.abs(qw._from_real(e @ stacked) - a @ x).max() <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", [2, 51])
@@ -455,19 +501,59 @@ def test_time_reversal_commutes_with_well_hamiltonian(table,
         assert np.abs(u @ np.conj(ham) @ np.conj(u.T) - ham).max() < 1e-12
 
 
-def test_sheared_solve_matches_dense_on_close_pairs(table, gaas):
-    # a single-vector Krylov solver (ARPACK) once returned one member of
-    # the second pair and a third-pair state for this sheared well
-    # (second and third pairs 1.9 meV apart); the block solve must find
-    # both pairs whole
+def _close_pairs_well(gaas):
+    """A sheared N = 61 well whose second and third pairs lie 1.9 meV
+    apart."""
     geometry = QwGeometry(4.688, barrier_thickness_nm=10.0,
                           barrier_al_fraction=0.214, grid_points=61)
-    strain = strain_from_stress(StressTensor(
+    return geometry, strain_from_stress(StressTensor(
         -0.2999, -0.3044, 0.4626, 0.2686, -0.1707, -0.1576), gaas)
+
+
+def test_sheared_solve_matches_dense_on_close_pairs(table, gaas):
+    # a single-vector Krylov solver (ARPACK) once returned one member of
+    # the second pair and a third-pair state for this sheared well; the
+    # block solve must find both pairs whole
+    geometry, strain = _close_pairs_well(gaas)
     ham = build_qw_hamiltonian(geometry, strain, table)
     dense = scipy.linalg.eigvalsh(ham)[:-5:-1]
     energies = [s.energy for s in solve_qw(geometry, strain, table, 4)]
     assert energies == pytest.approx(dense, abs=1e-10)
+
+
+def test_sheared_solve_memory_is_bounded(table, gaas):
+    # the embedded factor keeps one copy of each multiplier (its
+    # conjugate transpose is a transposed view), drops each complex level
+    # as it embeds it, and the complex node blocks and the Rayleigh-Ritz
+    # products are released before the filter's solves: the tracemalloc
+    # peak of this four-state solve measured 902 KB (854 KB with complex
+    # products; 1024 KB while the Rayleigh-Ritz products stayed alive)
+    geometry, strain = _close_pairs_well(gaas)
+    solve_qw(geometry, strain, table, 4)
+    tracemalloc.start()
+    try:
+        solve_qw(geometry, strain, table, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6
+
+
+def test_shear_free_solves_never_embed(table, gaas, tmp_path, monkeypatch):
+    # real blocks keep their real products, so every `strainkp qw` run
+    # keeps its bytes
+    def refuse(a):
+        raise AssertionError("a real block was embedded")
+
+    monkeypatch.setattr(qw, "_embed", refuse)
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    for strain in (uniaxial_strain(0.5, gaas), biaxial_strain(-0.3, gaas)):
+        assert len(solve_qw(geometry, strain, table, 4)) == 4
+    config = tmp_path / "qw.ini"
+    config.write_text("[qw]\nthicknesses_nm = 6\nbarrier_thickness_nm = 10\n"
+                      "grid_points = 51\nsweep_steps = 3\n", encoding="utf-8")
+    assert cli.main(["qw", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_solve_qw_checks_every_returned_pair(table, random_strain,
