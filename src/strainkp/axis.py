@@ -17,6 +17,9 @@ SO weight,
 
 one real symmetric 3x3 tensor per doublet (``_hgs_tensor``) gives every
 axis without a rotated basis; ``rotated_basis`` is the tests' reference.
+The sweeps solve all their doublets in one batch and project them along
+every axis asked for: ``mixing_curve`` gives one (strain_xx, p_hh, p_lh,
+p_so) table per axis, ``mixing_map`` p_hh over a (theta, strain) grid.
 """
 
 from __future__ import annotations
@@ -144,11 +147,12 @@ def _hgs_tensor(psi: np.ndarray):
     (..., 6 or 8, j): shapes (..., 3, 3), (...) and (...)."""
     # one 2-D product over all columns, then one 3x3 product per doublet
     columns = np.swapaxes(_full8(psi)[..., VB_SLICE, :], -1, -2)
-    batch = columns.shape[:-2]
+    batch, j = columns.shape[:-2], columns.shape[-2]
     v = columns.reshape(-1, 6)
     x = np.concatenate([v.real, v.imag], 1)
-    amp = (x @ _J_REAL).reshape(batch + (-1, 3))
-    w = (x * x).reshape(batch + (-1, 6)).sum(-2)
+    # explicit sizes: a -1 cannot be resolved for an empty batch
+    amp = (x @ _J_REAL).reshape(batch + (8 * j, 3))
+    w = (x * x).reshape(batch + (2 * j, 6)).sum(-2)
     return amp.swapaxes(-1, -2) @ amp, w[..., :4].sum(-1), w[..., 4:].sum(-1)
 
 
@@ -182,32 +186,19 @@ def default_theta_grid(steps: int = 61) -> np.ndarray:
     return np.linspace(0.0, math.pi / 2.0, steps)
 
 
-def mixing_curve(stresses_gpa, prestress: StrainState | None,
-                 axis: QuantizationAxis, p: MaterialParams, *,
-                 abscissa: str = "total") -> np.ndarray:
+def mixing_curve(stresses_gpa, prestress: StrainState | None, axes,
+                 p: MaterialParams) -> list[np.ndarray]:
     """HH/LH/SO character of the hole ground state along a uniaxial
-    stress sweep, one row (strain_xx, p_hh, p_lh, p_so) per stress.
-
-    ``abscissa`` selects whether the reported e_xx includes the
-    prestress contribution ("total", default) or only the uniaxial part
-    ("uniaxial").
+    stress sweep: for each of ``axes`` one (n, 4) array with a row
+    (strain_xx, p_hh, p_lh, p_so) per stress, strain_xx including the
+    prestress.  Every axis projects the same doublets, from one batched
+    solve of the sweep; no stress gives (0, 4) arrays.
     """
-    return _mixing_curves(stresses_gpa, prestress, (axis,), p,
-                          abscissa=abscissa)[0]
-
-
-def _mixing_curves(stresses_gpa, prestress: StrainState | None, axes,
-                   p: MaterialParams, *,
-                   abscissa: str = "total") -> list[np.ndarray]:
-    """``mixing_curve`` for each of ``axes``, from one solve of the
-    sweep's doublets."""
-    if abscissa not in ("total", "uniaxial"):
-        raise ValueError("abscissa must be 'total' or 'uniaxial'")
-    uniaxial, total = uniaxial_sweep(stresses_gpa, p, prestress)
+    _, total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
-    exx = (total if abscissa == "total" else uniaxial)[:, :1]
     weights = _project(psi, [axis.unit_vector for axis in axes])
-    return [np.hstack([exx, weights[:, i]]) for i in range(len(axes))]
+    return [np.hstack([total[:, :1], weights[:, i]])
+            for i in range(len(axes))]
 
 
 def mixing_map(stresses_gpa, prestress: StrainState | None,

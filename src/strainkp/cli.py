@@ -336,15 +336,18 @@ def _prestress(cfg: RunConfig, p: MaterialParams):
     return biaxial_strain(cfg.prestress_biaxial_gpa, p)
 
 
+# the z and x axes of the mixing curves and the well sweeps
+_Z_AND_X = (axis_mod.QuantizationAxis(0.0),
+            axis_mod.QuantizationAxis(math.pi / 2.0))
+
+
 # Each subcommand maps the resolved config to the tables it produces,
 # [(file stem, columns, rows), ...]; ``main`` writes them.
 
 def cmd_mixing_curve(cfg: RunConfig, threads: int) -> list:
     p = cfg.load_table()[cfg.material]
-    z, x = axis_mod._mixing_curves(
-        cfg.stress_sweep(), _prestress(cfg, p),
-        (axis_mod.QuantizationAxis(0.0),
-         axis_mod.QuantizationAxis(math.pi / 2.0)), p)
+    z, x = axis_mod.mixing_curve(cfg.stress_sweep(), _prestress(cfg, p),
+                                 _Z_AND_X, p)
     return [("mixing_curve_z", axis_mod.MIXING_CURVE_COLUMNS, z),
             ("mixing_curve_x", axis_mod.MIXING_CURVE_COLUMNS, x)]
 
@@ -370,10 +373,8 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
             f"[run] material: qw models a GaAs well, got {cfg.material!r}")
     geometries = cfg.qw_geometries()
     stresses = cfg.stress_sweep(cfg.qw_sweep_steps)
-    sweeps = qw._mixing_sweep(
-        geometries, stresses,
-        (axis_mod.QuantizationAxis(0.0),
-         axis_mod.QuantizationAxis(math.pi / 2.0)), table, threads)
+    sweeps = qw.qw_mixing_vs_strain(geometries, stresses, _Z_AND_X, table,
+                                    threads=threads)
     # a sweep through 0 GPa has solved each unstrained well on its grid
     zero = np.flatnonzero(stresses == 0.0)
     results = []
@@ -406,18 +407,13 @@ def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
     results = [("dipole_sweep", optics.DIPOLE_SWEEP_COLUMNS, rows)]
 
     _, snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
-    _, doublets = kp_bulk._doublet_stack(snapshots, p)
-    # the default grid of optics.angular_density
-    theta, phi, orbitals, weights = optics._sphere_grid(90, 180)
-    for sigma, psi in zip(cfg.snapshot_stresses_gpa, doublets):
-        # the doublet's density is basis independent; it is normalized on
-        # the grid before export
-        density = optics._orbital_weights(psi, orbitals.T).reshape(
-            weights.shape)
-        density = density / np.sum(density * weights)
+    for sigma, voigt in zip(cfg.snapshot_stresses_gpa, snapshots):
+        # the hole doublet's density, normalized on its grid for export
+        d = optics.angular_density(
+            kp_bulk.top_valence_doublet(StrainState(*voigt), p))
         results.append((_snapshot_stem(sigma),
                         ("theta_rad", "phi_rad", "density"),
-                        _Grid(theta, phi, density)))
+                        _Grid(d.theta, d.phi, d.density / d.integrate())))
     return results
 
 

@@ -4,9 +4,10 @@ The conduction Bloch state is orbitally spherical, so the transition
 dipole of a hole state along a direction n reduces to its p-orbital
 weight along n, and its Bloch angular density at a point of the sphere
 is that weight along the point's direction: one kernel,
-``_orbital_weights``, gives both.  Constant momentum-matrix prefactors
-are absorbed into a single rate calibration anchored to the measured
-lifetime of the unstrained bright doublet.
+``_orbital_weights``, gives both.  The density of a doublet, which
+``angular_density`` also takes, is the sum of its states'.  Constant
+momentum-matrix prefactors are absorbed into a single rate calibration
+anchored to the measured lifetime of the unstrained bright doublet.
 """
 
 from __future__ import annotations
@@ -150,19 +151,22 @@ def _orbital_weights(psi: np.ndarray,
     return amp.sum(axis=-2).sum(axis=-2)
 
 
-def angular_density(state: SpinorState, n_theta: int = 90,
+def angular_density(state, n_theta: int = 90,
                     n_phi: int = 180) -> AngularDensity:
-    """Angular probability density of a valence state's Bloch part.
+    """Angular probability density of the Bloch part of a valence state,
+    or of a doublet (a sequence of states), whose states' densities add.
 
     Uses the p-orbital angular forms X, Y, Z ~ (cos(phi) sin(theta),
     sin(phi) sin(theta), cos(theta)); spin channels add incoherently.
-    For a unit-norm state the density integrates to one up to the
-    quadrature error of the cell-centered grid (about 1e-3 at the
-    default resolution); exported files are normalized downstream.
-    The returned theta, phi and weights are read-only arrays shared by
-    every call on the same grid.
+    A doublet's density does not depend on how its pair was split.  The
+    density of m unit-norm states integrates to m up to the quadrature
+    error of the cell-centered grid (about 1e-3 per state at the default
+    resolution); exported files are normalized by ``integrate()``.  The
+    returned theta, phi and weights are read-only arrays shared by every
+    call on the same grid.
     """
-    psi = _full8(state.coefficients[:, None])
+    states = (state,) if isinstance(state, SpinorState) else tuple(state)
+    psi = _full8(np.stack([s.coefficients for s in states], -1))
     if np.sum(np.abs(psi[:2]) ** 2) > 1e-9:
         raise ValueError("angular density is defined for VB states only")
     th, ph, orbitals, weights = _sphere_grid(n_theta, n_phi)

@@ -49,6 +49,10 @@ real products of twice the size, because numpy's stacked complex matmul
 on blocks this small costs several times the real one.  No part of the
 package imports scipy.
 
+``qw_mixing_vs_strain`` sweeps wells through uniaxial stress: per well,
+the projections of each stress's hole doublet along the given axes and
+its energy, one ``solve_qw`` per point.
+
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
 up and the HH/LH edges down; ``emulated_transition_energies`` gives the
@@ -700,22 +704,18 @@ def envelope_projection(doublet, axis: QuantizationAxis) -> ProjectionResult:
 
 
 def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
-                        threads: int = 1) -> list[np.ndarray]:
-    """Mixing curves for several wells under uniaxial stress.
+                        threads: int = 1) \
+        -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mixing curves of several wells under uniaxial stress.
 
-    Returns one (n_stress, 1 + 3 len(axes)) array per geometry, in the
-    order of ``geometries``, with rows (strain_xx, p_hh, p_lh, p_so for
-    each axis in ``axes``); every axis projects the same solved doublet.
-    The well is GaAs and the strain is computed from its stiffness.
+    Returns one ``(rows, energies)`` pair per geometry, in the order of
+    ``geometries``: rows (n_stress, 1 + 3 len(axes)) of (strain_xx, then
+    p_hh, p_lh, p_so for each axis in ``axes``), every axis projecting
+    the same solved doublet, and the hole ground-state energy (eV) of
+    each stress.  The well is GaAs and the strain is computed from its
+    stiffness.  ``threads`` > 1 solves the stresses of a well on a
+    thread pool, with the same result.
     """
-    return [rows for rows, _ in _mixing_sweep(geometries, stresses_gpa, axes,
-                                              table, threads)]
-
-
-def _mixing_sweep(geometries, stresses_gpa, axes, table,
-                  threads: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``qw_mixing_vs_strain`` with the hole ground-state energy (eV) of
-    every sweep point: one (rows, energies) pair per geometry."""
     _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
     directions = [axis.unit_vector for axis in axes]
 
@@ -730,7 +730,8 @@ def _mixing_sweep(geometries, stresses_gpa, axes, table,
     sweeps = []
     for geometry in geometries:
         points = map_ordered(partial(one, geometry), strains, threads)
-        sweeps.append((np.array([row for row, _ in points]),
+        rows = np.array([row for row, _ in points])
+        sweeps.append((rows.reshape(len(points), 1 + 3 * len(directions)),
                        np.array([energy for _, energy in points])))
     return sweeps
 

@@ -157,8 +157,8 @@ def test_criterion_02_commutators(gaas):
 
 def test_criterion_03_mixing_flip(gaas, prestress, sweep):
     start = time.perf_counter()
-    curve_z = sk.mixing_curve(sweep, prestress, Z_AXIS, gaas)
-    curve_x = sk.mixing_curve(sweep, prestress, X_AXIS, gaas)
+    curve_z, curve_x = sk.mixing_curve(sweep, prestress, (Z_AXIS, X_AXIS),
+                                       gaas)
     i0 = int(np.argmin(np.abs(sweep)))
     checks = [(abs(curve_z[i0, 1] - 1.0) < 1e-9,
                f"p_hh_z at zero stress = {curve_z[i0, 1]:.12f}")]

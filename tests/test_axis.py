@@ -202,23 +202,11 @@ def test_commutator_jz_uniaxial_proportional_to_r(gaas):
 def test_mixing_curve_shape_and_zero_stress_row(gaas):
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(-2, 2, 41)
-    rows = mixing_curve(stresses, pre, Z_AXIS, gaas)
+    rows, = mixing_curve(stresses, pre, (Z_AXIS,), gaas)
     assert rows.shape == (41, 4)
     i0 = np.argmin(np.abs(stresses))
     assert rows[i0, 1] == pytest.approx(1.0, abs=1e-9)
     assert rows[i0, 0] == pytest.approx(pre.exx, rel=1e-12)
-
-
-def test_mixing_curve_abscissa_flag(gaas):
-    pre = biaxial_strain(-0.12, gaas)
-    stresses = np.array([0.0, 1.0])
-    total = mixing_curve(stresses, pre, Z_AXIS, gaas, abscissa="total")
-    uni = mixing_curve(stresses, pre, Z_AXIS, gaas, abscissa="uniaxial")
-    assert uni[0, 0] == 0.0
-    assert total[:, 0] == pytest.approx(uni[:, 0] + pre.exx, rel=1e-12)
-    assert np.array_equal(total[:, 1:], uni[:, 1:])
-    with pytest.raises(ValueError):
-        mixing_curve(stresses, pre, Z_AXIS, gaas, abscissa="bogus")
 
 
 def test_mixing_map_edges_match_curves(gaas):
@@ -226,8 +214,7 @@ def test_mixing_map_edges_match_curves(gaas):
     stresses = np.linspace(-2, 2, 21)
     thetas, strain_xx, phh = mixing_map(stresses, pre, gaas,
                                         thetas=default_theta_grid(7))
-    curve_z = mixing_curve(stresses, pre, Z_AXIS, gaas)
-    curve_x = mixing_curve(stresses, pre, X_AXIS, gaas)
+    curve_z, curve_x = mixing_curve(stresses, pre, (Z_AXIS, X_AXIS), gaas)
     assert strain_xx == pytest.approx(curve_z[:, 0], rel=1e-12)
     assert phh[0] == pytest.approx(curve_z[:, 1], abs=1e-12)
     assert phh[-1] == pytest.approx(curve_x[:, 1], abs=1e-12)
@@ -330,12 +317,22 @@ def test_flip_stress_cancels_the_prestress(gaas):
     # stress is uniaxial along y, so z and x are equivalent axes; the
     # difference changes sign through that stress
     pre = biaxial_strain(-0.12, gaas)
-    stresses = [0.1199, 0.12, 0.1201]
-    z = mixing_curve(stresses, pre, Z_AXIS, gaas)[:, 1]
-    x = mixing_curve(stresses, pre, X_AXIS, gaas)[:, 1]
-    diff = z - x
-    assert abs(diff[1]) <= 1e-12
-    assert diff[0] > 1e-4 and diff[2] < -1e-4
+
+    def diff(stresses):
+        z, x = mixing_curve(stresses, pre, (Z_AXIS, X_AXIS), gaas)
+        return z[:, 1] - x[:, 1]
+
+    samples = diff([0.1199, 0.12, 0.1201])
+    assert abs(samples[1]) <= 1e-12
+    assert samples[0] > 1e-4 and samples[2] < -1e-4
+    # the bulk oracle: bisected on [0.1, 0.14] GPa, the one sign change
+    # of p_hh_z - p_hh_x is the stress -(prestress) = 0.12 GPa
+    lo, hi = 0.1, 0.14
+    assert diff([lo])[0] > 0.0 > diff([hi])[0]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if diff([mid])[0] > 0.0 else (lo, mid)
+    assert abs(0.5 * (lo + hi) - 0.12) <= 1e-6
 
 
 def test_exact_theta_maximum_matches_the_grid(gaas):

@@ -1,5 +1,7 @@
+import ast
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -428,6 +430,64 @@ def test_dipoles_outputs(tmp_path, config):
     assert len(rows) == 90 * 180
     total = sum(float(r[2]) for r in rows)
     assert total > 0
+
+
+def test_each_table_is_one_public_call(tmp_path, config):
+    # the CSV bytes of the mixing curves, the well sweep (all but its
+    # converged column) and a snapshot density, rebuilt from one public
+    # call each and oracle_text's %.9g cells
+    out = tmp_path / "out"
+    for command in ("mixing-curve", "qw", "dipoles"):
+        assert main([command, "--config", str(config), "--out", str(out)]) \
+            == 0
+    table = default_parameter_table()
+    p = table["GaAs"]
+    pre = biaxial_strain(-0.12, p)
+    axes = (axis.QuantizationAxis(0.0), axis.QuantizationAxis(math.pi / 2))
+
+    z, x = axis.mixing_curve(np.linspace(-2.0, 2.0, 5), pre, axes, p)
+    for name, rows in (("z", z), ("x", x)):
+        assert (out / f"mixing_curve_{name}.csv").read_text() \
+            == oracle_text(axis.MIXING_CURVE_COLUMNS, rows.tolist(), "csv")
+
+    (rows, _), = qw.qw_mixing_vs_strain(
+        [qw.QwGeometry(6.0, 10.0, grid_points=51)],
+        np.linspace(-2.0, 2.0, 3), axes, table)
+    lines = (out / "qw_mixing_6nm.csv").read_text().splitlines()
+    assert "".join(",".join(line.split(",")[:7]) + "\n" for line in lines) \
+        == oracle_text(("strain_xx", "p_hh_z", "p_lh_z", "p_so_z", "p_hh_x",
+                        "p_lh_x", "p_so_x"), rows.tolist(), "csv")
+
+    _, (strain,) = uniaxial_sweep([1.0], p, pre)
+    d = optics.angular_density(
+        kp_bulk.top_valence_doublet(StrainState(*strain), p))
+    density = d.density / d.integrate()
+    assert (out / "angular_density_1gpa.csv").read_text() == oracle_text(
+        ("theta_rad", "phi_rad", "density"),
+        [(t, f, density[i, j]) for i, t in enumerate(d.theta.tolist())
+         for j, f in enumerate(d.phi.tolist())], "csv")
+
+
+def test_cli_reads_no_private_library_name():
+    # the CLI runs the public library: no `module._name` read of a
+    # strainkp module, and no private name imported from one
+    tree = ast.parse(Path(strainkp.cli.__file__).read_text("utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("strainkp")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                if node.module in (None, "strainkp"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_"):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"axis_mod", "kp_bulk", "optics", "qw"}
+    assert private == []
 
 
 def test_determinism_byte_identical(tmp_path, config):

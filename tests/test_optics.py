@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strainkp.axis import QuantizationAxis, rotated_basis
+from strainkp.axis import QuantizationAxis, mixing_curve, rotated_basis
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain)
 from strainkp.kp_bulk import (ORBITAL_SPIN_LABELS, SpinorState,
@@ -12,6 +12,7 @@ from strainkp.optics import (DIPOLE_SWEEP_COLUMNS, DipoleStrengths,
                              RateCalibration, angular_density,
                              dipole_strengths, dipole_sweep, dlp_and_angle,
                              rates)
+from strainkp.qw import QwGeometry, qw_mixing_vs_strain
 
 
 def basis_state(index):
@@ -168,6 +169,19 @@ def test_dipole_sweep_rows(gaas):
     assert ten[2] > 0.5 > ten[3] > 0.0
 
 
+def test_empty_sweeps_keep_their_width(table, gaas):
+    # like dipole_sweep, every sweep of no stress is an empty table of
+    # its documented width
+    pre = biaxial_strain(-0.12, gaas)
+    axes = (QuantizationAxis(0.0), QuantizationAxis(math.pi / 2.0))
+    assert [c.shape for c in mixing_curve([], pre, axes, gaas)] \
+        == [(0, 4), (0, 4)]
+    geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
+    (rows, energies), = qw_mixing_vs_strain([geometry], [], axes, table)
+    assert rows.shape == (0, 7)
+    assert energies.shape == (0,)
+
+
 def test_dlp_tie_at_pure_hh_z():
     pol = dlp_and_angle(DipoleStrengths(0.5, 0.5, 0.0))
     assert pol.degree == 0.0
@@ -266,6 +280,23 @@ def test_angular_density_grid_is_built_once_and_read_only():
             a[0] = 0.0
     again = angular_density(basis_state(2))
     assert np.array_equal(again.density, first.density)
+
+
+def test_angular_density_of_a_doublet_adds_its_states(gaas, rng):
+    # the doublet's density is the sum of its states' and does not
+    # change when the degenerate pair is remixed
+    a, b = top_valence_doublet(uniaxial_strain(0.7, gaas), gaas)
+    pair = angular_density((a, b))
+    assert pair.integrate() == pytest.approx(2.0, abs=2e-3)
+    assert np.abs(pair.density - angular_density(a).density
+                  - angular_density(b).density).max() \
+        <= 1e-15 * pair.density.max()
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    mixed = np.stack([a.coefficients, b.coefficients], -1) @ u
+    remixed = angular_density([SpinorState(c) for c in mixed.T])
+    assert np.abs(remixed.density - pair.density).max() \
+        <= 1e-14 * pair.density.max()
 
 
 def test_angular_density_rejects_cb_state():

@@ -673,15 +673,19 @@ def test_qw_mixing_vs_strain_tables(table):
     curves = qw_mixing_vs_strain([geometry], stresses, (X_AXIS, Z_AXIS),
                                  table)
     assert len(curves) == 1
-    rows = curves[0]
+    rows, energies = curves[0]
     assert rows.shape == (3, 7)
+    assert energies.shape == (3,)
+    assert energies[1] == solve_qw(geometry, ZERO, table, 2)[0].energy
     assert rows[1, 1] == pytest.approx(0.25, abs=1e-9)  # HH_z seen from x
     assert rows[2, 1] > rows[1, 1]
     assert rows[1, 4] == pytest.approx(1.0, abs=1e-9)   # ... and from z
     # one solved doublet per stress: the SO weight is axis independent
     assert rows[:, 3] == pytest.approx(rows[:, 6], abs=1e-12)
-    only_x = qw_mixing_vs_strain([geometry], stresses, (X_AXIS,), table)
-    assert np.array_equal(only_x[0], rows[:, :4])
+    (only_x, only_x_energies), = qw_mixing_vs_strain(
+        [geometry], stresses, (X_AXIS,), table)
+    assert np.array_equal(only_x, rows[:, :4])
+    assert np.array_equal(only_x_energies, energies)
 
 
 def test_qw_mixing_vs_strain_checks_each_pair_once(table, monkeypatch):
@@ -696,8 +700,8 @@ def test_qw_mixing_vs_strain_checks_each_pair_once(table, monkeypatch):
 
     monkeypatch.setattr(kp_bulk, "_check_doublets", counted)
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
-    rows, = qw_mixing_vs_strain([geometry], [-1.0, 0.0, 1.0],
-                                (X_AXIS, Z_AXIS), table)
+    (rows, _), = qw_mixing_vs_strain([geometry], [-1.0, 0.0, 1.0],
+                                     (X_AXIS, Z_AXIS), table)
     assert len(calls) == 3
     states = solve_qw(geometry, uniaxial_strain(1.0, table["GaAs"]), table, 2)
     assert rows[2, 1:] == pytest.approx(
@@ -711,10 +715,12 @@ def test_qw_mixing_vs_strain_keeps_geometry_order(table):
     narrow = QwGeometry(3.0, barrier_thickness_nm=8.0, grid_points=51)
     curves = qw_mixing_vs_strain([wide, narrow], stresses, (X_AXIS,), table)
     assert len(curves) == 2
-    for geometry, rows in zip((wide, narrow), curves):
-        alone, = qw_mixing_vs_strain([geometry], stresses, (X_AXIS,), table)
+    for geometry, (rows, energies) in zip((wide, narrow), curves):
+        (alone, alone_energies), = qw_mixing_vs_strain(
+            [geometry], stresses, (X_AXIS,), table)
         assert np.array_equal(rows, alone)
-    assert not np.array_equal(curves[0], curves[1])
+        assert np.array_equal(energies, alone_energies)
+    assert not np.array_equal(curves[0][0], curves[1][0])
 
 
 def test_transition_energy_emulation_baseline(table, gaas):

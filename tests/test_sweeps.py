@@ -48,7 +48,7 @@ def per_point_doublets(stresses, prestress, p):
 @given(prestress=prestresses, angle=angles, stresses=windows())
 def test_mixing_curve_matches_per_point(gaas, prestress, angle, stresses):
     axis = QuantizationAxis(*angle)
-    rows = mixing_curve(stresses, prestress, axis, gaas)
+    rows, = mixing_curve(stresses, prestress, (axis,), gaas)
     assert rows.shape == (stresses.size, 4)
     for row, (strain, doublet) in zip(
             rows, per_point_doublets(stresses, prestress, gaas)):
@@ -91,7 +91,7 @@ def test_dipole_sweep_matches_per_point(gaas, prestress, stresses, lifetime):
 
 def sweeps(stresses, prestress, p):
     return {"mixing_curve": lambda: mixing_curve(
-                stresses, prestress, QuantizationAxis(0.3), p),
+                stresses, prestress, (QuantizationAxis(0.3),), p),
             "mixing_map": lambda: mixing_map(stresses, prestress, p),
             "dipole_sweep": lambda: dipole_sweep(stresses, prestress, p)}
 
