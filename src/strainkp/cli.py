@@ -192,9 +192,18 @@ class RunConfig:
                         f"{self.output_format} (file names keep 6 "
                         f"significant digits of the configured values)")
         try:
-            self.qw_geometries()
+            geometries = self.qw_geometries()
         except ValueError as exc:
             raise ConfigError(f"invalid qw geometry: {exc}") from exc
+        for g in geometries:
+            # the inside test of the well's material profile in qw
+            nodes = np.count_nonzero(
+                np.abs(g.grid()) <= g.well_thickness_nm / 2.0)
+            if nodes < 3:
+                raise ConfigError(
+                    f"[qw] thicknesses_nm: a {g.well_thickness_nm:g} nm "
+                    f"well is thinner than two grid spacings (2h = "
+                    f"{2.0 * g.spacing():.6g} nm) and holds {nodes} node(s)")
 
     def qw_geometries(self) -> tuple[qw.QwGeometry, ...]:
         """One well geometry per configured thickness, in config order."""

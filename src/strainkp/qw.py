@@ -26,28 +26,32 @@ diagonal block and the block coupling it to the next node.
 ``build_qw_hamiltonian`` assembles them into a dense band-major matrix,
 kept as the reference for tests and benchmarks; ``solve_qw`` keeps them
 as node blocks (site-major, block tridiagonal) and finds the topmost
-states in numpy alone: shift-invert block subspace iteration with a
-shift proven to lie above the spectrum, so sigma I - H is Hermitian
-positive definite and block cyclic reduction factors it without pivoting
-(see its docstring).  The iteration starts from a fixed block of uniform
-values on [-1, 1) hashed from their index (``_start_block``), so no run
-imports ``numpy.random``.  It stops when every wanted Ritz pair has a
-residual |H x - theta x| of at most 1e-11 eV, and fails after 200
-Rayleigh-Ritz steps.  Without e_xz and e_yz (every uniaxial or biaxial
-stress along the cubic axes) S vanishes and the matrix splits exactly
-into {HH+3/2, LH-1/2, SO-1/2} and their Kramers partners.  The split is
-read from the material blocks, before any node block is assembled, by
+states with the numpy-only shift-invert eigensolver of ``_blocktri``, at
+a shift proven to lie above the spectrum (see ``solve_qw``).
+
+That solver needs real symmetric couplings, and the well's are.  A is
+the bulk 6x6 at kz = 1/h minus the one at k = 0, both at the applied
+strain.  At k_parallel = 0 the kz parts of R (g2 (kx^2 - ky^2) and
+g3 kx ky) and of S (g3 (kx - i ky) kz) are zeros of the same sign at
+both wavevectors, so each takes the same strain value in both matrices
+and its entry of A is that value minus itself, exactly zero, real and
+imaginary part alike.  What remains are the kz^2 terms of P and Q and
+the LH-SO entry -sqrt(2) Q, all real, and each lower entry of the bulk
+6x6 is the conjugate of the upper one, so A is real and exactly
+symmetric, and so are the couplings -(A_i + A_{i+1}) / 2h^2.  They are
+kept as one real (N - 1, m, m) array.
+
+Without e_xz and e_yz (every uniaxial or biaxial stress along the cubic
+axes) S vanishes and the matrix splits exactly into {HH+3/2, LH-1/2,
+SO-1/2} and their Kramers partners.  The split is read from the material
+blocks, before any node block is assembled, by
 ``kp_bulk._kramers_block``, the one rule the bulk doublet sweep uses
 too; then only that 3N block is assembled and solved, real unless e_xy
 is nonzero, and each Ritz vector psi comes back with its partner T psi
 (the one ``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells
 solve the whole 6N matrix with the same solver, two vectors per Kramers
-pair, and return its Ritz pairs as they are.  Complex blocks (sheared
-and e_xy wells) are factored in complex arithmetic and then applied
-through their real embeddings E(A) = [[Re A, -Im A], [Im A, Re A]], as
-real products of twice the size, because numpy's stacked complex matmul
-on blocks this small costs several times the real one.  No part of the
-package imports scipy.
+pair, and return its Ritz pairs as they are.  No part of the package
+imports scipy.
 
 ``qw_mixing_vs_strain`` sweeps wells through uniaxial stress: per well,
 the projections of each stress's hole doublet along the given axes and
@@ -68,10 +72,10 @@ from functools import partial
 import numpy as np
 
 from . import kp_bulk
+from ._blocktri import _dense, _top_eigenvectors
 from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project, project_hgs
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import _herm
 from .materials import MaterialParams, algaas
 
 __all__ = [
@@ -189,17 +193,8 @@ class EmulationOffsets:
 DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 
 # distance of the shift-invert shift above the bound on the QW spectrum
-# (eV), and the seed of the solver's fixed start block
+# (eV)
 _SHIFT_MARGIN_EV = 1e-3
-_START_SEED = 20240817
-# the subspace iteration stops when every wanted Ritz pair has
-# |H x - theta x| below this (eV), or below 100 round-offs of the largest
-# entry of H on grids so fine that 1e-11 eV is out of reach, and fails
-# after this many Rayleigh-Ritz steps
-_RESIDUAL_TOL_EV = 1e-11
-_MAX_ITERATIONS = 200
-# block cyclic reduction stops at this many nodes and inverts them densely
-_DENSE_NODES = 8
 
 
 def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
@@ -224,54 +219,56 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
     """Material blocks of the well Hamiltonian, shared by the dense
     assembly and the solver.
 
-    Returns (onsite, a, node): the k = 0 bulk 6x6 and the kz^2 matrix
-    A / h^2 of the well and the barrier material (2, 6, 6) each, and the
-    material of each grid node (N,), 0 in the well and 1 in the barrier.
-    ``_assemble`` turns them into node blocks; ``solve_qw`` decides the
-    Kramers split on them first (``_kept_blocks``), so a shear-free well
-    never assembles its 6x6 node blocks.
+    Returns (onsite, a, node): the k = 0 bulk 6x6 (complex) and the real
+    symmetric kz^2 matrix A / h^2 (see the module docstring) of the well
+    and the barrier material (2, 6, 6) each, and the material of each
+    grid node (N,), 0 in the well and 1 in the barrier.  ``_assemble``
+    turns them into node blocks; ``solve_qw`` decides the Kramers split
+    on them first (``_kept_blocks``), so a shear-free well never
+    assembles its 6x6 node blocks.
     """
     _, inside, well, barrier = _materials_profile(geometry, table,
                                                   well, barrier)
     kz = (0.0, 0.0, 1.0 / geometry.spacing())
     onsite = np.array([kp_bulk.h6_vb((0.0, 0.0, 0.0), strain, m)
                        for m in (well, barrier)])
-    # A / h^2: the bulk kz^2 term at kz = 1/h (k-independent parts drop out)
+    # A / h^2: the bulk kz^2 term at kz = 1/h (k-independent parts drop
+    # out); its imaginary part is exactly zero
     a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in (well, barrier)]) \
         - onsite
-    return onsite, a, np.where(inside, 0, 1)
+    return onsite, a.real, np.where(inside, 0, 1)
 
 
 def _assemble(onsite: np.ndarray, a: np.ndarray,
-              node: np.ndarray) -> np.ndarray:
-    """The node-block stack of a well from material blocks ``onsite`` and
+              node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The node blocks of a well from material blocks ``onsite`` and
     ``a`` (2, m, m) and the material of each node ``node`` (N,): each
-    node's diagonal block, the block coupling node i to node i + 1 by the
-    box scheme of the module docstring, and their conjugate transposes,
-    (3N - 2, m, m).  Every entry depends on the same entries
-    of the material blocks alone, so assembling a restriction to some
-    bands gives the same bits as restricting the assembled blocks.
+    node's diagonal block (N, m, m) and the real symmetric blocks
+    coupling node i to node i + 1 (N - 1, m, m), by the box scheme of the
+    module docstring.  Every entry depends on the same entries of the
+    material blocks alone, so assembling a restriction to some bands
+    gives the same bits as restricting the assembled blocks.
     """
     an = a[node]
     ae = np.concatenate([an[:1], an, an[-1:]])
     diag = onsite[node] + (ae[:-2] + 2.0 * an + ae[2:]) / 2.0
-    upper = -(an[:-1] + an[1:]) / 2.0
-    return np.concatenate([diag, upper, _herm(upper)])
+    return diag, -(an[:-1] + an[1:]) / 2.0
 
 
-def _kept_blocks(onsite: np.ndarray, a: np.ndarray,
-                 node: np.ndarray) -> np.ndarray | None:
-    """The 3N block of the well on ``kp_bulk._KEPT_BANDS``, as the
-    node-block stack of ``_assemble``, if ``kp_bulk._kramers_block``
-    splits the material blocks of the materials on the grid, else None.
+def _kept_blocks(onsite: np.ndarray, a: np.ndarray, node: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray] | None:
+    """The 3N blocks of the well on ``kp_bulk._KEPT_BANDS``, as the node
+    blocks of ``_assemble``, if ``kp_bulk._kramers_block`` splits the
+    material blocks of the materials on the grid, else None.
 
     Each coupling entry of an assembled block is a sum of the materials'
     coupling entries, so when theirs are all zero so are the assembled
-    ones, and the kept block is bit for bit the restriction of the
-    assembled 6N blocks: it is assembled complex and taken real (a view,
-    as ``kp_bulk._kramers_block`` takes it) when its imaginary part is
-    exactly zero.  A material with no node on the grid (a barrier thinner
-    than the spacing) does not count, as it adds no entry to the blocks.
+    ones, and the kept blocks are bit for bit the restriction of the
+    assembled 6N blocks: the diagonal blocks are assembled complex and
+    taken real (a view, as ``kp_bulk._kramers_block`` takes it) when
+    their imaginary part is exactly zero.  A material with no node on the
+    grid (a barrier thinner than the spacing) does not count, as it adds
+    no entry to the blocks.
     """
     # a mask, not np.unique, which would import numpy.ma (about 10 ms)
     present = np.bincount(node, minlength=2) > 0
@@ -279,8 +276,8 @@ def _kept_blocks(onsite: np.ndarray, a: np.ndarray,
                                               a[present]])) is None:
         return None
     bands = (..., kp_bulk._KEPT_BANDS[:, None], kp_bulk._KEPT_BANDS)
-    kept = _assemble(onsite[bands], a[bands], node)
-    return kept if kept.imag.any() else kept.real
+    diag, couplings = _assemble(onsite[bands], a[bands], node)
+    return diag if diag.imag.any() else diag.real, couplings
 
 
 def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
@@ -298,292 +295,11 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
     assembling them; this dense form is the reference the tests compare
     it with.
     """
-    blocks = _assemble(*_node_blocks(geometry, strain, table, well, barrier))
+    diag, couplings = _assemble(*_node_blocks(geometry, strain, table,
+                                              well, barrier))
     n = geometry.grid_points
-    return _dense(blocks[:n], blocks[n:2 * n - 1]).transpose(
-        1, 0, 3, 2).reshape(6 * n, 6 * n)
-
-
-def _dense(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The block-tridiagonal Hermitian matrix of diagonal blocks ``diag``
-    (n, m, m) and blocks ``upper`` (n - 1, m, m) coupling node i to
-    i + 1, as a dense (n, m, n, m) array (node, band, node, band)."""
-    n, m = diag.shape[:2]
-    dense = np.zeros((n, m, n, m), diag.dtype)
-    i = np.arange(n)
-    dense[i, :, i] = diag
-    dense[i[:-1], :, i[1:]] = upper
-    dense[i[1:], :, i[:-1]] = _herm(upper)
-    return dense
-
-
-def _block_apply(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    """H x for the block-tridiagonal H with diagonal blocks ``diag``
-    (n, m, m), ``upper[i]`` coupling node i to node i + 1 and ``lower[i]``
-    node i + 1 to node i (n - 1, m, m each; index node * m + band), and x
-    of shape (n, m, p) (node, band, vector)."""
-    y = diag @ x
-    y[:-1] += upper @ x[1:]
-    y[1:] += lower @ x[:-1]
-    return y
-
-
-def _embed(a: np.ndarray) -> np.ndarray:
-    """Real embeddings E(A) = [[Re A, -Im A], [Im A, Re A]] (..., 2m, 2m)
-    of complex matrices A (..., m, m).
-
-    E(A) [Re x; Im x] = [Re A x; Im A x] and E(A B) = E(A) E(B), so a
-    product of complex blocks runs as one real product of twice the size,
-    and E(A^H) is E(A)^T entry for entry.
-    """
-    m = a.shape[-1]
-    e = np.empty(a.shape[:-2] + (2 * m, 2 * m))
-    e[..., :m, :m] = e[..., m:, m:] = a.real
-    e[..., m:, :m] = a.imag
-    e[..., :m, m:] = -a.imag
-    return e
-
-
-def _embed_factor(factor, m: int):
-    """The ``_cr_factor`` of complex m x m blocks with every stored matrix
-    replaced by its ``_embed``, so ``_cr_solve`` runs in real arithmetic
-    on right-hand sides in the ``_to_real`` layout (n, 2m, p).
-
-    The levels are replaced in place, so each complex level is dropped as
-    it is embedded, and the conjugate transposes become transposed views
-    of the embedded multipliers.  The dense inverse of the last nodes is
-    embedded node block by node block, so its rows follow the node-major
-    (node, 2m) layout of the right-hand side.
-    """
-    levels, last = factor
-    for i, (inverse, right, left, _, _) in enumerate(levels):
-        right, left = _embed(right), _embed(left)
-        levels[i] = (_embed(inverse), right, left,
-                     np.swapaxes(right, -1, -2), np.swapaxes(left, -1, -2))
-    size = len(last)
-    nodes = last.reshape(size // m, m, size // m, m).swapaxes(1, 2)
-    return levels, _embed(nodes).swapaxes(1, 2).reshape(2 * size, 2 * size)
-
-
-def _to_real(x: np.ndarray) -> np.ndarray:
-    """[Re x; Im x] node by node: (n, 2m, p) real from x (n, m, p)."""
-    n, m, p = x.shape
-    y = np.empty((n, 2 * m, p))
-    y[:, :m] = x.real
-    y[:, m:] = x.imag
-    return y
-
-
-def _from_real(y: np.ndarray) -> np.ndarray:
-    """The complex x (n, m, p) of ``_to_real(x) = y``."""
-    n, m2, p = y.shape
-    x = np.empty((n, m2 // 2, p), complex)
-    x.real = y[:, :m2 // 2]
-    x.imag = y[:, m2 // 2:]
-    return x
-
-
-def _hpd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverses of Hermitian positive definite matrices (..., m, m), from
-    their Cholesky factors; a matrix that is not positive definite raises
-    ``kp_bulk.NumericalError``."""
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise kp_bulk.NumericalError(
-            "the shifted QW matrix is not positive definite, so the shift "
-            "does not lie above the spectrum") from exc
-    inverse = np.linalg.inv(chol)
-    return _herm(inverse) @ inverse
-
-
-def _cr_factor(diag: np.ndarray, upper: np.ndarray):
-    """Odd-even block cyclic reduction of the Hermitian positive definite
-    block-tridiagonal M with diagonal blocks ``diag`` (n, m, m) and
-    ``upper[i]`` coupling node i to node i + 1 (n - 1, m, m).
-
-    Each level eliminates the odd nodes in one batched step; the even
-    nodes keep a block-tridiagonal Schur complement, which is reduced in
-    turn until at most ``_DENSE_NODES`` nodes are left, and those are
-    inverted as one dense matrix.  This is a block Cholesky factorization
-    in odd-even order, so M is positive definite exactly when every
-    eliminated pivot block and the last dense matrix are, and each is
-    checked by ``_hpd_inverse``.  Returns the levels (inverse pivots and
-    the multipliers of both neighbours, with their conjugate transposes)
-    and the dense inverse of the last nodes.
-    """
-    levels = []
-    while len(diag) > _DENSE_NODES:
-        half = (len(diag) + 1) // 2
-        inverse = _hpd_inverse(diag[1::2])
-        to_odd = upper[0::2]            # even node 2t -> odd node 2t + 1
-        from_odd = upper[1::2]          # odd node 2t + 1 -> even 2t + 2
-        right = to_odd @ inverse
-        left = _herm(from_odd) @ inverse[:half - 1]
-        diag = diag[0::2].copy()
-        diag[:len(right)] -= right @ _herm(to_odd)
-        diag[1:] -= left @ from_odd
-        upper = -right[:half - 1] @ from_odd
-        levels.append((inverse, right, left, _herm(right), _herm(left)))
-    size = diag.shape[0] * diag.shape[1]
-    return levels, _hpd_inverse(_dense(diag, upper).reshape(size, size))
-
-
-def _cr_solve(factor, b: np.ndarray) -> np.ndarray:
-    """M^-1 b for the ``_cr_factor`` of M and b of shape (n, m, p)."""
-    levels, last = factor
-    b = b.astype(np.result_type(b, last), copy=False)
-    eliminated = []
-    for _, right, left, _, _ in levels:
-        odd = b[1::2]
-        b = b[0::2].copy()
-        b[:len(odd)] -= right @ odd
-        b[1:] -= left @ odd[:len(b) - 1]
-        eliminated.append(odd)
-    x = (last @ b.reshape(len(last), -1)).reshape(b.shape)
-    for (inverse, _, _, right_h, left_h), odd in zip(reversed(levels),
-                                                      reversed(eliminated)):
-        y = inverse @ odd - right_h @ x[:len(odd)]
-        y[:len(x) - 1] -= left_h @ x[1:]
-        full = np.empty((len(x) + len(odd),) + x.shape[1:], x.dtype)
-        full[0::2] = x
-        full[1::2] = y
-        x = full
-    return x
-
-
-def _orthonormal(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the columns of y (dim, p).
-
-    Two passes of Cholesky QR: a p x p Gram matrix and two small
-    products.  The Householder QR of ``np.linalg.qr`` costs two to three
-    times more on these tall blocks (0.36-0.5 ms against 0.17 ms for
-    1809 x 10 on 2 cores) and, probably because OpenBLAS splits it over
-    threads, stalls when the other core is busy.  A block so
-    ill-conditioned that a Cholesky factorization fails takes the
-    Householder QR.
-    """
-    q = y
-    try:
-        for _ in range(2):
-            inverse = np.linalg.inv(np.linalg.cholesky(np.conj(q.T) @ q))
-            q = q @ _herm(inverse)
-    except np.linalg.LinAlgError:
-        return np.linalg.qr(y)[0]
-    return q
-
-
-def _start_block(rows: int, cols: int) -> np.ndarray:
-    """The solver's fixed start block (rows, cols), uniform on [-1, 1).
-
-    Entry i (row-major) is the SplitMix64 output (Steele, Lea & Flood,
-    OOPSLA 2014) for the state i + ``_START_SEED``, its top 53 bits
-    mapped to [-1, 1): a generic block, the same bits on every call and
-    numpy version, with no ``numpy.random`` import.  Only uint64 arrays
-    and ``np.uint64`` constants enter the arithmetic, so it wraps modulo
-    2^64 without warnings under either numpy casting rule.
-    """
-    z = np.arange(rows * cols, dtype=np.uint64) + np.uint64(_START_SEED)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    top = (z >> np.uint64(11)).astype(float)
-    return (top * 2.0 ** -52 - 1.0).reshape(rows, cols)
-
-
-def _rayleigh_ritz(apply, q: np.ndarray, k: int):
-    """Rayleigh-Ritz of the Hermitian operator ``apply`` on the span of
-    the orthonormal columns of q (dim, p): the Ritz values (p,) and
-    vectors (dim, p), descending, and the largest residual norm
-    |H x - theta x| of the first k pairs."""
-    hq = apply(q)
-    theta, w = np.linalg.eigh(np.conj(q.T) @ hq)
-    theta, w = theta[::-1], w[:, ::-1]
-    x = q @ w
-    residual = np.linalg.norm(hq @ w[:, :k] - x[:, :k] * theta[:k],
-                              axis=0).max()
-    return theta, x, residual
-
-
-def _top_eigenvectors(blocks: np.ndarray, sigma: float, k: int) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """The k topmost eigenpairs, descending, of the block-tridiagonal H of
-    the node-block stack ``blocks`` of ``_assemble``, with sigma above its
-    spectrum: Ritz values (k,) and Ritz vectors (n, m, k).
-
-    Shift-invert block subspace iteration with Chebyshev acceleration
-    (Rutishauser, Numer. Math. 16, 205 (1970)): a block of p = min(mn,
-    max(2k, k + 8)) vectors, started from the hashed uniform block of
-    ``_start_block`` (complex blocks pair its columns), is
-    orthonormalized (``_orthonormal``) and H is diagonalized on its span
-    (Rayleigh-Ritz).  The first step multiplies the block by
-    A = (sigma I - H)^-1 (``_cr_solve``); each later one by the degree-3
-    Chebyshev polynomial of A that stays within [-1, 1] on [0, c], with
-    c = 1 / (sigma - theta_p) from the lowest Ritz value theta_p, which
-    grows the wanted directions far faster than A^3 for the same three
-    solves.  It stops when every wanted Ritz pair has
-    |H x - theta x| <= ``_RESIDUAL_TOL_EV`` (or 100 eps max |H_ij|, if
-    larger) and raises ``kp_bulk.NumericalError`` with the residual
-    after ``_MAX_ITERATIONS`` steps.
-
-    Complex blocks (sheared or e_xy wells) are factored in complex
-    arithmetic, so every pivot check is the same, and then every stored
-    matrix of the factor and the diagonal and coupling blocks of H are
-    replaced by their real embeddings (``_embed_factor``, ``_embed``).
-    Each solve and each product with H then runs as real products on
-    (n, 2m, p) stacks in the ``_to_real`` layout: on blocks this small,
-    numpy's stacked complex matmul costs more than the real product of
-    the embedding, which is twice the size (at N = 61, m = 6, p = 12 on
-    one core a solve took about 165 against 90-115 us and a product with
-    H 75 against 31 us; the embedding costs about 0.1 ms per factor and
-    each layout conversion about 5 us).  The Ritz vectors stay complex,
-    so the orthonormalization, Rayleigh-Ritz and residual are the same;
-    results move at round-off only.  E(A^H) = E(A)^T, so the couplings
-    to the previous node and the conjugate-transposed multipliers are
-    transposed views.  The complex node blocks are released once
-    embedded, and ``_rayleigh_ritz`` keeps its block products to itself,
-    so the filter's solves run without them: the tracemalloc peak of a
-    sheared N = 61 four-state solve is 902 KB, against 854 KB with
-    complex products.  Real blocks take none of this.
-    """
-    m = blocks.shape[-1]
-    n = (len(blocks) + 2) // 3
-    dim = m * n
-    diag, upper, lower = blocks[:n], blocks[n:2 * n - 1], blocks[2 * n - 1:]
-    factor = _cr_factor(sigma * np.eye(m) - diag, -upper)
-    p = min(dim, max(2 * k, k + 8))
-    tol = max(_RESIDUAL_TOL_EV,
-              100.0 * np.finfo(float).eps * np.abs(blocks).max())
-    embedded = np.iscomplexobj(blocks)
-    if embedded:
-        factor = _embed_factor(factor, m)
-        blocks = _embed(blocks[:2 * n - 1])
-        diag, upper = blocks[:n], blocks[n:]
-        lower = np.swapaxes(upper, -1, -2)
-
-    def through(op, v):
-        v = v.reshape(n, m, p)
-        return (_from_real(op(_to_real(v))) if embedded
-                else op(v)).reshape(dim, p)
-
-    solve = partial(through, partial(_cr_solve, factor))
-    apply = partial(through, partial(_block_apply, diag, upper, lower))
-    x = _start_block(dim, 2 * p).view(complex) \
-        if embedded else _start_block(dim, p)
-    y = solve(x)
-    for _ in range(_MAX_ITERATIONS):
-        theta, x, residual = _rayleigh_ritz(apply, _orthonormal(y), k)
-        if residual <= tol:
-            return theta[:k], x[:, :k].reshape(n, m, k)
-        scale = 2.0 * (sigma - theta[-1])
-        previous, y = x, scale * solve(x) - x
-        for _ in range(2):
-            previous, y = y, 2.0 * (scale * solve(y) - y) - previous
-    raise kp_bulk.NumericalError(
-        f"shift-invert QW eigensolve did not converge in {_MAX_ITERATIONS} "
-        f"iterations: residual {residual:.3g} eV exceeds {tol:.3g} eV")
+    return _dense(diag, couplings).transpose(1, 0, 3, 2).reshape(6 * n,
+                                                                 6 * n)
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
@@ -612,17 +328,11 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     ones.  A material whose A is not negative semidefinite (e.g.
     gamma1 < 2 gamma2) raises ``kp_bulk.NumericalError``.
 
-    So sigma I - H is Hermitian positive definite, and odd-even block
-    cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-    627 (1970)) factors it without pivoting: it is a block Cholesky
-    factorization in another node order.  Each pivot block is checked by
-    a Cholesky factorization, so a shift that is not above the spectrum
-    raises instead of returning interior states.  The solver is numpy
-    alone (no scipy): shift-invert block subspace iteration with
-    Chebyshev acceleration and Rayleigh-Ritz on H (``_top_eigenvectors``)
-    runs until every wanted Ritz pair has |H x - theta x| <= 1e-11 eV
-    (or 100 round-offs of the largest entry of H on very fine grids),
-    for at most 200 Rayleigh-Ritz steps.
+    So sigma I - H is Hermitian positive definite, and
+    ``_blocktri._top_eigenvectors`` factors it by block cyclic reduction,
+    checking every pivot, and iterates until every wanted Ritz pair has
+    |H x - theta x| <= 1e-11 eV (or 100 round-offs of the largest entry
+    of H on very fine grids), for at most 200 Rayleigh-Ritz steps.
 
     Without e_xz and e_yz (every uniaxial or biaxial stress along the
     cubic axes, also with e_xy), S vanishes at k_parallel = 0, and no
@@ -673,10 +383,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     kept = _kept_blocks(onsite, a, node)
     k = (n_states + 1) // 2
     if kept is None:
-        energies, vectors = _top_eigenvectors(_assemble(onsite, a, node),
+        energies, vectors = _top_eigenvectors(*_assemble(onsite, a, node),
                                               sigma, 2 * k)
     else:
-        theta, psi = _top_eigenvectors(kept, sigma, k)
+        theta, psi = _top_eigenvectors(*kept, sigma, k)
         # (node, vector, band, pair member) -> (node, band, 2 k states)
         doublets = kp_bulk._kramers_pairs(np.swapaxes(psi, 1, 2))
         energies = np.repeat(theta, 2)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import strainkp
-from strainkp import axis, kp_bulk, optics, qw
+from strainkp import _blocktri, axis, kp_bulk, optics, qw
 from strainkp.cli import _CHUNK_CELLS, _Grid, _write_table, main
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
 from strainkp.materials import default_parameter_table
@@ -177,6 +178,19 @@ def test_import_loads_no_thread_pool_or_scipy():
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
     assert printed.strip() == "[]"
+
+
+def test_every_module_stays_under_the_parser_buffer():
+    # compiling a module of 4096 or more tokens doubles CPython's parser
+    # buffers, and a process that imports the package from source (no
+    # bytecode cache, as the benchmark workers do) keeps that peak in its
+    # RSS, so every module stays below it; tokenize counts every token
+    # type, more than the parser keeps, so the bound is safe
+    src = Path(strainkp.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        with path.open("rb") as f:
+            count = sum(1 for _ in tokenize.tokenize(f.readline))
+        assert count < 4096, f"{path.name} has {count} tokens"
 
 
 SNAPSHOTS_GPA = (-0.888, -0.194, -0.03, 0.0, 1.0)
@@ -582,6 +596,37 @@ def test_qw_rejects_non_gaas_material(tmp_path, capsys):
     assert "configuration error" in err and "[run] material" in err
 
 
+@pytest.mark.parametrize("thickness", ["1e-300", "0.2"])
+def test_well_thinner_than_two_spacings_exit_2(tmp_path, capsys,
+                                               monkeypatch, thickness):
+    # on the default 301-point grid only the centre node lies inside such
+    # a well, which was solved as a one-node well; it is rejected before
+    # any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(qw, "solve_qw", no_solve)
+    bad = tmp_path / "thin.ini"
+    bad.write_text(f"[qw]\nthicknesses_nm = {thickness}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qw", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    two_h = 2.0 * qw.QwGeometry(float(thickness)).spacing()
+    assert "configuration error: [qw] thicknesses_nm" in err
+    assert f"{thickness} nm" in err and f"(2h = {two_h:.6g} nm)" in err
+
+
+def test_well_of_two_spacings_runs(tmp_path):
+    # 0.3 nm holds the centre node and both neighbours on the default grid
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[qw]\nthicknesses_nm = 0.3\nsweep_steps = 2\n"
+                   "[emulation]\ntransition_steps = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qw", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "qw_mixing_0.3nm.csv").exists()
+
+
 @pytest.mark.parametrize("command, old, new, clash", [
     ("qw", "thicknesses_nm = 6", "thicknesses_nm = 12, 12.0000001, 4",
      "qw_mixing_12nm.csv"),
@@ -621,7 +666,7 @@ def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
 def test_qw_eigensolver_failure_exit_3(tmp_path, config, monkeypatch,
                                        capsys):
     # one subspace-iteration step from the seeded block cannot converge
-    monkeypatch.setattr(qw, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(_blocktri, "_MAX_ITERATIONS", 1)
     assert main(["qw", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import strainkp
-from strainkp import cli, kp_bulk, qw
+from strainkp import _blocktri, cli, kp_bulk, qw
 from strainkp.axis import QuantizationAxis, project_hgs
 from strainkp.elasticity import (StrainState, StressTensor, biaxial_strain,
                                  strain_from_stress, uniaxial_strain,
@@ -242,9 +242,9 @@ def test_split_solve_returns_kramers_pairs_of_dense_states(
     # projectors, and an unpaired last state must lie in its dense pair
     top = qw._top_eigenvectors
 
-    def only_3_bands(blocks, sigma, k):
-        assert blocks.shape[-2:] == (3, 3), "a shear-free well took 6N"
-        return top(blocks, sigma, k)
+    def only_3_bands(diag, couplings, sigma, k):
+        assert diag.shape[-2:] == (3, 3), "a shear-free well took 6N"
+        return top(diag, couplings, sigma, k)
 
     monkeypatch.setattr(qw, "_top_eigenvectors", only_3_bands)
     strain = _shear_free_strain(rng, xy)
@@ -272,13 +272,15 @@ def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
                                                   monkeypatch):
     # uniaxial [100] stress: the real 3N block, one vector per Kramers
     # pair; e_xy alone: the complex 3N block; any e_xz or e_yz: the
-    # complex 6N matrix, one vector per state
+    # complex 6N matrix, one vector per state; the couplings are real in
+    # every case
     seen = []
     top = qw._top_eigenvectors
 
-    def record(blocks, sigma, k):
-        seen.append((blocks.shape, blocks.dtype, k))
-        return top(blocks, sigma, k)
+    def record(diag, couplings, sigma, k):
+        seen.append((diag.shape, diag.dtype, couplings.shape,
+                     couplings.dtype, k))
+        return top(diag, couplings, sigma, k)
 
     monkeypatch.setattr(qw, "_top_eigenvectors", record)
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
@@ -289,15 +291,21 @@ def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
             (StrainState(exz=0.003), 6, np.complex128, 4),
             (StrainState(eyz=0.003), 6, np.complex128, 4)):
         solve_qw(geometry, strain, table, 4)
-        assert seen.pop() == ((3 * n - 2, m, m), dtype, k)
+        assert seen.pop() == ((n, m, m), dtype, (n - 1, m, m), np.float64,
+                              k)
 
 
 def _split_first_and_assembled(geometry, strain, table, well=None):
     """``qw._kept_blocks`` of the material blocks, and its oracle: the
-    rule ``kp_bulk._kramers_block`` on the assembled 6N stack."""
+    rule ``kp_bulk._kramers_block`` on the assembled 6N blocks, each as
+    one stack of the diagonal blocks and the couplings."""
     materials = qw._node_blocks(geometry, strain, table, well, None)
-    return qw._kept_blocks(*materials), kp_bulk._kramers_block(
-        qw._assemble(*materials))
+    kept = qw._kept_blocks(*materials)
+    if kept is not None:
+        assert kept[1].dtype == np.float64
+        kept = np.concatenate(kept)
+    return kept, kp_bulk._kramers_block(
+        np.concatenate(qw._assemble(*materials)))
 
 
 def _bits(blocks):
@@ -323,7 +331,7 @@ def test_split_first_blocks_have_the_bits_of_the_assembled_split(
         assert np.count_nonzero(np.abs(geometry.grid()) <= well_nm / 2) == 1
     kept, oracle = _split_first_and_assembled(geometry, strain, table)
     assert kept.dtype == oracle.dtype == dtype
-    assert kept.shape == oracle.shape == (3 * grid_points - 2, 3, 3)
+    assert kept.shape == oracle.shape == (2 * grid_points - 1, 3, 3)
     assert np.array_equal(_bits(kept), _bits(oracle))
 
 
@@ -396,8 +404,8 @@ def test_cyclic_reduction_solve_matches_dense(rng, n, complex_blocks):
         shift = np.linalg.eigvalsh(dense).max() + 0.5
         diag, upper = shift * np.eye(m) - diag, -upper
         b = draw((n, m, 4))
-        factor = qw._cr_factor(diag, upper)
-        x = qw._cr_solve(factor, b)
+        factor = _blocktri._cr_factor(diag, upper)
+        x = _blocktri._cr_solve(factor, b)
         expected = np.linalg.solve(_dense_site_major(diag, upper),
                                    b.reshape(m * n, 4))
         assert x.dtype == expected.dtype
@@ -406,23 +414,25 @@ def test_cyclic_reduction_solve_matches_dense(rng, n, complex_blocks):
         if complex_blocks:
             # the real embedding of the factor solves the same system on
             # [Re b; Im b] node by node, the reordered last block included
-            embedded = qw._from_real(qw._cr_solve(
-                qw._embed_factor(factor, m), qw._to_real(b)))
+            embedded = _blocktri._from_real(_blocktri._cr_solve(
+                _blocktri._embed_factor(factor, m), _blocktri._to_real(b)))
             assert np.abs(embedded - x).max() <= 1e-13 * np.abs(x).max()
 
 
 def test_real_embedding_is_exact_algebra(rng):
     a = rng.standard_normal((7, 6, 6)) + 1j * rng.standard_normal((7, 6, 6))
-    e = qw._embed(a)
+    e = _blocktri._embed(a)
     assert e.dtype == np.float64 and e.shape == (7, 12, 12)
     # E(A^H) = E(A)^T bit for bit: the solver's transposed views
-    assert np.array_equal(qw._embed(kp_bulk._herm(a)), np.swapaxes(e, 1, 2))
+    assert np.array_equal(_blocktri._embed(kp_bulk._herm(a)),
+                          np.swapaxes(e, 1, 2))
     x = rng.standard_normal((7, 6, 5)) + 1j * rng.standard_normal((7, 6, 5))
-    stacked = qw._to_real(x)
+    stacked = _blocktri._to_real(x)
     assert np.array_equal(stacked, np.concatenate([x.real, x.imag], axis=1))
-    assert np.array_equal(qw._from_real(stacked), x)
+    assert np.array_equal(_blocktri._from_real(stacked), x)
     scale = (np.abs(a) @ np.abs(x)).max()
-    assert np.abs(qw._from_real(e @ stacked) - a @ x).max() <= 1e-15 * scale
+    assert np.abs(_blocktri._from_real(e @ stacked) - a @ x).max() \
+        <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", [2, 51])
@@ -434,7 +444,7 @@ def test_cyclic_reduction_rejects_indefinite_matrix(rng, n):
     # one eigenvalue of the shifted matrix is negative
     shift = np.linalg.eigvalsh(dense).max() - 1e-3
     with pytest.raises(NumericalError, match="not positive definite"):
-        qw._cr_factor(shift * np.eye(3) - diag, -upper)
+        _blocktri._cr_factor(shift * np.eye(3) - diag, -upper)
 
 
 def test_orthonormal_basis_of_ill_conditioned_block(rng):
@@ -443,9 +453,77 @@ def test_orthonormal_basis_of_ill_conditioned_block(rng):
     # columns
     y = rng.standard_normal((300, 6))
     for block in (y, np.hstack([y, y[:, :2]])):
-        q = qw._orthonormal(block)
+        q = _blocktri._orthonormal(block)
         assert np.abs(q.T @ q - np.eye(q.shape[1])).max() < 1e-12
         assert np.abs(q @ (q.T @ y) - y).max() < 1e-12
+
+
+def _random_block_tridiagonal(rng, n, m, complex_blocks):
+    """Hermitian diagonal blocks (n, m, m), real or complex, and real
+    symmetric couplings (n - 1, m, m) of a random positive definite
+    block-tridiagonal matrix."""
+    diag = rng.standard_normal((n, m, m))
+    if complex_blocks:
+        diag = diag + 1j * rng.standard_normal((n, m, m))
+    diag = diag + kp_bulk._herm(diag)
+    couplings = rng.standard_normal((n - 1, m, m))
+    couplings = couplings + np.swapaxes(couplings, 1, 2)
+    lowest = np.linalg.eigvalsh(_dense_site_major(diag, couplings)).min()
+    return diag + (1.0 - lowest) * np.eye(m), couplings
+
+
+@pytest.mark.parametrize("complex_blocks", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 17, 33])
+def test_top_eigenvectors_match_dense_eigh(rng, n, complex_blocks):
+    # zero to three levels of cyclic reduction above the dense last block
+    # (n <= 8 has none), the block sizes of the split and the sheared
+    # well, and complex blocks through the embedded path, whose real
+    # couplings act on both halves of the layout
+    for m in (3, 6):
+        diag, couplings = _random_block_tridiagonal(rng, n, m,
+                                                    complex_blocks)
+        dense = _dense_site_major(diag, couplings)
+        energies, vectors = np.linalg.eigh(dense)
+        k = min(4, m * n)
+        theta, x = _blocktri._top_eigenvectors(diag, couplings,
+                                               energies[-1] + 0.5, k)
+        assert x.shape == (n, m, k) and x.dtype == dense.dtype
+        assert np.abs(theta - energies[:-k - 1:-1]).max() <= 1e-10
+        x = x.reshape(m * n, k)
+        assert np.abs(np.conj(x.T) @ x - np.eye(k)).max() < 1e-12
+        assert np.linalg.norm(dense @ x - x * theta, axis=0).max() <= 1e-10
+        top = vectors[:, :-k - 1:-1]
+        assert np.abs(x @ np.conj(x.T) - top @ np.conj(top.T)).max() < 1e-8
+
+
+def test_top_eigenvectors_rejects_couplings_not_real_symmetric(rng):
+    diag, couplings = _random_block_tridiagonal(rng, 9, 3, True)
+    skewed = couplings.copy()
+    skewed[4, 0, 1] += 1e-3
+    for bad in (skewed, couplings.astype(complex)):
+        with pytest.raises(ValueError, match="real symmetric"):
+            _blocktri._top_eigenvectors(diag, bad, 100.0, 2)
+
+
+def test_well_couplings_are_real_symmetric(table, gaas, rng):
+    # the solver's contract: for any stress the kz^2 matrix
+    # A = h6(kz) - h6(0) of a material has an exactly zero imaginary part
+    # and is exactly symmetric, so the couplings -(A_i + A_{i+1}) / 2 are
+    for _ in range(200):
+        strain = strain_from_stress(
+            StressTensor(*rng.uniform(-2.0, 2.0, 6)), gaas)
+        kz = (0.0, 0.0, rng.uniform(0.5, 50.0))
+        for material in (gaas, algaas(rng.uniform(0.0, 1.0), table)):
+            a = h6_vb(kz, strain, material) \
+                - h6_vb((0.0, 0.0, 0.0), strain, material)
+            assert not a.imag.any()
+            assert np.array_equal(a.real, a.real.T)
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
+    _, couplings = qw._assemble(*qw._node_blocks(geometry, strain, table,
+                                                 None, None))
+    assert couplings.dtype == np.float64
+    assert np.array_equal(couplings, np.swapaxes(couplings, 1, 2))
 
 
 def test_solve_qw_rejects_shift_inside_spectrum(table, monkeypatch):
@@ -478,8 +556,8 @@ def _missing_partner(top):
     """Solver stand-in that drops the Kramers partner of the second pair,
     returning a state of the third pair in its place."""
 
-    def solve(blocks, sigma, k):
-        theta, x = top(blocks, sigma, k + 1)
+    def solve(diag, couplings, sigma, k):
+        theta, x = top(diag, couplings, sigma, k + 1)
         return theta[[0, 1, 2, 4]], x[..., [0, 1, 2, 4]]
 
     return solve
@@ -524,10 +602,11 @@ def test_sheared_solve_matches_dense_on_close_pairs(table, gaas):
 def test_sheared_solve_memory_is_bounded(table, gaas):
     # the embedded factor keeps one copy of each multiplier (its
     # conjugate transpose is a transposed view), drops each complex level
-    # as it embeds it, and the complex node blocks and the Rayleigh-Ritz
-    # products are released before the filter's solves: the tracemalloc
-    # peak of this four-state solve measured 902 KB (854 KB with complex
-    # products; 1024 KB while the Rayleigh-Ritz products stayed alive)
+    # as it embeds it, the real couplings are never embedded, and the
+    # Rayleigh-Ritz products are released before the filter's solves: the
+    # tracemalloc peak of this four-state solve measured 907 KB (924 KB
+    # with embedded couplings; 1024 KB while the Rayleigh-Ritz products
+    # stayed alive)
     geometry, strain = _close_pairs_well(gaas)
     solve_qw(geometry, strain, table, 4)
     tracemalloc.start()
@@ -545,7 +624,7 @@ def test_shear_free_solves_never_embed(table, gaas, tmp_path, monkeypatch):
     def refuse(a):
         raise AssertionError("a real block was embedded")
 
-    monkeypatch.setattr(qw, "_embed", refuse)
+    monkeypatch.setattr(_blocktri, "_embed", refuse)
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     for strain in (uniaxial_strain(0.5, gaas), biaxial_strain(-0.3, gaas)):
         assert len(solve_qw(geometry, strain, table, 4)) == 4
@@ -568,19 +647,19 @@ def test_solve_qw_checks_every_returned_pair(table, random_strain,
 
 
 def test_start_block_is_fixed_uniform_and_full_rank():
-    a, b = qw._start_block(903, 9), qw._start_block(903, 9)
+    a, b = _blocktri._start_block(903, 9), _blocktri._start_block(903, 9)
     assert a.shape == (903, 9) and a.dtype == np.float64
     assert np.array_equal(a, b)
     assert -1.0 <= a.min() and a.max() < 1.0
     assert np.linalg.cond(a) < 1e3
     # a complex block pairs the columns of a real one twice as wide
-    c = qw._start_block(366, 24).view(complex)
+    c = _blocktri._start_block(366, 24).view(complex)
     assert c.shape == (366, 12)
-    assert np.array_equal(c, qw._start_block(366, 24).view(complex))
+    assert np.array_equal(c, _blocktri._start_block(366, 24).view(complex))
     assert np.linalg.cond(c) < 1e3
     # the first rows of a taller block are the smaller block: entry i
     # hashes index i alone
-    assert np.array_equal(qw._start_block(1806, 9)[:903], a)
+    assert np.array_equal(_blocktri._start_block(1806, 9)[:903], a)
 
 
 def test_runs_load_no_scipy_or_numpy_random(tmp_path):
