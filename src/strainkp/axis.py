@@ -145,13 +145,15 @@ _J_REAL = np.block([[_J_ROWS.real, _J_ROWS.imag],
 def _hgs_tensor(psi: np.ndarray):
     """(M, t, s) of the module docstring for the j columns of states psi
     (..., 6 or 8, j): shapes (..., 3, 3), (...) and (...)."""
-    # one 2-D product over all columns, then one 3x3 product per doublet
+    # one einsum over all columns, then one 3x3 product per doublet: the
+    # einsum sums in numpy's own loop, where a 2-D BLAS product, growing
+    # with the batch, would wake OpenBLAS's thread pool past its threshold
     columns = np.swapaxes(_full8(psi)[..., VB_SLICE, :], -1, -2)
     batch, j = columns.shape[:-2], columns.shape[-2]
     v = columns.reshape(-1, 6)
     x = np.concatenate([v.real, v.imag], 1)
     # explicit sizes: a -1 cannot be resolved for an empty batch
-    amp = (x @ _J_REAL).reshape(batch + (8 * j, 3))
+    amp = np.einsum("ik,kl->il", x, _J_REAL).reshape(batch + (8 * j, 3))
     w = (x * x).reshape(batch + (2 * j, 6)).sum(-2)
     return amp.swapaxes(-1, -2) @ amp, w[..., :4].sum(-1), w[..., 4:].sum(-1)
 
@@ -169,9 +171,12 @@ def _project(psi: np.ndarray, directions) -> np.ndarray:
 
 def _p_hh(m: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """p_hh (..., d) along the unit rows of n (d, 3) from M and t: one
-    (..., 9) @ (9, d) product with the outer products n n^T."""
+    (..., 9) by (9, d) einsum with the outer products n n^T.  A BLAS
+    product of that size grows with the sweep and the grid and, past
+    OpenBLAS's threshold, wakes its thread pool; einsum calls no BLAS."""
     nn = (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
-    return 0.25 * (m.reshape(t.shape + (9,)) @ nn.T) - t[..., None] / 16
+    return (0.25 * np.einsum("...k,dk->...d", m.reshape(t.shape + (9,)), nn)
+            - t[..., None] / 16)
 
 
 def commutator_norm(j: np.ndarray, h4: np.ndarray) -> float:

@@ -115,6 +115,14 @@ class ActuatorGeometry:
         return 2.0 * (self.finger_length_mm * 1e3) / self.gap_um
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a count that is not an integer (a float, or a bool, which
+    Python counts as one) before it reaches numpy's sizes; numpy integers
+    pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_stability(p: MaterialParams) -> None:
     if not (p.c11 > p.c12 > 0.0 and p.c44 > 0.0):
         raise ValueError(

@@ -343,13 +343,21 @@ def _kramers_kinds(h: np.ndarray) -> np.ndarray:
                     kept.imag.any(axis=(-2, -1)))
 
 
+def _time_reverse(psi: np.ndarray) -> np.ndarray:
+    """T psi = U conj(psi) of VB coefficients (..., 6) as a gather, not a
+    product, whose BLAS call would grow with the stack: U is a signed
+    permutation, so the values are the product's, and + 0.0 turns every
+    -0.0 into 0.0."""
+    return _TR_SIGNS * psi[..., _TR_COLUMNS].conj() + 0.0
+
+
 def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
     """Doublets (psi, T psi) of shape (..., 6, 2) from coefficients
     (..., 3) over ``_KEPT_BANDS``: psi holds them on the kept bands, and
-    its partner T psi = U conj(psi) lives on the partner bands."""
+    its partner T psi lives on the partner bands."""
     pairs = np.zeros(kept.shape[:-1] + (6, 2), dtype=complex)
     pairs[..., _KEPT_BANDS, 0] = kept
-    pairs[..., 1] = pairs[..., 0].conj() @ _TIME_REVERSAL.T
+    pairs[..., 1] = _time_reverse(pairs[..., 0])
     return pairs
 
 
@@ -486,15 +494,19 @@ def bloch_orbital_matrix() -> np.ndarray:
 # on the six VB coefficients: i sigma_y K on the table's spin (real orbitals).
 # U is a real signed permutation; the product is off from it by round-off
 # (entries 1 +- 2.2e-16, cross terms 2.8e-17), so it is rounded to the
-# exact matrix (+ 0.0 clears the negative zeros), and a partner
-# T psi then has the same bits whatever stack psi is solved in.
+# exact matrix (+ 0.0 clears the negative zeros); row i holds its one
+# nonzero, _TR_SIGNS[i], in column _TR_COLUMNS[i], so a partner T psi is a
+# gather with the same bits whatever stack psi is solved in.
 _BLOCH_ORBITALS = bloch_orbital_matrix()
 _TIME_REVERSAL = (np.conj(_BLOCH_ORBITALS.T)
                   @ np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
                   @ np.conj(_BLOCH_ORBITALS))[VB_SLICE, VB_SLICE]
 _TIME_REVERSAL = np.round(_TIME_REVERSAL.real) + 0.0
+_TR_COLUMNS = np.abs(_TIME_REVERSAL).argmax(axis=1)
+_TR_SIGNS = _TIME_REVERSAL[np.arange(6), _TR_COLUMNS]
 _BLOCH_ORBITALS.flags.writeable = False
 _TIME_REVERSAL.flags.writeable = False
+_TR_COLUMNS.flags.writeable = _TR_SIGNS.flags.writeable = False
 
 
 def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:

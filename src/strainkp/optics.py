@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elasticity import StrainState, uniaxial_sweep
+from .elasticity import StrainState, _require_integer, uniaxial_sweep
 from .kp_bulk import (_BLOCH_ORBITALS, VB_SLICE, SpinorState, _doublet_stack,
                       _full8, validate_doublet)
 from .materials import MaterialParams
@@ -60,8 +60,10 @@ class DipoleStrengths:
     def __post_init__(self):
         for name, v in (("s_x", self.s_x), ("s_y", self.s_y),
                         ("s_z", self.s_z)):
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+            # not v < 0, which a NaN passes
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {v}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s_x, self.s_y, self.s_z])
@@ -140,12 +142,15 @@ def _orbital_weights(psi: np.ndarray,
     then the columns.  For a unit n this is the p-orbital weight along n:
     twice a doublet's dipole strength s_n, or on a sphere grid the density.
     """
-    # 2-D products over all columns: a stack takes a BLAS call per matrix
+    # einsums over all columns: a stack would take a BLAS call per matrix,
+    # and a 2-D BLAS product, growing with the sweep or the sphere grid,
+    # wakes OpenBLAS's thread pool past its threshold; einsum calls no BLAS
     columns = np.swapaxes(psi[..., VB_SLICE, :], -1, -2)
-    v = columns.reshape(-1, 6) @ _XYZ_CONTENT.T
+    v = np.einsum("ik,lk->il", columns.reshape(-1, 6), _XYZ_CONTENT)
     amp = np.concatenate([v.real, v.imag], 1).reshape(-1, 3)
     if directions is not None:
-        amp = amp @ np.asarray(directions, dtype=float).T
+        amp = np.einsum("ik,dk->id", amp,
+                        np.asarray(directions, dtype=float))
     amp *= amp
     amp = amp.reshape(columns.shape[:-1] + (4, amp.shape[-1]))
     return amp.sum(axis=-2).sum(axis=-2)
@@ -163,8 +168,13 @@ def angular_density(state, n_theta: int = 90,
     error of the cell-centered grid (about 1e-3 per state at the default
     resolution); exported files are normalized by ``integrate()``.  The
     returned theta, phi and weights are read-only arrays shared by every
-    call on the same grid.
+    call on the same grid.  ``n_theta`` and ``n_phi``, the grid's cell
+    counts, must be integers of at least 1.
     """
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        _require_integer(name, n)
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     states = (state,) if isinstance(state, SpinorState) else tuple(state)
     psi = _full8(np.stack([s.coefficients for s in states], -1))
     if np.sum(np.abs(psi[:2]) ** 2) > 1e-9:

@@ -75,7 +75,7 @@ from . import kp_bulk
 from ._blocktri import _dense, _top_eigenvectors
 from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project, project_hgs
-from .elasticity import StrainState, uniaxial_sweep
+from .elasticity import StrainState, _require_integer, uniaxial_sweep
 from .materials import MaterialParams, algaas
 
 __all__ = [
@@ -91,14 +91,6 @@ __all__ = [
     "transition_energy",
     "vb_edge_profile",
 ]
-
-
-def _require_integer(name: str, value) -> None:
-    """Reject a count that is not an integer (a float, or a bool, which
-    Python counts as one) before it reaches numpy's sizes; numpy integers
-    pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,31 @@ def test_import_loads_no_thread_pool_or_scipy():
     assert printed.strip() == "[]"
 
 
+def test_bulk_commands_wake_no_blas_thread(tmp_path):
+    # no product on the bulk path grows with the sweep into a threaded
+    # BLAS call: woken, an OpenBLAS worker spins on the second core and
+    # slows the rest of the command.  CPU time of threads other than the
+    # main one stays near zero even with two BLAS threads allowed
+    src = os.path.dirname(os.path.dirname(strainkp.__file__))
+    code = (
+        "import sys, time\n"
+        "from strainkp.cli import main\n"
+        "other = 0.0\n"
+        "for cmd in ('mixing-curve', 'mixing-map', 'dipoles'):\n"
+        "    start = time.process_time() - time.thread_time()\n"
+        "    assert main([cmd, '--steps', '4001', '--out', sys.argv[1]]) "
+        "== 0\n"
+        "    other += time.process_time() - time.thread_time() - start\n"
+        "print(other)\n")
+    threads = {name: "2" for name in ("OPENBLAS_NUM_THREADS",
+                                      "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    printed = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, **threads, "PYTHONPATH": src}).stdout
+    assert float(printed) < 5e-3
+
+
 def test_every_module_stays_under_the_parser_buffer():
     # compiling a module of 4096 or more tokens doubles CPython's parser
     # buffers, and a process that imports the package from source (no

@@ -201,6 +201,27 @@ def test_time_reversal_is_an_exact_signed_permutation():
     assert np.array_equal(u @ np.conj(u), -np.eye(6))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1001, 3), (301, 2, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kramers_partner_is_the_exact_time_reversal(rng, shape, dtype):
+    # the gathered partner has the values of the product U conj(psi), no
+    # negative zero (zero coefficients included), and T T psi = -psi
+    kept = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        kept += 1j * rng.standard_normal(shape)
+    kept[..., 1] = 0.0
+    kept.reshape(-1)[::5] *= -0.0
+    pairs = kp_bulk._kramers_pairs(kept)
+    psi, partner = pairs[..., 0], pairs[..., 1]
+    assert pairs.shape == shape[:-1] + (6, 2)
+    assert np.array_equal(psi[..., kp_bulk._KEPT_BANDS], kept)
+    assert np.array_equal(partner,
+                          psi.conj() @ kp_bulk._TIME_REVERSAL.T)
+    assert not np.signbit(partner.real[partner.real == 0.0]).any()
+    assert not np.signbit(partner.imag[partner.imag == 0.0]).any()
+    assert np.array_equal(kp_bulk._time_reverse(partner), -psi)
+
+
 def _sweep_voigt(gaas, kind):
     """Voigt strains (43, 6) of a +-2 GPa uniaxial [100] sweep at the
     default -0.12 GPa biaxial prestress: as is (split, real 3x3), with a

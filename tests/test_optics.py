@@ -148,6 +148,16 @@ def test_calibration_validation():
         DipoleStrengths(-0.1, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(3))
+def test_dipole_strengths_reject_non_finite_values(bad, field):
+    # a NaN passes v < 0, and dlp_and_angle then reports a nan degree
+    values = [0.5, 0.5, 0.5]
+    values[field] = bad
+    with pytest.raises(ValueError, match="s_[xyz] must be finite"):
+        DipoleStrengths(*values)
+
+
 def test_dipole_sweep_rows(gaas):
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(-2.0, 2.0, 9)
@@ -280,6 +290,21 @@ def test_angular_density_grid_is_built_once_and_read_only():
             a[0] = 0.0
     again = angular_density(basis_state(2))
     assert np.array_equal(again.density, first.density)
+
+
+@pytest.mark.parametrize("name", ["n_theta", "n_phi"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 90.0, True, "90", None])
+def test_angular_density_rejects_grid_sizes_that_are_not_counts(name, bad):
+    # 0 cells divided by zero, -3 gave an empty density, 2.5 a grid
+    # spaced pi/2.5 and True one row
+    with pytest.raises(ValueError, match=name):
+        angular_density(basis_state(2), **{name: bad})
+
+
+def test_angular_density_takes_numpy_integer_grid_sizes():
+    density = angular_density(basis_state(2), n_theta=np.int64(3),
+                              n_phi=np.int32(1))
+    assert density.density.shape == (3, 1)
 
 
 def test_angular_density_of_a_doublet_adds_its_states(gaas, rng):
