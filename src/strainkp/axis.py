@@ -122,15 +122,14 @@ def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
     return [SpinorState(w[:, j]) for j in range(8)]
 
 
-def project_hgs(doublet, axis: QuantizationAxis, *,
-                degeneracy_atol: float = 1e-6) -> ProjectionResult:
+def project_hgs(doublet, axis: QuantizationAxis) -> ProjectionResult:
     """Project a degenerate valence doublet onto the rotated basis.
 
     Weights are averaged over the doublet and summed over each rotated
     pair, so the result does not depend on how the degenerate subspace
     was split by the eigensolver.
     """
-    psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
+    psi = validate_doublet(*doublet)
     return ProjectionResult(*_project(psi, [axis.unit_vector])[0].tolist())
 
 
@@ -199,7 +198,7 @@ def mixing_curve(stresses_gpa, prestress: StrainState | None, axes,
     prestress.  Every axis projects the same doublets, from one batched
     solve of the sweep; no stress gives (0, 4) arrays.
     """
-    _, total = uniaxial_sweep(stresses_gpa, p, prestress)
+    total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
     weights = _project(psi, [axis.unit_vector for axis in axes])
     return [np.hstack([total[:, :1], weights[:, i]])
@@ -220,7 +219,7 @@ def mixing_map(stresses_gpa, prestress: StrainState | None,
         raise ValueError("theta and stress grids must be nonempty")
     if not (np.isfinite(thetas).all() and math.isfinite(phi)):
         raise ValueError("axis angles must be finite")
-    _, total = uniaxial_sweep(stresses, p, prestress)
+    total = uniaxial_sweep(stresses, p, prestress)
     _, psi = _doublet_stack(total, p)
     # n(theta, phi) as in QuantizationAxis.unit_vector, one row per theta
     n = np.column_stack([math.cos(phi) * np.sin(thetas),

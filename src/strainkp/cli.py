@@ -400,11 +400,10 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
     offsets = qw.EmulationOffsets(cfg.emulation_cb_mev * 1e-3,
                                   cfg.emulation_hh_mev * 1e-3,
                                   cfg.emulation_lh_mev * 1e-3)
-    _, strains = uniaxial_sweep(cfg.stress_sweep(cfg.transition_steps),
-                                table["GaAs"])
-    trans = qw.emulated_transition_energies(offsets, strains, table)
     results.append(("qw_transition_energy", ("strain_xx", "transition_ev"),
-                    np.column_stack([strains[:, 0], trans])))
+                    qw.emulated_transition_energies(
+                        offsets, cfg.stress_sweep(cfg.transition_steps),
+                        table)))
     return results
 
 
@@ -415,7 +414,7 @@ def cmd_dipoles(cfg: RunConfig, threads: int) -> list:
     rows = optics.dipole_sweep(cfg.stress_sweep(), pre, p, calibration)
     results = [("dipole_sweep", optics.DIPOLE_SWEEP_COLUMNS, rows)]
 
-    _, snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
+    snapshots = uniaxial_sweep(cfg.snapshot_stresses_gpa, p, pre)
     for sigma, voigt in zip(cfg.snapshot_stresses_gpa, snapshots):
         # the hole doublet's density, normalized on its grid for export
         d = optics.angular_density(

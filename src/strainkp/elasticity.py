@@ -161,18 +161,18 @@ def strain_from_stress(stress: StressTensor, p: MaterialParams) \
 def uniaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
     """Strain for uniaxial stress along [100] (see ``uniaxial_sweep``)."""
     stress = StressTensor(sxx=sxx_gpa)
-    return StrainState(*uniaxial_sweep([sxx_gpa], p)[0][0], stress=stress)
+    return StrainState(*uniaxial_sweep([sxx_gpa], p)[0], stress=stress)
 
 
 def uniaxial_sweep(stresses_gpa, p: MaterialParams,
-                   prestress: StrainState | None = None) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """Voigt strains (n, 6) along a sweep of uniaxial [100] stress: the
-    uniaxial part alone and the total with ``prestress`` superposed.
+                   prestress: StrainState | None = None) -> np.ndarray:
+    """Voigt strains (n, 6) along a sweep of uniaxial [100] stress, with
+    ``prestress`` superposed.
 
     e_yy = e_zz = -nu * e_xx with nu = c12/(c11+c12); e_xx = s/E with the
-    [100] Young modulus E = (c11-c12)(c11+2c12)/(c11+c12).  Every point
-    passes the checks of ``StrainState``; the first failing one raises.
+    [100] Young modulus E = (c11-c12)(c11+2c12)/(c11+c12).  Every point,
+    and its uniaxial part alone, passes the checks of ``StrainState``;
+    the first failing one raises.
     """
     _check_stability(p)
     young = (p.c11 - p.c12) * (p.c11 + 2.0 * p.c12) / (p.c11 + p.c12)
@@ -188,7 +188,7 @@ def uniaxial_sweep(stresses_gpa, p: MaterialParams,
                                  axis=1))
     if bad.size:
         StrainState(*stack[bad[0]])
-    return uniaxial, total
+    return total
 
 
 def biaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:

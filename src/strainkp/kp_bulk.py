@@ -42,8 +42,10 @@ matrices, never an option.  The doublet sweep then diagonalizes the 3x3
 block of the first set, real unless e_xy or kx ky makes R complex, and
 takes each partner by time reversal, T psi = U conj(psi) with the one
 ``_TIME_REVERSAL`` U, an exact signed permutation; any other matrix takes
-the full 6x6 ``eigh``.  The sweep decides this per matrix, so every
-doublet has the same bits in any batch as alone.
+the full 6x6 ``eigh``.  The sweep decides this once per stack, which is
+the decision of each of its matrices alone for every uniaxial sweep
+(see ``_doublet_stack``), so every doublet has the same bits in any
+batch as alone.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ from .materials import MaterialParams
 __all__ = [
     "BLOCH_LABELS",
     "HBAR2_OVER_2M0",
-    "HH_INDICES",
-    "LH_INDICES",
     "NonHermitianError",
     "NumericalError",
     "ORBITAL_SPIN_LABELS",
-    "SO_INDICES",
     "SpinorState",
     "Wavevector",
     "bloch_orbital_matrix",
@@ -85,9 +84,6 @@ ORBITAL_SPIN_LABELS = ("S_up", "X_up", "Y_up", "Z_up",
                        "S_dn", "X_dn", "Y_dn", "Z_dn")
 
 VB_SLICE = slice(2, 8)
-HH_INDICES = (2, 5)
-LH_INDICES = (3, 4)
-SO_INDICES = (6, 7)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -109,6 +105,8 @@ _COUPLINGS[_KEPT_BANDS[:, None], _PARTNER_BANDS] = True
 _COUPLINGS |= _COUPLINGS.T
 # largest max|h - h^dagger| (eV) a matrix may have and still be solved
 _HERMITIAN_ATOL = 1e-12
+# largest energy gap (eV) inside a pair that still counts as a doublet
+_DEGENERACY_ATOL = 1e-6
 
 
 class NumericalError(ValueError):
@@ -158,12 +156,14 @@ class SpinorState:
 
 
 def _kvec(k) -> np.ndarray:
-    """A Wavevector, or wavevectors of shape (..., 3), as an array."""
-    if isinstance(k, Wavevector):
-        return k.as_array()
-    arr = np.asarray(k, dtype=float)
+    """A Wavevector, or wavevectors of shape (..., 3), as an array; any
+    non-finite component raises ValueError."""
+    arr = k.as_array() if isinstance(k, Wavevector) \
+        else np.asarray(k, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValueError("wavevector must have three components")
+    if not np.isfinite(arr).all():
+        raise ValueError("wavevector components must be finite")
     return arr
 
 
@@ -222,14 +222,9 @@ def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
     return h
 
 
-def h6_vb(k, strain: StrainState, p: MaterialParams, *,
-          hh_shift: float = 0.0, lh_shift: float = 0.0) -> np.ndarray:
-    """Electron-picture 6x6 VB block.
-
-    ``hh_shift``/``lh_shift`` add to the electron-picture HH and LH
-    diagonal entries (used to emulate confinement energies).
-    """
-    return -_vb_hole(k, strain.as_voigt(), p, -hh_shift, -lh_shift)
+def h6_vb(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
+    """Electron-picture 6x6 VB block."""
+    return -_vb_hole(k, strain.as_voigt(), p)
 
 
 def build_h8(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
@@ -334,15 +329,6 @@ def _kramers_block(h: np.ndarray) -> np.ndarray | None:
     return kept if kept.imag.any() else kept.real
 
 
-def _kramers_kinds(h: np.ndarray) -> np.ndarray:
-    """``_kramers_block``'s decision for each matrix of (..., 6, 6) on
-    its own: 2 if it does not split, else 1 if its kept block is complex
-    and 0 if it is real."""
-    kept = h[..., _KEPT_BANDS[:, None], _KEPT_BANDS]
-    return np.where(h[..., _COUPLINGS].any(axis=-1), 2,
-                    kept.imag.any(axis=(-2, -1)))
-
-
 def _time_reverse(psi: np.ndarray) -> np.ndarray:
     """T psi = U conj(psi) of VB coefficients (..., 6) as a gather, not a
     product, whose BLAS call would grow with the stack: U is a signed
@@ -364,42 +350,25 @@ def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
 def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
                    hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[np.ndarray, np.ndarray]:
-    """Topmost VB doublets of Voigt strains (..., 6) from batched
-    eigensolves: energies (..., 2) and 8-component states (..., 8, 2).
+    """Topmost VB doublets of Voigt strains (..., 6) from one batched
+    eigensolve: energies (..., 2) and 8-component states (..., 8, 2);
+    the shifts add to the electron-picture HH and LH diagonal entries
+    (the emulated confinement of ``qw``).
 
-    Each matrix takes the path it would take alone (``_kramers_kinds``),
-    so a doublet has the same bits in any batch, and alone: a stack that
-    mixes paths is solved as one stack per path.  A stack that splits
-    (``_kramers_block``) is solved on its kept 3x3 blocks, and each
-    doublet is the top eigenvector psi and its partner T psi; any other
-    stack takes the 6x6 ``eigh``.  Either way every matrix passes the
-    Hermitian check of ``eigensolve``, and every doublet the norm check
-    of ``SpinorState`` and the checks of ``validate_doublet``.
+    A stack that splits (``_kramers_block``) is solved on its kept 3x3
+    blocks, and each doublet is the top eigenvector psi and its partner
+    T psi; any other stack takes the 6x6 ``eigh``.  The stack decides
+    once, and for a uniaxial sweep (``uniaxial_sweep``) at one k, one
+    prestress and one pair of shifts, as every caller builds it, that is
+    the path each of its matrices takes alone: ``_kramers_block`` reads
+    only the S entries and Im R, which depend on k and the shears alone,
+    the same bits at every point.  So every doublet has the same bits in
+    any batch as alone.  Either way every matrix passes the Hermitian
+    check of ``eigensolve``, and every doublet the norm check of
+    ``SpinorState`` and the checks of ``validate_doublet``.
     """
     h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
     kept = _kramers_block(h)
-    # only a stack of real kept blocks is one path for sure
-    if h.ndim > 2 and (kept is None or np.iscomplexobj(kept)):
-        kinds = _kramers_kinds(h)
-        # not np.unique, which would import numpy.ma (about 1.5 MB)
-        picks = [pick for pick in (kinds == path for path in range(3))
-                 if pick.any()]
-        if len(picks) > 1:
-            energies = np.empty(kinds.shape + (2,))
-            states = np.empty(kinds.shape + (8, 2), dtype=complex)
-            for pick in picks:
-                sub = h[pick]
-                energies[pick], states[pick] = _top_doublets(
-                    sub, _kramers_block(sub))
-            return energies, states
-    return _top_doublets(h, kept)
-
-
-def _top_doublets(h: np.ndarray, kept: np.ndarray | None) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """``_doublet_stack`` of the VB matrices h (..., 6, 6), one path for
-    all: the 3x3 path on their ``_kramers_block`` ``kept``, or the 6x6
-    ``eigh`` if it is None."""
     if kept is None:
         energies, vectors = _eigh_descending(h)
         energies, vectors = energies[..., :2], vectors[..., :2]
@@ -414,12 +383,10 @@ def _top_doublets(h: np.ndarray, kept: np.ndarray | None) \
     return energies, states
 
 
-def top_valence_doublet(strain: StrainState, p: MaterialParams, k=(0, 0, 0),
-                        *, hh_shift: float = 0.0, lh_shift: float = 0.0) \
-        -> tuple[SpinorState, SpinorState]:
+def top_valence_doublet(strain: StrainState, p: MaterialParams,
+                        k=(0, 0, 0)) -> tuple[SpinorState, SpinorState]:
     """Topmost (Kramers-degenerate) VB doublet, as 8-component states."""
-    energies, states = _doublet_stack(strain.as_voigt(), p, k,
-                                      hh_shift=hh_shift, lh_shift=lh_shift)
+    energies, states = _doublet_stack(strain.as_voigt(), p, k)
     return tuple(SpinorState(c, energy=float(e))
                  for c, e in zip(states.T, energies))
 
@@ -436,27 +403,26 @@ def _full8(states: np.ndarray) -> np.ndarray:
     raise ValueError("projection needs 6- or 8-component states")
 
 
-def _check_doublets(energies: np.ndarray, states: np.ndarray,
-                    *, degeneracy_atol: float = 1e-6) -> None:
+def _check_doublets(energies: np.ndarray, states: np.ndarray) -> None:
     """Check that pairs, energies (..., 2) and states (..., m, 2), are
-    degenerate and orthogonal; the first failing pair raises, with its
-    gap reported before its overlap."""
+    degenerate within ``_DEGENERACY_ATOL`` and orthogonal; the first
+    failing pair raises, with its gap reported before its overlap."""
     gap = np.abs(energies[..., 0] - energies[..., 1])
     overlap = np.abs((np.conj(states[..., 0]) * states[..., 1]).sum(axis=-1))
-    bad = (gap > degeneracy_atol) | (overlap > 1e-8)
+    bad = (gap > _DEGENERACY_ATOL) | (overlap > 1e-8)
     if not bad.any():
         return
     first = np.flatnonzero(bad)[0]
     gap, overlap = gap.ravel()[first], overlap.ravel()[first]
-    if gap > degeneracy_atol:
+    if gap > _DEGENERACY_ATOL:
         raise NumericalError(
             f"states are not degenerate: |dE| = {gap:g} eV exceeds "
-            f"{degeneracy_atol:g} eV")
+            f"{_DEGENERACY_ATOL:g} eV")
     raise NumericalError(f"doublet states are not orthogonal "
                          f"(|overlap| = {overlap:g})")
 
 
-def validate_doublet(a, b, *, degeneracy_atol: float = 1e-6) -> np.ndarray:
+def validate_doublet(a, b) -> np.ndarray:
     """Check that two states, ``SpinorState`` coefficients (m,) or well
     envelopes (6, N), form a degenerate orthonormal pair; returns their
     coefficients side by side, (m, 2) or (6, 2N)."""
@@ -465,8 +431,7 @@ def validate_doublet(a, b, *, degeneracy_atol: float = 1e-6) -> np.ndarray:
     if a.coefficients.shape != b.coefficients.shape:
         raise ValueError("doublet states live in different bases")
     pair = np.array([a.coefficients, b.coefficients])
-    _check_doublets(np.array([a.energy, b.energy]), pair.reshape(2, -1).T,
-                    degeneracy_atol=degeneracy_atol)
+    _check_doublets(np.array([a.energy, b.energy]), pair.reshape(2, -1).T)
     # (2, m) -> (m, 2), or (2, 6, N) -> (6, 2N) as np.hstack joins them
     return pair.swapaxes(0, 1).reshape(pair.shape[1], -1)
 

@@ -19,7 +19,6 @@ import configparser
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import TextIO
 
 __all__ = [
     "AlloyComposition",
@@ -169,11 +168,8 @@ def parse_parameter_table(text: str) -> dict[str, MaterialParams]:
     return table
 
 
-def load_parameter_table(source: str | Path | TextIO) \
-        -> dict[str, MaterialParams]:
-    """Load a parameter table from a file path or an open text stream."""
-    if hasattr(source, "read"):
-        return parse_parameter_table(source.read())
+def load_parameter_table(source: str | Path) -> dict[str, MaterialParams]:
+    """Load a parameter table from a file path."""
     return parse_parameter_table(Path(source).read_text(encoding="utf-8"))
 
 

@@ -184,23 +184,25 @@ def angular_density(state, n_theta: int = 90,
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
 
 
-def dipole_strengths(doublet, frame: np.ndarray | None = None, *,
-                     degeneracy_atol: float = 1e-6) -> DipoleStrengths:
+def dipole_strengths(doublet, frame: np.ndarray | None = None) \
+        -> DipoleStrengths:
     """Doublet-averaged orbital weights along three orthogonal axes.
 
     ``frame`` optionally rotates the dipole axes: a 3x3 orthogonal
     matrix whose rows are the desired axes in cubic coordinates; any
-    other matrix (frame frame^T off the identity by more than 1e-10)
-    raises ValueError.  The weights are invariant under unitary
-    remixing of the doublet and sum to one for valence states.
+    other matrix (a non-finite entry, or frame frame^T off the identity
+    by more than 1e-10) raises ValueError.  The weights are invariant
+    under unitary remixing of the doublet and sum to one for valence
+    states.
     """
     if frame is not None:
         frame = np.asarray(frame, dtype=float)
-        if frame.shape != (3, 3) \
+        # NaN compares false, and inf overflows the product: finite first
+        if frame.shape != (3, 3) or not np.isfinite(frame).all() \
                 or np.abs(frame @ frame.T - np.eye(3)).max() > 1e-10:
             raise ValueError("frame must be a 3x3 orthogonal matrix whose "
                              "rows are the dipole axes")
-    psi = validate_doublet(*doublet, degeneracy_atol=degeneracy_atol)
+    psi = validate_doublet(*doublet)
     s = 0.5 * _orbital_weights(_full8(psi), frame)
     return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))
 
@@ -225,11 +227,11 @@ def dipole_sweep(stresses_gpa, prestress: StrainState | None,
     """Dipole strengths and rates of the prestressed-bulk hole ground
     state along a uniaxial stress sweep.
 
-    Rows follow DIPOLE_SWEEP_COLUMNS; rates are zero-filled when no
-    calibration is given.
+    Rows follow DIPOLE_SWEEP_COLUMNS; without a calibration the rates
+    use the default ``RateCalibration()``.
     """
     calibration = calibration or RateCalibration()
-    _, total = uniaxial_sweep(stresses_gpa, p, prestress)
+    total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
     s = 0.5 * _orbital_weights(psi)
     return np.hstack([total[:, :1], s, s * calibration.ghz_per_strength])

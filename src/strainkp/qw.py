@@ -60,7 +60,8 @@ its energy, one ``solve_qw`` per point.
 Emission energies can be taken either from an explicit well geometry or
 from a bulk calculation with fixed confinement offsets that push the CB
 up and the HH/LH edges down; ``emulated_transition_energies`` gives the
-latter for a whole strain sweep from one batched bulk eigensolve.
+latter for a whole uniaxial stress sweep from one batched bulk
+eigensolve.
 """
 
 from __future__ import annotations
@@ -198,10 +199,9 @@ def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
     return z, inside, well, barrier
 
 
-def vb_edge_profile(geometry: QwGeometry, table, well=None, barrier=None):
+def vb_edge_profile(geometry: QwGeometry, table):
     """(z, E_v(z)): the unstrained HH/LH band edge along the growth axis."""
-    z, inside, well, barrier = _materials_profile(geometry, table,
-                                                  well, barrier)
+    z, inside, well, barrier = _materials_profile(geometry, table)
     ev = np.where(inside, well.vb_edge, barrier.vb_edge)
     return z, ev
 
@@ -418,7 +418,7 @@ def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
     stiffness.  ``threads`` > 1 solves the stresses of a well on a
     thread pool, with the same result.
     """
-    _, strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
+    strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
     directions = [axis.unit_vector for axis in axes]
 
     def one(geometry, voigt):
@@ -438,18 +438,27 @@ def qw_mixing_vs_strain(geometries, stresses_gpa, axes, table, *,
     return sweeps
 
 
-def emulated_transition_energies(offsets: EmulationOffsets, strains,
-                                 table) -> np.ndarray:
-    """``transition_energy`` of ``offsets`` at Voigt strains (..., 6), from
-    one batched bulk eigensolve: an array of the batch shape (eV)."""
-    gaas = table["GaAs"]
-    voigt = np.asarray(strains, dtype=float)
+def _emulated(offsets: EmulationOffsets, voigt: np.ndarray,
+              gaas: MaterialParams) -> np.ndarray:
+    """``transition_energy`` of ``offsets`` at Voigt strains (..., 6) of
+    one uniaxial sweep, or at one strain (6,), from one batched bulk
+    eigensolve: an array of the batch shape (eV)."""
     cb = gaas.cb_edge + gaas.ac * (voigt[..., 0] + voigt[..., 1]
                                    + voigt[..., 2])
     energies, _ = kp_bulk._doublet_stack(voigt, gaas,
                                          hh_shift=-offsets.hh_shift,
                                          lh_shift=-offsets.lh_shift)
     return cb + offsets.cb_shift - energies[..., 0]
+
+
+def emulated_transition_energies(offsets: EmulationOffsets, stresses_gpa,
+                                 table) -> np.ndarray:
+    """``transition_energy`` of ``offsets`` along a uniaxial [100] stress
+    sweep of GaAs, from one batched bulk eigensolve: rows (n, 2) of
+    (strain_xx, transition energy in eV), one per stress."""
+    strains = uniaxial_sweep(stresses_gpa, table["GaAs"])
+    return np.column_stack([strains[:, 0],
+                            _emulated(offsets, strains, table["GaAs"])])
 
 
 def transition_energy(target, strain: StrainState, table) -> float:
@@ -462,8 +471,7 @@ def transition_energy(target, strain: StrainState, table) -> float:
     ``emulated_transition_energies`` for a whole sweep).
     """
     if isinstance(target, EmulationOffsets):
-        return float(emulated_transition_energies(target, strain.as_voigt(),
-                                                  table))
+        return float(_emulated(target, strain.as_voigt(), table["GaAs"]))
     if isinstance(target, QwGeometry):
         gaas = table["GaAs"]
         states = solve_qw(target, strain, table, n_states=2)

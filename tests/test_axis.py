@@ -230,7 +230,7 @@ def test_mixing_map_interior_matches_point_projections(gaas):
     phi = math.radians(30.0)
     thetas, strain_xx, phh = mixing_map(stresses, pre, gaas,
                                         thetas=default_theta_grid(6), phi=phi)
-    _, total = uniaxial_sweep(stresses, gaas, pre)
+    total = uniaxial_sweep(stresses, gaas, pre)
     for j, voigt in enumerate(total):
         doublet = top_valence_doublet(StrainState(*voigt), gaas)
         for i in range(1, len(thetas) - 1):
@@ -343,7 +343,7 @@ def test_exact_theta_maximum_matches_the_grid(gaas):
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(0.0, 2.0, 201)
     _, _, phh = mixing_map(stresses, pre, gaas, thetas=default_theta_grid(61))
-    _, total = uniaxial_sweep(stresses, gaas, pre)
+    total = uniaxial_sweep(stresses, gaas, pre)
     m, t, _ = _hgs_tensor(_doublet_stack(total, gaas)[1])
     exact = 0.25 * np.linalg.eigvalsh(m[:, ::2, ::2])[:, -1] - t / 16
     excess = exact - phh.max(axis=0)

@@ -1,5 +1,4 @@
 import ast
-import functools
 import json
 import math
 import os
@@ -248,7 +247,7 @@ def test_grid_outputs_are_theta_major(tmp_path):
     assert (out / "mixing_map.csv").read_text(encoding="utf-8") \
         == oracle_text(("theta_rad", "strain_xx", "p_hh"), rows, "csv")
 
-    _, strains = uniaxial_sweep(SNAPSHOTS_GPA, p, pre)
+    strains = uniaxial_sweep(SNAPSHOTS_GPA, p, pre)
     for sigma, strain in zip(SNAPSHOTS_GPA, strains):
         doublet = kp_bulk.top_valence_doublet(StrainState(*strain), p)
         dens = [optics.angular_density(s) for s in doublet]
@@ -497,7 +496,7 @@ def test_each_table_is_one_public_call(tmp_path, config):
         == oracle_text(("strain_xx", "p_hh_z", "p_lh_z", "p_so_z", "p_hh_x",
                         "p_lh_x", "p_so_x"), rows.tolist(), "csv")
 
-    _, (strain,) = uniaxial_sweep([1.0], p, pre)
+    (strain,) = uniaxial_sweep([1.0], p, pre)
     d = optics.angular_density(
         kp_bulk.top_valence_doublet(StrainState(*strain), p))
     density = d.density / d.integrate()
@@ -681,8 +680,7 @@ def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
     # a doublet check that no pair can pass stands in for a crossing or
     # split doublet: a numerical failure, not a configuration error
-    monkeypatch.setattr(kp_bulk, "_check_doublets", functools.partial(
-        kp_bulk._check_doublets, degeneracy_atol=-1))
+    monkeypatch.setattr(kp_bulk, "_DEGENERACY_ATOL", -1)
     assert main(["mixing-curve", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err

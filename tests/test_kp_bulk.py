@@ -223,27 +223,24 @@ def test_kramers_partner_is_the_exact_time_reversal(rng, shape, dtype):
 
 
 def _sweep_voigt(gaas, kind):
-    """Voigt strains (43, 6) of a +-2 GPa uniaxial [100] sweep at the
-    default -0.12 GPa biaxial prestress: as is (split, real 3x3), with a
-    varying e_xy (split, complex) or with e_xz and e_yz (sheared, 6x6).
-    The shears ramp through zero at the middle point, which so takes
-    the real 3x3 path in every sweep."""
-    _, voigt = uniaxial_sweep(np.linspace(-2.0, 2.0, 43), gaas,
-                              biaxial_strain(-0.12, gaas))
-    ramp = np.linspace(-2e-3, 2e-3, 43)
-    if kind in ("exy", "sheared"):
-        voigt[:, 5] = ramp
-    if kind == "sheared":
-        voigt[:, 3], voigt[:, 4] = ramp[::-1], 0.5 * ramp
-    return voigt
+    """Voigt strains (43, 6) of a +-2 GPa uniaxial [100] sweep, as the
+    library's sweeps build them, on a constant prestress: the default
+    -0.12 GPa biaxial one (split, real 3x3), that with an e_xy (split,
+    complex 3x3), or that with e_yz, e_xz and e_xy (sheared, 6x6)."""
+    shears = {"uniaxial": {}, "exy": {"exy": 2e-3},
+              "sheared": {"eyz": -2e-3, "exz": 1e-3, "exy": 2e-3}}[kind]
+    prestress = dataclasses.replace(biaxial_strain(-0.12, gaas), **shears)
+    return uniaxial_sweep(np.linspace(-2.0, 2.0, 43), gaas, prestress)
 
 
-@pytest.mark.parametrize("kind", ["uniaxial", "exy", "sheared"])
-def test_sweep_doublets_match_single_points_bit_for_bit(gaas, kind):
+@pytest.mark.parametrize("kind, kept_dtype", [
+    ("uniaxial", np.float64), ("exy", np.complex128), ("sheared", None)],
+    ids=["uniaxial", "exy", "sheared"])
+def test_sweep_doublets_match_single_points_bit_for_bit(gaas, kind,
+                                                        kept_dtype):
     voigt = _sweep_voigt(gaas, kind)
-    paths = {"uniaxial": [0], "exy": [0, 1], "sheared": [0, 2]}[kind]
-    kinds = kp_bulk._kramers_kinds(-kp_bulk._vb_hole(K0, voigt, gaas))
-    assert np.unique(kinds).tolist() == paths
+    kept = kp_bulk._kramers_block(-kp_bulk._vb_hole(K0, voigt, gaas))
+    assert (None if kept is None else kept.dtype) == kept_dtype
     energies, states = kp_bulk._doublet_stack(voigt, gaas)
     for e, psi, v in zip(energies, states, voigt):
         single = top_valence_doublet(StrainState(*v), gaas)
@@ -264,6 +261,28 @@ def test_doublets_do_not_depend_on_the_batch(gaas, kind, order, size):
     sub_energies, sub_states = kp_bulk._doublet_stack(voigt[pick], gaas)
     assert np.array_equal(sub_energies, energies[pick])
     assert np.array_equal(sub_states, states[pick])
+
+
+# a component that is often exactly zero, so every path is drawn
+_SMALL = st.sampled_from([0.0, -0.0]) | st.floats(-5e-3, 5e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prestress=st.lists(_SMALL, min_size=6, max_size=6),
+       k=st.lists(_SMALL.map(lambda x: 40.0 * x), min_size=3, max_size=3),
+       stresses=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
+def test_a_uniaxial_sweep_splits_as_each_of_its_points(gaas, prestress, k,
+                                                       stresses):
+    # _doublet_stack decides the path once per stack: for a uniaxial sweep
+    # at one k and one prestress (shears included), that is the decision
+    # of each point alone, in None-ness and in dtype
+    voigt = uniaxial_sweep(stresses, gaas, StrainState(*prestress))
+    whole = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas))
+    for v in voigt:
+        alone = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, v, gaas))
+        assert (alone is None) == (whole is None)
+        if whole is not None:
+            assert alone.dtype == whole.dtype
 
 
 def _shear_free_voigt(rng, n, xy):
@@ -358,6 +377,23 @@ def test_split_path_keeps_the_hermitian_check(gaas, monkeypatch):
     assert kp_bulk._kramers_block(-broken(K0, voigt, gaas)) is not None
     with pytest.raises(NonHermitianError, match="not Hermitian"):
         kp_bulk._doublet_stack(voigt, gaas)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_wavevectors_are_rejected(gaas, bad):
+    # k enters through one check: a NaN reached LAPACK (a numerical
+    # failure for bad input) and an inf overflowed in the assembly
+    k = (0.1, bad, 0.0)
+    calls = (lambda: h6_vb(k, ZERO, gaas),
+             lambda: h6_vb(Wavevector(kz=bad), ZERO, gaas),
+             lambda: build_h8(k, ZERO, gaas),
+             lambda: build_h8(np.array([K0, k]), ZERO, gaas),
+             lambda: top_valence_doublet(ZERO, gaas, k),
+             lambda: dispersion([K0, k], ZERO, gaas))
+    for call in calls:
+        with pytest.raises(ValueError, match="wavevector components must "
+                                             "be finite"):
+            call()
 
 
 def test_spinor_norm_enforced():

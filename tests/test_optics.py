@@ -110,9 +110,13 @@ def test_frame_strengths_match_product_basis_oracle(gaas, random_strain,
     [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     np.diag([2.0, 1.0, 1.0]),
     np.eye(3)[:2],
-], ids=["skewed", "scaled", "two_rows"])
+    [[1.0, 0.0, 0.0], [0.0, 1.0, math.nan], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, math.inf], [0.0, 0.0, 1.0]],
+], ids=["skewed", "scaled", "two_rows", "nan", "inf"])
 def test_non_orthogonal_frame_rejected(gaas, frame):
-    # such a frame once gave strengths that do not sum to one
+    # such a frame once gave strengths that do not sum to one; a NaN entry
+    # passed the orthogonality test (NaN compares false), and an inf one
+    # overflowed in frame @ frame.T before it
     doublet = top_valence_doublet(uniaxial_strain(1.0, gaas), gaas)
     with pytest.raises(ValueError, match="orthogonal"):
         dipole_strengths(doublet, frame=frame)

@@ -812,20 +812,34 @@ def test_transition_energy_emulation_baseline(table, gaas):
 def test_emulated_transitions_batch_matches_single_points(table, gaas):
     # one batched eigensolve gives bit for bit the per-point bulk doublet
     # formula, so the transition table keeps its bytes
-    _, strains = uniaxial_sweep(np.linspace(-2.0, 2.0, 41), gaas)
-    batch = emulated_transition_energies(DEFAULT_EMULATION_OFFSETS, strains,
-                                         table)
+    stresses = np.linspace(-2.0, 2.0, 41)
+    strains = uniaxial_sweep(stresses, gaas)
+    rows = emulated_transition_energies(DEFAULT_EMULATION_OFFSETS, stresses,
+                                        table)
+    assert rows.shape == (41, 2)
+    assert np.array_equal(rows[:, 0], strains[:, 0])
     single = []
     for voigt in strains:
         strain = StrainState(*voigt)
-        top = kp_bulk.top_valence_doublet(
-            strain, gaas, hh_shift=-DEFAULT_EMULATION_OFFSETS.hh_shift,
-            lh_shift=-DEFAULT_EMULATION_OFFSETS.lh_shift)[0]
+        energies, _ = kp_bulk._doublet_stack(
+            voigt, gaas, hh_shift=-DEFAULT_EMULATION_OFFSETS.hh_shift,
+            lh_shift=-DEFAULT_EMULATION_OFFSETS.lh_shift)
         single.append(gaas.cb_edge + gaas.ac * strain.trace()
-                      + DEFAULT_EMULATION_OFFSETS.cb_shift - top.energy)
+                      + DEFAULT_EMULATION_OFFSETS.cb_shift - energies[0])
         assert transition_energy(DEFAULT_EMULATION_OFFSETS, strain,
                                  table) == single[-1]
-    assert np.array_equal(batch, single)
+    assert np.array_equal(rows[:, 1], single)
+
+
+@pytest.mark.parametrize("stresses, match", [
+    ([0.0, 1e3], "sanity bound"), ([math.nan], "not finite"),
+    ([math.inf], "not finite")])
+def test_emulated_transitions_check_their_strains(table, stresses, match):
+    # the strains are built by uniaxial_sweep, so a stress whose strain
+    # breaks the sanity bound or is not finite is rejected, not solved
+    with pytest.raises(ValueError, match=match):
+        emulated_transition_energies(DEFAULT_EMULATION_OFFSETS, stresses,
+                                     table)
 
 
 def test_transition_energy_red_shift_under_tension(table, gaas):
