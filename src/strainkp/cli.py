@@ -192,18 +192,16 @@ class RunConfig:
                         f"{self.output_format} (file names keep 6 "
                         f"significant digits of the configured values)")
         try:
-            geometries = self.qw_geometries()
+            self.qw_geometries()
         except ValueError as exc:
-            raise ConfigError(f"invalid qw geometry: {exc}") from exc
-        for g in geometries:
-            # the inside test of the well's material profile in qw
-            nodes = np.count_nonzero(
-                np.abs(g.grid()) <= g.well_thickness_nm / 2.0)
-            if nodes < 3:
-                raise ConfigError(
-                    f"[qw] thicknesses_nm: a {g.well_thickness_nm:g} nm "
-                    f"well is thinner than two grid spacings (2h = "
-                    f"{2.0 * g.spacing():.6g} nm) and holds {nodes} node(s)")
+            # the config key of QwGeometry's well_thickness_nm
+            raise ConfigError(f"invalid qw geometry: {exc}".replace(
+                "invalid qw geometry: well_thickness_nm",
+                "[qw] thicknesses_nm")) from exc
+        try:
+            self.emulation_offsets()
+        except ValueError as exc:
+            raise ConfigError(f"[emulation] {exc}") from exc
 
     def qw_geometries(self) -> tuple[qw.QwGeometry, ...]:
         """One well geometry per configured thickness, in config order."""
@@ -211,6 +209,12 @@ class RunConfig:
                                    self.qw_barrier_al_fraction,
                                    self.qw_grid_points)
                      for t in self.qw_thicknesses_nm)
+
+    def emulation_offsets(self) -> qw.EmulationOffsets:
+        """The configured confinement shifts, in eV."""
+        return qw.EmulationOffsets(self.emulation_cb_mev * 1e-3,
+                                   self.emulation_hh_mev * 1e-3,
+                                   self.emulation_lh_mev * 1e-3)
 
     def load_table(self) -> dict[str, MaterialParams]:
         try:
@@ -397,13 +401,10 @@ def cmd_qw(cfg: RunConfig, threads: int) -> list:
         results.append((_qw_stem(geometry.well_thickness_nm), _QW_COLUMNS,
                         rows))
 
-    offsets = qw.EmulationOffsets(cfg.emulation_cb_mev * 1e-3,
-                                  cfg.emulation_hh_mev * 1e-3,
-                                  cfg.emulation_lh_mev * 1e-3)
     results.append(("qw_transition_energy", ("strain_xx", "transition_ev"),
                     qw.emulated_transition_energies(
-                        offsets, cfg.stress_sweep(cfg.transition_steps),
-                        table)))
+                        cfg.emulation_offsets(),
+                        cfg.stress_sweep(cfg.transition_steps), table)))
     return results
 
 

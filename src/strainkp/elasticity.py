@@ -167,7 +167,7 @@ def uniaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
 def uniaxial_sweep(stresses_gpa, p: MaterialParams,
                    prestress: StrainState | None = None) -> np.ndarray:
     """Voigt strains (n, 6) along a sweep of uniaxial [100] stress, with
-    ``prestress`` superposed.
+    ``prestress`` superposed; ``stresses_gpa`` must be 1-D.
 
     e_yy = e_zz = -nu * e_xx with nu = c12/(c11+c12); e_xx = s/E with the
     [100] Young modulus E = (c11-c12)(c11+2c12)/(c11+c12).  Every point,
@@ -176,7 +176,11 @@ def uniaxial_sweep(stresses_gpa, p: MaterialParams,
     """
     _check_stability(p)
     young = (p.c11 - p.c12) * (p.c11 + 2.0 * p.c12) / (p.c11 + p.c12)
-    exx = np.asarray(stresses_gpa, dtype=float) / young
+    stresses = np.asarray(stresses_gpa, dtype=float)
+    if stresses.ndim != 1:
+        raise ValueError(f"stresses_gpa must be a 1-D sequence of stresses, "
+                         f"got shape {stresses.shape}")
+    exx = stresses / young
     uniaxial = np.zeros((exx.size, 6))
     uniaxial[:, 0] = exx
     uniaxial[:, 1] = uniaxial[:, 2] = -p.poisson_ratio_100 * exx

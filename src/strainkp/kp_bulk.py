@@ -36,22 +36,24 @@ When S vanishes (no e_xz or e_yz, and k along z or in the xy plane: every
 uniaxial or biaxial stress along the cubic axes at k = 0, e_xy included)
 no entry couples {HH+3/2, LH-1/2, SO-1/2} to their Kramers partners
 {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888 (1985)).
-``_kramers_block`` is the one rule that detects this split, for the bulk
-6x6 and for the node blocks of the well alike: it reads the assembled
-matrices, never an option.  The doublet sweep then diagonalizes the 3x3
-block of the first set, real unless e_xy or kx ky makes R complex, and
-takes each partner by time reversal, T psi = U conj(psi) with the one
-``_TIME_REVERSAL`` U, an exact signed permutation; any other matrix takes
-the full 6x6 ``eigh``.  The sweep decides this once per stack, which is
-the decision of each of its matrices alone for every uniaxial sweep
-(see ``_doublet_stack``), so every doublet has the same bits in any
-batch as alone.
+``_kramers_solve`` is the one routine that makes this decision and
+builds the pairs, for the bulk doublets and the well of ``qw`` alike: it
+reads the matrices the operator is built from, never an option.  An
+operator that splits is solved on the first set alone, one vector per
+pair, and each partner is taken by time reversal, T psi = U conj(psi)
+with the one ``_TIME_REVERSAL`` U, an exact signed permutation; any
+other is solved on all six bands.  Either way a restricted matrix whose
+imaginary part is exactly zero is solved real.  The doublet sweep
+decides once per stack, which is the decision of each of its matrices
+alone for every uniaxial sweep (see ``_doublet_stack``), so every
+doublet has the same bits in any batch as alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,6 +101,7 @@ _UPPER_FLAT, _LOWER_FLAT = _ROWS * 6 + _COLS, (_COLS * 6 + _ROWS)[6:]
 # partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
 _PARTNER_BANDS = np.array([1, 3, 4])
+_ALL_BANDS = np.arange(6)
 # the 18 entries of a 6x6 that couple the two sets, in either direction
 _COUPLINGS = np.zeros((6, 6), dtype=bool)
 _COUPLINGS[_KEPT_BANDS[:, None], _PARTNER_BANDS] = True
@@ -312,39 +315,58 @@ def eigensolve(h: np.ndarray) -> list[SpinorState]:
             for i in range(energies.size)]
 
 
-def _kramers_block(h: np.ndarray) -> np.ndarray | None:
-    """The (..., 3, 3) restriction of VB matrices (..., 6, 6) to
-    ``_KEPT_BANDS`` (real when its imaginary part is exactly zero) if no
-    entry of any matrix couples those bands to ``_PARTNER_BANDS``, in
-    either direction, else None.
-
-    A stack that splits is block diagonal in the two sets; when it also
-    commutes with time reversal, as the bulk matrices (even in k) and the
-    well at k_parallel = 0 do, the partner block holds the time-reversed
-    states of the kept one, with the same energies.
-    """
-    if h[..., _COUPLINGS].any():
-        return None
-    kept = h[..., _KEPT_BANDS[:, None], _KEPT_BANDS]
-    return kept if kept.imag.any() else kept.real
-
-
 def _time_reverse(psi: np.ndarray) -> np.ndarray:
-    """T psi = U conj(psi) of VB coefficients (..., 6) as a gather, not a
-    product, whose BLAS call would grow with the stack: U is a signed
-    permutation, so the values are the product's, and + 0.0 turns every
-    -0.0 into 0.0."""
-    return _TR_SIGNS * psi[..., _TR_COLUMNS].conj() + 0.0
+    """T psi = U conj(psi) of VB coefficients (..., 6, j), bands second to
+    last, as a gather, not a product, whose BLAS call would grow with the
+    stack: U is a signed permutation, so the values are the product's,
+    and + 0.0 turns every -0.0 into 0.0."""
+    return _TR_SIGNS[:, None] * psi[..., _TR_COLUMNS, :].conj() + 0.0
 
 
 def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
-    """Doublets (psi, T psi) of shape (..., 6, 2) from coefficients
-    (..., 3) over ``_KEPT_BANDS``: psi holds them on the kept bands, and
-    its partner T psi lives on the partner bands."""
-    pairs = np.zeros(kept.shape[:-1] + (6, 2), dtype=complex)
-    pairs[..., _KEPT_BANDS, 0] = kept
-    pairs[..., 1] = _time_reverse(pairs[..., 0])
-    return pairs
+    """Doublets of shape (..., 6, 2k), psi_j in column 2j and T psi_j in
+    column 2j + 1, from coefficients (..., 3, k) over ``_KEPT_BANDS``:
+    psi holds them on the kept bands, and its partner T psi lives on the
+    partner bands."""
+    pairs = np.zeros(kept.shape[:-2] + (6, kept.shape[-1], 2), dtype=complex)
+    psi = pairs[..., 0]
+    psi[..., _KEPT_BANDS, :] = kept
+    pairs[..., 1] = _time_reverse(psi)
+    return pairs.reshape(pairs.shape[:-2] + (2 * kept.shape[-1],))
+
+
+def _kramers_solve(blocks: np.ndarray, solve, k: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The k topmost Kramers pairs of the operator built from the VB
+    matrices ``blocks`` (..., 6, 6): energies (..., 2k) and vectors
+    (..., 6, 2k), descending, from ``solve(bands, count)``, which gives
+    the ``count`` topmost eigenpairs, energies (..., count) and vectors
+    (..., len(bands), count), of the operator restricted to ``bands``.
+
+    If no entry of ``blocks`` couples ``_KEPT_BANDS`` to
+    ``_PARTNER_BANDS``, in either direction, the operator splits into the
+    two sets; it commutes with time reversal (the bulk matrices are even
+    in k, and the well is solved at k_parallel = 0), so the partner block
+    holds the time-reversed states of the kept one.  Then only the kept
+    bands are solved, for k vectors, and each psi comes back with T psi
+    at its energy, an exact degenerate orthogonal pair.  Any other
+    operator solves all six bands for 2k vectors.
+    """
+    if blocks[..., _COUPLINGS].any():
+        return solve(_ALL_BANDS, 2 * k)
+    energies, kept = solve(_KEPT_BANDS, k)
+    return np.repeat(energies, 2, axis=-1), _kramers_pairs(kept)
+
+
+def _top_eigh(h: np.ndarray, bands: np.ndarray, count: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` topmost eigenpairs, descending, of matrices h
+    (..., 6, 6) restricted to ``bands``, by one batched ``eigh``, real
+    when the restriction's imaginary part is exactly zero."""
+    block = h[..., bands[:, None], bands]
+    block = block if block.imag.any() else block.real
+    energies, vectors = np.linalg.eigh((block + _herm(block)) / 2.0)
+    return energies[..., :-count - 1:-1], vectors[..., :-count - 1:-1]
 
 
 def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
@@ -355,29 +377,21 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
     the shifts add to the electron-picture HH and LH diagonal entries
     (the emulated confinement of ``qw``).
 
-    A stack that splits (``_kramers_block``) is solved on its kept 3x3
-    blocks, and each doublet is the top eigenvector psi and its partner
-    T psi; any other stack takes the 6x6 ``eigh``.  The stack decides
-    once, and for a uniaxial sweep (``uniaxial_sweep``) at one k, one
-    prestress and one pair of shifts, as every caller builds it, that is
-    the path each of its matrices takes alone: ``_kramers_block`` reads
-    only the S entries and Im R, which depend on k and the shears alone,
-    the same bits at every point.  So every doublet has the same bits in
-    any batch as alone.  Either way every matrix passes the Hermitian
-    check of ``eigensolve``, and every doublet the norm check of
-    ``SpinorState`` and the checks of ``validate_doublet``.
+    ``_kramers_solve`` decides the split once for the whole stack, and
+    for a uniaxial sweep (``uniaxial_sweep``) at one k, one prestress and
+    one pair of shifts, as every caller builds it, that is the path and
+    the dtype each of its matrices takes alone: the coupling entries and
+    the imaginary parts are those of S and Im R, which depend on k and
+    the shears alone, the same bits at every point.  So every doublet has
+    the same bits in any batch as alone.  Either way every matrix passes
+    the Hermitian check of ``eigensolve``, and every doublet the norm
+    check of ``SpinorState`` and the checks of ``validate_doublet``.
     """
     h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
-    kept = _kramers_block(h)
-    if kept is None:
-        energies, vectors = _eigh_descending(h)
-        energies, vectors = energies[..., :2], vectors[..., :2]
-    else:
-        _check_hermitian(h)
-        top, psi = np.linalg.eigh((kept + _herm(kept)) / 2.0)
-        vectors = _fix_phases(_kramers_pairs(psi[..., -1]))
-        _check_norms(vectors)
-        energies = np.repeat(top[..., -1:], 2, axis=-1)
+    _check_hermitian(h)
+    energies, vectors = _kramers_solve(h, partial(_top_eigh, h), 1)
+    vectors = _fix_phases(vectors)
+    _check_norms(vectors)
     states = _full8(vectors)
     _check_doublets(energies, states)
     return energies, states

@@ -43,12 +43,11 @@ kept as one real (N - 1, m, m) array.
 
 Without e_xz and e_yz (every uniaxial or biaxial stress along the cubic
 axes) S vanishes and the matrix splits exactly into {HH+3/2, LH-1/2,
-SO-1/2} and their Kramers partners.  The split is read from the material
-blocks, before any node block is assembled, by
-``kp_bulk._kramers_block``, the one rule the bulk doublet sweep uses
-too; then only that 3N block is assembled and solved, real unless e_xy
-is nonzero, and each Ritz vector psi comes back with its partner T psi
-(the one ``kp_bulk._TIME_REVERSAL``) as an exact pair.  Sheared wells
+SO-1/2} and their Kramers partners.  ``kp_bulk._kramers_solve``, the one
+routine the bulk doublets use too, reads the split from the material
+blocks before any node block is assembled; then only the 3N block is
+assembled and solved, real unless e_xy is nonzero, and each Ritz vector
+psi comes back with its partner T psi as an exact pair.  Sheared wells
 solve the whole 6N matrix with the same solver, two vectors per Kramers
 pair, and return its Ritz pairs as they are.  No part of the package
 imports scipy.
@@ -117,6 +116,12 @@ class QwGeometry:
             raise ValueError(
                 f"grid must have at least 51 points and be odd so a node "
                 f"sits at the well center, got {self.grid_points}")
+        nodes = np.count_nonzero(self.inside())
+        if nodes < 3:
+            raise ValueError(
+                f"well_thickness_nm: a {self.well_thickness_nm:g} nm well "
+                f"is thinner than two grid spacings (2h = "
+                f"{2.0 * self.spacing():.6g} nm) and holds {nodes} node(s)")
 
     @property
     def total_length_nm(self) -> float:
@@ -131,6 +136,11 @@ class QwGeometry:
 
     def spacing(self) -> float:
         return self.total_length_nm / (self.grid_points + 1)
+
+    def inside(self) -> np.ndarray:
+        """Mask of the grid nodes in the well, |z| <= w/2; a well holds at
+        least three, the centre node and both neighbours."""
+        return np.abs(self.grid()) <= self.well_thickness_nm / 2.0
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,9 @@ class EnvelopeState:
 class EmulationOffsets:
     """Fixed confinement shifts for bulk emulation of a well.
 
-    All three values are positive confinement energies: cb_shift moves
-    the CB up, hh_shift and lh_shift move the HH and LH band edges down
-    (electron picture).
+    All three values are confinement energies, zero or positive:
+    cb_shift moves the CB up, hh_shift and lh_shift move the HH and LH
+    band edges down (electron picture).
     """
 
     cb_shift: float
@@ -178,8 +188,10 @@ class EmulationOffsets:
         for name, v in (("cb_shift", self.cb_shift),
                         ("hh_shift", self.hh_shift),
                         ("lh_shift", self.lh_shift)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(
+                    f"{name} must be a finite confinement energy >= 0, "
+                    f"got {v:g}")
 
 
 #: CB/HH/LH confinement energies emulating an 8 nm well (eV).
@@ -194,9 +206,7 @@ def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
     well = well if well is not None else table["GaAs"]
     if barrier is None:
         barrier = algaas(geometry.barrier_al_fraction, table)
-    z = geometry.grid()
-    inside = np.abs(z) <= geometry.well_thickness_nm / 2.0
-    return z, inside, well, barrier
+    return geometry.grid(), geometry.inside(), well, barrier
 
 
 def vb_edge_profile(geometry: QwGeometry, table):
@@ -215,9 +225,9 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
     symmetric kz^2 matrix A / h^2 (see the module docstring) of the well
     and the barrier material (2, 6, 6) each, and the material of each
     grid node (N,), 0 in the well and 1 in the barrier.  ``_assemble``
-    turns them into node blocks; ``solve_qw`` decides the Kramers split
-    on them first (``_kept_blocks``), so a shear-free well never
-    assembles its 6x6 node blocks.
+    turns them into node blocks; ``solve_qw`` has the Kramers split
+    decided on them first, so a shear-free well never assembles its 6x6
+    node blocks.
     """
     _, inside, well, barrier = _materials_profile(geometry, table,
                                                   well, barrier)
@@ -245,31 +255,6 @@ def _assemble(onsite: np.ndarray, a: np.ndarray,
     ae = np.concatenate([an[:1], an, an[-1:]])
     diag = onsite[node] + (ae[:-2] + 2.0 * an + ae[2:]) / 2.0
     return diag, -(an[:-1] + an[1:]) / 2.0
-
-
-def _kept_blocks(onsite: np.ndarray, a: np.ndarray, node: np.ndarray) \
-        -> tuple[np.ndarray, np.ndarray] | None:
-    """The 3N blocks of the well on ``kp_bulk._KEPT_BANDS``, as the node
-    blocks of ``_assemble``, if ``kp_bulk._kramers_block`` splits the
-    material blocks of the materials on the grid, else None.
-
-    Each coupling entry of an assembled block is a sum of the materials'
-    coupling entries, so when theirs are all zero so are the assembled
-    ones, and the kept blocks are bit for bit the restriction of the
-    assembled 6N blocks: the diagonal blocks are assembled complex and
-    taken real (a view, as ``kp_bulk._kramers_block`` takes it) when
-    their imaginary part is exactly zero.  A material with no node on the
-    grid (a barrier thinner than the spacing) does not count, as it adds
-    no entry to the blocks.
-    """
-    # a mask, not np.unique, which would import numpy.ma (about 10 ms)
-    present = np.bincount(node, minlength=2) > 0
-    if kp_bulk._kramers_block(np.concatenate([onsite[present],
-                                              a[present]])) is None:
-        return None
-    bands = (..., kp_bulk._KEPT_BANDS[:, None], kp_bulk._KEPT_BANDS)
-    diag, couplings = _assemble(onsite[bands], a[bands], node)
-    return diag if diag.imag.any() else diag.real, couplings
 
 
 def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
@@ -327,24 +312,17 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     of H on very fine grids), for at most 200 Rayleigh-Ritz steps.
 
     Without e_xz and e_yz (every uniaxial or biaxial stress along the
-    cubic axes, also with e_xy), S vanishes at k_parallel = 0, and no
-    entry of H couples the bands {HH+3/2, LH-1/2, SO-1/2} to their
-    Kramers partners {LH+1/2, HH-3/2, SO+1/2} (Broido & Sham, PRB 31, 888
-    (1985)).  When every such entry of the well's and the barrier's k = 0
-    bulk block and kz^2 matrix is exactly zero (``kp_bulk._kramers_block``,
-    the rule the bulk doublets use, on the materials that have a node on
-    the grid), so is every such entry of the assembled blocks, which are
-    sums of them; then only the 3N blocks of the first set are assembled,
-    with the bits of the restriction of the 6N ones, and solved for one
-    vector per Kramers pair, ceil(n_states / 2) of them.  The block is
-    real unless e_xy makes R complex.  Each Ritz pair (theta, psi) of the
-    block then gives the pair (psi, T psi) at energy theta, with T psi =
-    U conj(psi) node by node (T commutes with H at k_parallel = 0): psi
-    lives in the first set of bands and T psi in the second, so the two
-    are exactly degenerate and orthogonal, and they are returned as they
-    are.  Only if the materials' coupling entries cancelled exactly in
-    the sums would the assembled blocks split where the materials do not;
-    such a well takes the 6N path, which is valid for every well.
+    cubic axes, also with e_xy), S vanishes at k_parallel = 0, where time
+    reversal commutes with H node by node, and ``kp_bulk._kramers_solve``
+    decides the split on the k = 0 bulk blocks and kz^2 matrices of the
+    materials with a node on the grid.  Every assembled entry is a sum of
+    theirs, so when they split so does H: only its 3N blocks on the first
+    set are assembled, with the bits of the restriction of the 6N ones,
+    and solved for ceil(n_states / 2) vectors, each returned with its
+    partner T psi as an exact pair.  Were the materials' coupling entries
+    to cancel exactly in the sums, the well would take the 6N path, which
+    is valid for every well.  Diagonal blocks with an exactly zero
+    imaginary part (no e_xy or e_yz) are solved real on either path.
 
     Sheared wells solve the whole 6N matrix for both members of each
     pair, 2 ceil(n_states / 2) vectors, and return its Ritz pairs as they
@@ -372,20 +350,21 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
             "above the QW spectrum is known")
     sigma = np.linalg.eigvalsh(onsite).max() + _SHIFT_MARGIN_EV
 
-    kept = _kept_blocks(onsite, a, node)
-    k = (n_states + 1) // 2
-    if kept is None:
-        energies, vectors = _top_eigenvectors(*_assemble(onsite, a, node),
-                                              sigma, 2 * k)
-    else:
-        theta, psi = _top_eigenvectors(*kept, sigma, k)
-        # (node, vector, band, pair member) -> (node, band, 2 k states)
-        doublets = kp_bulk._kramers_pairs(np.swapaxes(psi, 1, 2))
-        energies = np.repeat(theta, 2)
-        vectors = doublets.transpose(0, 2, 1, 3).reshape(n, 6, 2 * k)
-    energies, vectors = energies[:n_states], vectors[..., :n_states]
+    def solve(bands, count):
+        rows = (..., bands[:, None], bands)
+        diag, couplings = _assemble(onsite[rows], a[rows], node)
+        return _top_eigenvectors(diag if diag.imag.any() else diag.real,
+                                 couplings, sigma, count)
+
+    # a mask, not np.unique, which would import numpy.ma (about 10 ms)
+    present = np.bincount(node, minlength=2) > 0
+    energies, vectors = kp_bulk._kramers_solve(
+        np.concatenate([onsite[present], a[present]]), solve,
+        (n_states + 1) // 2)
+    energies = energies[:n_states]
+    # (node, band, state) -> band-major (6N, state)
     vectors = kp_bulk._fix_phases(
-        vectors.transpose(1, 0, 2).reshape(dim, n_states))
+        vectors[..., :n_states].transpose(1, 0, 2).reshape(dim, n_states))
     pairs = n_states // 2
     kp_bulk._check_doublets(
         energies[:2 * pairs].reshape(pairs, 2),

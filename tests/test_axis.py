@@ -199,6 +199,15 @@ def test_commutator_jz_uniaxial_proportional_to_r(gaas):
         assert norm == pytest.approx(4.0 * abs(r_eps), rel=1e-12)
 
 
+@pytest.mark.parametrize("stresses", [[[0.1, 0.2], [0.3, 0.4]], 0.5],
+                         ids=["2d", "0d"])
+def test_mixing_curve_rejects_stresses_not_1d(gaas, stresses):
+    # a 2-D grid raised numpy's bare broadcast error, and a scalar was
+    # taken as one point
+    with pytest.raises(ValueError, match="stresses_gpa must be a 1-D"):
+        mixing_curve(stresses, None, (Z_AXIS,), gaas)
+
+
 def test_mixing_curve_shape_and_zero_stress_row(gaas):
     pre = biaxial_strain(-0.12, gaas)
     stresses = np.linspace(-2, 2, 41)

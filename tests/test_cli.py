@@ -151,20 +151,25 @@ def test_write_table_matches_per_value_oracle(tmp_path, name,
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_write_table_memory_is_bounded(output_format):
-    # a 361 x 4001 map is 1.4 million rows; held whole as text, the writer
-    # would take over 100 MB
+def test_write_table_memory_is_bounded(tmp_path, output_format):
+    # a 361 x 1001 map is 361 thousand rows and over 11 MB of text; the
+    # writer's peak stays under the 3 MB the README states (measured
+    # 0.66-1.07 MB here and 0.98-1.49 MB at 361 x 4001, whose text is
+    # 46 MB), and the file is over three times that, so a writer that held
+    # the whole text would fail
     rng = np.random.default_rng(3)
     grid = _Grid(np.linspace(0.0, np.pi / 2.0, 361),
-                 np.linspace(-0.02, 0.02, 4001), rng.random((361, 4001)))
+                 np.linspace(-0.02, 0.02, 1001), rng.random((361, 1001)))
+    path = tmp_path / f"map.{output_format}"
     tracemalloc.start()
     try:
-        _write_table(Path(os.devnull), ("theta_rad", "strain_xx", "p_hh"),
-                     grid, output_format)
+        _write_table(path, ("theta_rad", "strain_xx", "p_hh"), grid,
+                     output_format)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 3e6
+    assert path.stat().st_size > 3 * 3e6
 
 
 def test_import_loads_no_thread_pool_or_scipy():
@@ -636,9 +641,30 @@ def test_well_thinner_than_two_spacings_exit_2(tmp_path, capsys,
     assert main(["qw", "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    two_h = 2.0 * qw.QwGeometry(float(thickness)).spacing()
+    two_h = 2.0 * (float(thickness) + 40.0) / 302
     assert "configuration error: [qw] thicknesses_nm" in err
     assert f"{thickness} nm" in err and f"(2h = {two_h:.6g} nm)" in err
+
+
+@pytest.mark.parametrize("key", ["cb_shift_mev", "hh_shift_mev",
+                                 "lh_shift_mev"])
+def test_negative_emulation_shift_exit_2(tmp_path, capsys, monkeypatch,
+                                         key):
+    # the shifts are confinement energies: a negative one is rejected when
+    # the config is validated, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(qw, "solve_qw", no_solve)
+    monkeypatch.setattr(qw, "emulated_transition_energies", no_solve)
+    bad = tmp_path / "shift.ini"
+    bad.write_text(f"[emulation]\n{key} = -9.1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qw", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"configuration error: [emulation] {key[:-4]} must be a finite " \
+        f"confinement energy >= 0, got -0.0091" in err
 
 
 def test_well_of_two_spacings_runs(tmp_path):

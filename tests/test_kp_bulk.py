@@ -201,22 +201,25 @@ def test_time_reversal_is_an_exact_signed_permutation():
     assert np.array_equal(u @ np.conj(u), -np.eye(6))
 
 
-@pytest.mark.parametrize("shape", [(3,), (1001, 3), (301, 2, 3)])
+@pytest.mark.parametrize("shape", [(3, 1), (1001, 3, 1), (301, 3, 4)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_kramers_partner_is_the_exact_time_reversal(rng, shape, dtype):
-    # the gathered partner has the values of the product U conj(psi), no
-    # negative zero (zero coefficients included), and T T psi = -psi
+    # kept coefficients (..., 3, k), one pair per vector as the bulk
+    # (k = 1) and the well (k > 1) hand them over: psi_j in column 2j, the
+    # gathered partner in column 2j + 1 with the values of the product
+    # U conj(psi), no negative zero (zero coefficients included), and
+    # T T psi = -psi
     kept = rng.standard_normal(shape).astype(dtype)
     if dtype is complex:
         kept += 1j * rng.standard_normal(shape)
-    kept[..., 1] = 0.0
+    kept[..., 1, :] = 0.0
     kept.reshape(-1)[::5] *= -0.0
     pairs = kp_bulk._kramers_pairs(kept)
-    psi, partner = pairs[..., 0], pairs[..., 1]
-    assert pairs.shape == shape[:-1] + (6, 2)
-    assert np.array_equal(psi[..., kp_bulk._KEPT_BANDS], kept)
-    assert np.array_equal(partner,
-                          psi.conj() @ kp_bulk._TIME_REVERSAL.T)
+    psi, partner = pairs[..., 0::2], pairs[..., 1::2]
+    assert pairs.shape == shape[:-2] + (6, 2 * shape[-1])
+    assert np.array_equal(psi[..., kp_bulk._KEPT_BANDS, :], kept)
+    assert not psi[..., kp_bulk._PARTNER_BANDS, :].any()
+    assert np.array_equal(partner, kp_bulk._TIME_REVERSAL @ psi.conj())
     assert not np.signbit(partner.real[partner.real == 0.0]).any()
     assert not np.signbit(partner.imag[partner.imag == 0.0]).any()
     assert np.array_equal(kp_bulk._time_reverse(partner), -psi)
@@ -233,20 +236,25 @@ def _sweep_voigt(gaas, kind):
     return uniaxial_sweep(np.linspace(-2.0, 2.0, 43), gaas, prestress)
 
 
-@pytest.mark.parametrize("kind, kept_dtype", [
-    ("uniaxial", np.float64), ("exy", np.complex128), ("sheared", None)],
+@pytest.mark.parametrize("kind, solved", [
+    ("uniaxial", ((3, 1), np.float64)), ("exy", ((3, 1), np.complex128)),
+    ("sheared", ((6, 2), np.complex128))],
     ids=["uniaxial", "exy", "sheared"])
-def test_sweep_doublets_match_single_points_bit_for_bit(gaas, kind,
-                                                        kept_dtype):
+def test_sweep_doublets_match_single_points_bit_for_bit(gaas, kramers_solves,
+                                                        kind, solved):
+    # the sweep and each of its points alone solve the same bands in the
+    # same dtype, and give the same bits
     voigt = _sweep_voigt(gaas, kind)
-    kept = kp_bulk._kramers_block(-kp_bulk._vb_hole(K0, voigt, gaas))
-    assert (None if kept is None else kept.dtype) == kept_dtype
-    energies, states = kp_bulk._doublet_stack(voigt, gaas)
-    for e, psi, v in zip(energies, states, voigt):
-        single = top_valence_doublet(StrainState(*v), gaas)
-        assert np.array_equal([s.energy for s in single], e)
-        assert np.array_equal(np.column_stack(
-            [s.coefficients for s in single]), psi)
+    bands, dtype = solved
+    with kramers_solves() as seen:
+        energies, states = kp_bulk._doublet_stack(voigt, gaas)
+        assert seen.pop() == ((len(voigt),) + bands, dtype)
+        for e, psi, v in zip(energies, states, voigt):
+            single = top_valence_doublet(StrainState(*v), gaas)
+            assert seen.pop() == (bands, dtype)
+            assert np.array_equal([s.energy for s in single], e)
+            assert np.array_equal(np.column_stack(
+                [s.coefficients for s in single]), psi)
 
 
 @settings(max_examples=30, deadline=None)
@@ -271,18 +279,20 @@ _SMALL = st.sampled_from([0.0, -0.0]) | st.floats(-5e-3, 5e-3)
 @given(prestress=st.lists(_SMALL, min_size=6, max_size=6),
        k=st.lists(_SMALL.map(lambda x: 40.0 * x), min_size=3, max_size=3),
        stresses=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
-def test_a_uniaxial_sweep_splits_as_each_of_its_points(gaas, prestress, k,
+def test_a_uniaxial_sweep_splits_as_each_of_its_points(gaas, kramers_solves,
+                                                       prestress, k,
                                                        stresses):
     # _doublet_stack decides the path once per stack: for a uniaxial sweep
     # at one k and one prestress (shears included), that is the decision
-    # of each point alone, in None-ness and in dtype
+    # of each point alone, in the bands solved and in dtype
     voigt = uniaxial_sweep(stresses, gaas, StrainState(*prestress))
-    whole = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas))
-    for v in voigt:
-        alone = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, v, gaas))
-        assert (alone is None) == (whole is None)
-        if whole is not None:
-            assert alone.dtype == whole.dtype
+    with kramers_solves() as seen:
+        kp_bulk._doublet_stack(voigt, gaas, k)
+        for v in voigt:
+            kp_bulk._doublet_stack(v, gaas, k)
+    (shape, dtype), alone = seen[0], seen[1:]
+    assert shape[0] == len(voigt)
+    assert alone == [(shape[1:], dtype)] * len(voigt)
 
 
 def _shear_free_voigt(rng, n, xy):
@@ -305,7 +315,8 @@ def _projector(states):
 
 
 @pytest.mark.parametrize("xy", [False, True], ids=["real", "exy"])
-def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch, xy):
+def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch,
+                                           kramers_solves, xy):
     # without e_xz and e_yz the doublet sweep solves the kept 3x3 block
     # (real, or complex with e_xy) and takes each partner by time reversal;
     # the 6x6 eigh of the same stack is its oracle, also at k along z and
@@ -316,12 +327,13 @@ def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch, xy):
     voigt = _shear_free_voigt(rng, 200, xy)
     for k, shifts in ((K0, {}), ((0.0, 0.0, 0.4), {}),
                       (K0, {"hh_shift": -0.0091, "lh_shift": -0.01})):
-        kept = kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas))
-        assert kept.shape == (200, 3, 3)
-        assert kept.dtype == (np.complex128 if xy else np.float64)
-        energies, states = kp_bulk._doublet_stack(voigt, gaas, k, **shifts)
+        with kramers_solves() as seen:
+            energies, states = kp_bulk._doublet_stack(voigt, gaas, k,
+                                                      **shifts)
+        assert seen == [((200, 3, 1), np.complex128 if xy else np.float64)]
         with monkeypatch.context() as m:
-            m.setattr(kp_bulk, "_kramers_block", lambda h: None)
+            # every entry counts as a coupling: the 6x6 path
+            m.setattr(kp_bulk, "_COUPLINGS", np.ones((6, 6), dtype=bool))
             ref_energies, ref_states = kp_bulk._doublet_stack(
                 voigt, gaas, k, **shifts)
         assert np.abs(energies - ref_energies).max() < 1e-12
@@ -338,28 +350,24 @@ def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch, xy):
         assert not vb[:, kp_bulk._KEPT_BANDS, 1].any()
 
 
-def test_sheared_doublets_take_the_6x6_path(gaas, rng, monkeypatch):
+def test_sheared_doublets_take_the_6x6_path(gaas, rng, kramers_solves):
     # any e_xz or e_yz, or k with both an in-plane and a z component, makes
-    # S couple the two sets: no split, one 6x6 eigh of the stack
-    calls = []
-    eigh = kp_bulk._eigh_descending
-
-    def record(h, *args):
-        calls.append(h.shape)
-        return eigh(h, *args)
-
-    monkeypatch.setattr(kp_bulk, "_eigh_descending", record)
-    kp_bulk._doublet_stack(_shear_free_voigt(rng, 5, True), gaas)
-    assert calls == []
-    for column, k in ((3, K0), (4, K0), (None, (0.3, 0.0, 0.4))):
-        voigt = _shear_free_voigt(rng, 5, True)
-        if column is not None:
-            voigt[:, column] = rng.uniform(-0.01, 0.01, size=5)
-        assert kp_bulk._kramers_block(-kp_bulk._vb_hole(k, voigt, gaas)) \
-            is None
-        energies, states = kp_bulk._doublet_stack(voigt, gaas, k)
-        assert calls.pop() == (5, 6, 6)
-        assert energies.shape == (5, 2) and states.shape == (5, 8, 2)
+    # S couple the two sets: no split, one 6x6 eigh of the stack, complex
+    # with e_xy, and real for e_xz without e_xy and e_yz at k = 0
+    with kramers_solves() as seen:
+        kp_bulk._doublet_stack(_shear_free_voigt(rng, 5, True), gaas)
+        assert seen.pop() == ((5, 3, 1), np.complex128)
+        for column, xy, k, dtype in ((3, True, K0, np.complex128),
+                                     (4, True, K0, np.complex128),
+                                     (None, True, (0.3, 0.0, 0.4),
+                                      np.complex128),
+                                     (4, False, K0, np.float64)):
+            voigt = _shear_free_voigt(rng, 5, xy)
+            if column is not None:
+                voigt[:, column] = rng.uniform(-0.01, 0.01, size=5)
+            energies, states = kp_bulk._doublet_stack(voigt, gaas, k)
+            assert seen.pop() == ((5, 6, 2), dtype)
+            assert energies.shape == (5, 2) and states.shape == (5, 8, 2)
 
 
 def test_split_path_keeps_the_hermitian_check(gaas, monkeypatch):
@@ -374,7 +382,7 @@ def test_split_path_keeps_the_hermitian_check(gaas, monkeypatch):
 
     monkeypatch.setattr(kp_bulk, "_vb_hole", broken)
     voigt = uniaxial_strain(0.5, gaas).as_voigt()
-    assert kp_bulk._kramers_block(-broken(K0, voigt, gaas)) is not None
+    assert not broken(K0, voigt, gaas)[..., kp_bulk._COUPLINGS].any()
     with pytest.raises(NonHermitianError, match="not Hermitian"):
         kp_bulk._doublet_stack(voigt, gaas)
 

@@ -9,6 +9,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strainkp
 from strainkp import _blocktri, cli, kp_bulk, qw
@@ -42,6 +44,27 @@ def test_geometry_validation():
     for well, barrier in ((12.0, 1e308), (1e308, 1e308), (math.inf, 20.0)):
         with pytest.raises(ValueError, match="finite"):
             QwGeometry(well, barrier_thickness_nm=barrier)
+
+
+@pytest.mark.parametrize("grid_points", [51, 301])
+def test_geometry_rejects_wells_of_fewer_than_three_nodes(table,
+                                                         grid_points):
+    # with 10 nm barriers w = 2h at w = 40 nm / (N - 1): just below it only
+    # the centre node lies inside, which was solved as a one-node well
+    # (E0 = -7.04 eV for 1e-300 nm); just above it both neighbours do
+    thinnest = 40.0 / (grid_points - 1)
+    for well_nm in (1e-300, 0.99 * thinnest):
+        with pytest.raises(ValueError, match=r"well_thickness_nm: a .* nm "
+                           r"well is thinner than two grid spacings "
+                           r"\(2h = .* nm\) and holds 1 node\(s\)"):
+            QwGeometry(well_nm, barrier_thickness_nm=10.0,
+                       grid_points=grid_points)
+    geometry = QwGeometry(1.01 * thinnest, barrier_thickness_nm=10.0,
+                          grid_points=grid_points)
+    assert np.flatnonzero(geometry.inside()).tolist() == [
+        grid_points // 2 - 1, grid_points // 2, grid_points // 2 + 1]
+    z, ev = vb_edge_profile(geometry, table)
+    assert np.count_nonzero(ev == table["GaAs"].vb_edge) == 3
 
 
 @pytest.mark.parametrize("grid_points", [301.0, np.float64(301.0), True],
@@ -227,7 +250,8 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
         states = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, dense[:n_states], axes)
         with monkeypatch.context() as m:
-            m.setattr(kp_bulk, "_kramers_block", lambda h: None)
+            # every entry counts as a coupling: the 6N path
+            m.setattr(kp_bulk, "_COUPLINGS", np.ones((6, 6), dtype=bool))
             full = solve_qw(geometry, strain, table, n_states)
         _assert_same_states(states, full, axes)
 
@@ -271,9 +295,9 @@ def test_split_solve_returns_kramers_pairs_of_dense_states(
 def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
                                                   monkeypatch):
     # uniaxial [100] stress: the real 3N block, one vector per Kramers
-    # pair; e_xy alone: the complex 3N block; any e_xz or e_yz: the
-    # complex 6N matrix, one vector per state; the couplings are real in
-    # every case
+    # pair; e_xy alone: the complex 3N block; any e_xz or e_yz: the 6N
+    # matrix, one vector per state, real for e_xz alone and complex for
+    # e_yz; the couplings are real in every case
     seen = []
     top = qw._top_eigenvectors
 
@@ -288,24 +312,38 @@ def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
     for strain, m, dtype, k in (
             (uniaxial_strain(1.0, gaas), 3, np.float64, 2),
             (StrainState(exy=0.003), 3, np.complex128, 2),
-            (StrainState(exz=0.003), 6, np.complex128, 4),
+            (StrainState(exz=0.003), 6, np.float64, 4),
             (StrainState(eyz=0.003), 6, np.complex128, 4)):
         solve_qw(geometry, strain, table, 4)
         assert seen.pop() == ((n, m, m), dtype, (n - 1, m, m), np.float64,
                               k)
 
 
-def _split_first_and_assembled(geometry, strain, table, well=None):
-    """``qw._kept_blocks`` of the material blocks, and its oracle: the
-    rule ``kp_bulk._kramers_block`` on the assembled 6N blocks, each as
-    one stack of the diagonal blocks and the couplings."""
-    materials = qw._node_blocks(geometry, strain, table, well, None)
-    kept = qw._kept_blocks(*materials)
-    if kept is not None:
-        assert kept[1].dtype == np.float64
-        kept = np.concatenate(kept)
-    return kept, kp_bulk._kramers_block(
-        np.concatenate(qw._assemble(*materials)))
+def _solved_and_assembled(geometry, strain, table, monkeypatch,
+                          well=None):
+    """The blocks ``solve_qw`` hands its eigensolver, and their oracle:
+    the assembled 6N blocks, restricted to the kept bands if no entry
+    couples them to their partners, and real if their imaginary part is
+    exactly zero; each as one stack of the diagonal blocks and the
+    couplings."""
+    seen = []
+    top = qw._top_eigenvectors
+
+    def record(diag, couplings, sigma, k):
+        assert couplings.dtype == np.float64
+        seen.append(np.concatenate([diag, couplings]))
+        return top(diag, couplings, sigma, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(qw, "_top_eigenvectors", record)
+        solve_qw(geometry, strain, table, 2, well=well)
+    (solved,) = seen
+    oracle = np.concatenate(qw._assemble(
+        *qw._node_blocks(geometry, strain, table, well, None)))
+    if not oracle[..., kp_bulk._COUPLINGS].any():
+        oracle = oracle[..., kp_bulk._KEPT_BANDS[:, None],
+                        kp_bulk._KEPT_BANDS]
+    return solved, oracle if oracle.imag.any() else oracle.real
 
 
 def _bits(blocks):
@@ -314,37 +352,47 @@ def _bits(blocks):
 
 
 @pytest.mark.parametrize("grid_points", [51, 301])
-@pytest.mark.parametrize("well_nm", [8.0, 0.05], ids=["well", "one_node"])
+# one_node: about the thinnest well QwGeometry accepts, one node on each
+# side of the centre node; with 10 nm barriers w = 2h at w = 40 nm / (N - 1)
+@pytest.mark.parametrize("well_nm", [8.0, None], ids=["well", "one_node"])
 @pytest.mark.parametrize("kind, dtype", [("uniaxial", np.float64),
                                          ("biaxial", np.float64),
                                          ("exy", np.complex128)])
 def test_split_first_blocks_have_the_bits_of_the_assembled_split(
-        table, gaas, kind, dtype, well_nm, grid_points):
+        table, gaas, monkeypatch, kind, dtype, well_nm, grid_points):
     # the 3N blocks assembled from the materials' kept bands are the kept
     # bands of the assembled 6N blocks, word for word, real or complex
     strain = {"uniaxial": uniaxial_strain(0.8, gaas),
               "biaxial": biaxial_strain(-0.6, gaas),
               "exy": StrainState(0.002, -0.001, 0.0005, exy=0.003)}[kind]
-    geometry = QwGeometry(well_nm, barrier_thickness_nm=10.0,
-                          grid_points=grid_points)
-    if well_nm < 1.0:
-        assert np.count_nonzero(np.abs(geometry.grid()) <= well_nm / 2) == 1
-    kept, oracle = _split_first_and_assembled(geometry, strain, table)
+    thinnest = well_nm is None
+    geometry = QwGeometry(40.4 / (grid_points - 1) if thinnest else well_nm,
+                          barrier_thickness_nm=10.0, grid_points=grid_points)
+    if thinnest:
+        assert np.count_nonzero(geometry.inside()) == 3
+    kept, oracle = _solved_and_assembled(geometry, strain, table,
+                                         monkeypatch)
     assert kept.dtype == oracle.dtype == dtype
     assert kept.shape == oracle.shape == (2 * grid_points - 1, 3, 3)
     assert np.array_equal(_bits(kept), _bits(oracle))
 
 
-@pytest.mark.parametrize("strain", [StrainState(exz=0.003),
-                                    StrainState(eyz=-0.002)],
-                         ids=["exz", "eyz"])
-def test_sheared_well_does_not_split_first(table, strain):
+@pytest.mark.parametrize("strain, dtype", [
+    (StrainState(exz=0.003), np.float64),
+    (StrainState(eyz=-0.002), np.complex128)], ids=["exz", "eyz"])
+def test_sheared_well_does_not_split_first(table, monkeypatch, strain,
+                                           dtype):
+    # e_xz alone leaves every block exactly real: the 6N path runs real
     geometry = QwGeometry(8.0, barrier_thickness_nm=10.0, grid_points=51)
-    assert _split_first_and_assembled(geometry, strain, table) == (None,
-                                                                    None)
+    solved, oracle = _solved_and_assembled(geometry, strain, table,
+                                           monkeypatch)
+    assert solved.dtype == oracle.dtype == dtype
+    assert solved.shape == oracle.shape == (101, 6, 6)
+    assert np.array_equal(_bits(solved), _bits(oracle))
 
 
-def test_split_is_decided_on_the_materials_on_the_grid(table, gaas):
+def test_split_is_decided_on_the_materials_on_the_grid(table, gaas,
+                                                       monkeypatch):
     # a well material with d = 0 does not couple the two band sets under
     # e_xz, the barrier does: the well splits exactly when no barrier node
     # lies on the grid, as the assembled blocks do
@@ -352,11 +400,12 @@ def test_split_is_decided_on_the_materials_on_the_grid(table, gaas):
     strain = StrainState(0.001, 0.001, -0.002, exz=0.003)
     thin = QwGeometry(12.0, barrier_thickness_nm=0.1, grid_points=51)
     assert np.all(np.abs(thin.grid()) <= 6.0)
-    kept, oracle = _split_first_and_assembled(thin, strain, table, well)
-    assert np.array_equal(_bits(kept), _bits(oracle))
     thick = QwGeometry(12.0, barrier_thickness_nm=4.0, grid_points=51)
-    assert _split_first_and_assembled(thick, strain, table, well) == (None,
-                                                                      None)
+    for geometry, bands in ((thin, 3), (thick, 6)):
+        solved, oracle = _solved_and_assembled(geometry, strain, table,
+                                               monkeypatch, well)
+        assert solved.shape == oracle.shape == (101, bands, bands)
+        assert np.array_equal(_bits(solved), _bits(oracle))
 
 
 def test_shear_free_solve_memory_is_bounded(table, gaas):
@@ -688,6 +737,80 @@ def test_runs_load_no_scipy_or_numpy_random(tmp_path):
     assert (out / "qw_mixing_6nm.csv").stat().st_size > 0
 
 
+# full stress tensors (GPa) whose shears are each often exactly zero, so
+# the Kramers split takes all four paths: the 3N block real (no shear) or
+# complex (s_xy), the 6N matrix real (s_xz alone) or complex (s_yz)
+_SHEAR_GPA = st.just(0.0) | st.floats(-0.5, 0.5)
+_STRESSES = st.tuples(*[st.floats(-1.0, 1.0)] * 3, *[_SHEAR_GPA] * 3)
+
+
+def _kramers_path(strain):
+    """The (bands, dtype) the Kramers split solves at k = 0 for a strain:
+    e_yz or e_xz couple the two band sets, e_xy or e_yz make the blocks
+    complex."""
+    bands = 3 if strain.eyz == 0.0 and strain.exz == 0.0 else 6
+    real = strain.exy == 0.0 and strain.eyz == 0.0
+    return bands, np.float64 if real else np.complex128
+
+
+def _assert_pairs_match(energies, vectors, ref_energies, ref_vectors):
+    """Energies within 1e-10 eV of the dense reference, descending, and
+    the projector of each pair within 1e-8 of the reference's, for every
+    pair at least 1 meV from its neighbours (a projector of a pair closer
+    than that to another is not determined to 1e-8 by a 1e-11 eV
+    residual)."""
+    count = len(energies)
+    assert np.abs(energies - ref_energies[:count]).max() <= 1e-10
+    gaps = -np.diff(ref_energies)
+    for j in range(0, count - 1, 2):
+        if gaps[j + 1] < 1e-3 or (j and gaps[j - 1] < 1e-3):
+            continue
+        pair, ref = vectors[:, j:j + 2], ref_vectors[:, j:j + 2]
+        assert np.abs(pair @ np.conj(pair.T) - ref @ np.conj(ref.T)).max() \
+            <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(stress=_STRESSES, well_nm=st.floats(3.0, 12.0),
+       barrier_nm=st.floats(5.0, 10.0), al=st.floats(0.2, 0.5),
+       grid_points=st.sampled_from([51, 61, 81]),
+       n_states=st.sampled_from([2, 4]))
+def test_random_stress_wells_match_dense_eigh(table, gaas, kramers_solves,
+                                              stress, well_nm, barrier_nm, al,
+                                              grid_points, n_states):
+    strain = strain_from_stress(StressTensor(*stress), gaas)
+    geometry = QwGeometry(well_nm, barrier_thickness_nm=barrier_nm,
+                          barrier_al_fraction=al, grid_points=grid_points)
+    with kramers_solves() as seen:
+        states = solve_qw(geometry, strain, table, n_states)
+    bands, dtype = _kramers_path(strain)
+    count = n_states // 2 if bands == 3 else n_states
+    assert seen == [((grid_points, bands, count), dtype)]
+    energies, vectors = np.linalg.eigh(
+        build_qw_hamiltonian(geometry, strain, table))
+    _assert_pairs_match(np.array([s.energy for s in states]),
+                        np.array([s.coefficients.ravel() for s in states]).T,
+                        energies[::-1], vectors[:, ::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(stress=_STRESSES)
+def test_random_stress_bulk_doublets_match_eigensolve(gaas, kramers_solves,
+                                                      stress):
+    # the draws of the well test on the bulk top doublet
+    strain = strain_from_stress(StressTensor(*stress), gaas)
+    with kramers_solves() as seen:
+        doublet = kp_bulk.top_valence_doublet(strain, gaas)
+    bands, dtype = _kramers_path(strain)
+    assert seen == [((bands, 1 if bands == 3 else 2), dtype)]
+    reference = kp_bulk.eigensolve(h6_vb((0.0, 0.0, 0.0), strain, gaas))
+    _assert_pairs_match(
+        np.array([s.energy for s in doublet]),
+        np.array([s.coefficients[kp_bulk.VB_SLICE] for s in doublet]).T,
+        np.array([s.energy for s in reference]),
+        np.array([s.coefficients for s in reference]).T)
+
+
 def test_hole_ground_state_unstrained(table):
     geometry = QwGeometry(12.0, grid_points=151)
     states = solve_qw(geometry, ZERO, table, n_states=4)
@@ -833,10 +956,13 @@ def test_emulated_transitions_batch_matches_single_points(table, gaas):
 
 @pytest.mark.parametrize("stresses, match", [
     ([0.0, 1e3], "sanity bound"), ([math.nan], "not finite"),
-    ([math.inf], "not finite")])
+    ([math.inf], "not finite"), ([[0.1, 0.2], [0.3, 0.4]], "stresses_gpa"),
+    (0.5, "stresses_gpa")])
 def test_emulated_transitions_check_their_strains(table, stresses, match):
     # the strains are built by uniaxial_sweep, so a stress whose strain
-    # breaks the sanity bound or is not finite is rejected, not solved
+    # breaks the sanity bound or is not finite is rejected, not solved, and
+    # so is a stress grid that is not 1-D (a 2-D grid raised numpy's bare
+    # broadcast error, a scalar passed as one point)
     with pytest.raises(ValueError, match=match):
         emulated_transition_energies(DEFAULT_EMULATION_OFFSETS, stresses,
                                      table)
@@ -862,9 +988,17 @@ def test_transition_energy_rejects_unknown_target(table):
         transition_energy("bogus", ZERO, table)
 
 
-def test_emulation_offsets_validation():
+def test_emulation_offsets_validation(table):
     with pytest.raises(ValueError):
         EmulationOffsets(float("nan"), 0.0, 0.0)
+    # the shifts are confinement energies: a negative one gave 1.269 eV
+    # without a word
+    for shifts in ((-0.05, -0.2, 0.01), (0.05, 0.01, -1e-12)):
+        with pytest.raises(ValueError, match="confinement energy >= 0"):
+            EmulationOffsets(*shifts)
+    offsets = EmulationOffsets(0.0, 0.0, 0.0)
+    assert transition_energy(offsets, ZERO, table) \
+        == pytest.approx(table["GaAs"].eg, abs=1e-12)
 
 
 def test_envelope_projection_is_project_hgs(table, random_strain):
