@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,37 +39,6 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-def _parse_str(section: str, key: str, raw: str) -> str:
-    return raw.strip()
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") \
-            from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite")
-    return value
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") \
-            from exc
-
-
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(section, key, item)
-                 for item in raw.split(","))
-
-
 # Output file stems of the per-value tables.  ``RunConfig.validate`` rejects
 # configured values that share a stem, so no table overwrites another.
 
@@ -81,63 +50,82 @@ def _snapshot_stem(stress_gpa: float) -> str:
     return f"angular_density_{stress_gpa:g}gpa"
 
 
-# (section, key) -> (RunConfig field, parser); units are spelled out in the
-# key names, defaults are the RunConfig field defaults
-_KEYS = {
-    ("run", "material"): ("material", _parse_str),
-    ("run", "output_format"): ("output_format", _parse_str),
-    ("run", "parameter_file"): ("parameter_file", _parse_str),
-    ("prestress", "biaxial_stress_gpa"): ("prestress_biaxial_gpa",
-                                          _parse_float),
-    ("sweep", "stress_min_gpa"): ("stress_min_gpa", _parse_float),
-    ("sweep", "stress_max_gpa"): ("stress_max_gpa", _parse_float),
-    ("sweep", "steps"): ("steps", _parse_int),
-    ("axis", "theta_steps"): ("theta_steps", _parse_int),
-    ("axis", "phi_deg"): ("phi_deg", _parse_float),
-    ("qw", "thicknesses_nm"): ("qw_thicknesses_nm", _parse_float_list),
-    ("qw", "barrier_thickness_nm"): ("qw_barrier_nm", _parse_float),
-    ("qw", "barrier_al_fraction"): ("qw_barrier_al_fraction", _parse_float),
-    ("qw", "grid_points"): ("qw_grid_points", _parse_int),
-    ("qw", "sweep_steps"): ("qw_sweep_steps", _parse_int),
-    ("emulation", "cb_shift_mev"): ("emulation_cb_mev", _parse_float),
-    ("emulation", "hh_shift_mev"): ("emulation_hh_mev", _parse_float),
-    ("emulation", "lh_shift_mev"): ("emulation_lh_mev", _parse_float),
-    ("emulation", "transition_steps"): ("transition_steps", _parse_int),
-    ("calibration", "reference_lifetime_ps"): ("lifetime_ps", _parse_float),
-    ("dipoles", "snapshot_stresses_gpa"): ("snapshot_stresses_gpa",
-                                           _parse_float_list),
-}
-_SECTIONS = {section for section, _ in _KEYS}
+def _ini(section: str, key: str, default, *, at_least=None, at_most=None):
+    """A ``RunConfig`` field set by ``[section] key`` (units are spelled out
+    in the keys), parsed as its annotation says; ``validate`` checks the
+    bounds."""
+    return field(default=default, metadata={"ini": (section, key),
+                                            "bounds": (at_least, at_most)})
+
+
+def _parse(kind: str, where: str, raw: str):
+    """The value of config entry ``where`` for a field annotated ``kind``:
+    a stripped ``str``, an ``int``, a finite ``float`` or a ``tuple`` of
+    comma-separated finite floats."""
+    if kind == "str":
+        return raw.strip()
+    if kind == "int":
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: not an integer: {raw!r}") from exc
+    if kind == "tuple":
+        raw = raw.strip()
+        return tuple(_parse("float", where, item)
+                     for item in raw.split(",")) if raw else ()
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite")
+    return value
+
+
+# Upper bounds of the sizes that set the work of a run, from the arrays
+# they shape: a bulk stress point holds about 1.8 kB while it is solved
+# (6.2 kB in a mixing map of 361 angles), and a well node about 4 kB with
+# its solve on the doubled convergence grid.  So the largest run of each
+# command keeps its arrays under 1 GB (mixing-map at 100001 x 361 about
+# 0.62 GB).  A well sweep point holds a few numbers but costs a well solve
+# per thickness, so that sweep stops at 10001 points.
 
 
 @dataclass
 class RunConfig:
-    material: str = "GaAs"
-    output_format: str = "csv"
-    parameter_file: str = ""
-    prestress_biaxial_gpa: float = -0.12
-    stress_min_gpa: float = -2.0
-    stress_max_gpa: float = 2.0
-    steps: int = 201
-    theta_steps: int = 61
-    phi_deg: float = 0.0
-    qw_thicknesses_nm: tuple = (12.0, 4.0)
-    qw_barrier_nm: float = 20.0
-    qw_barrier_al_fraction: float = 0.4
-    qw_grid_points: int = 301
-    qw_sweep_steps: int = 21
-    emulation_cb_mev: float = 52.8
-    emulation_hh_mev: float = 9.1
-    emulation_lh_mev: float = 10.0
-    transition_steps: int = 201
-    lifetime_ps: float = 250.0
-    snapshot_stresses_gpa: tuple = ()
+    material: str = _ini("run", "material", "GaAs")
+    output_format: str = _ini("run", "output_format", "csv")
+    parameter_file: str = _ini("run", "parameter_file", "")
+    prestress_biaxial_gpa: float = _ini("prestress", "biaxial_stress_gpa",
+                                        -0.12)
+    stress_min_gpa: float = _ini("sweep", "stress_min_gpa", -2.0)
+    stress_max_gpa: float = _ini("sweep", "stress_max_gpa", 2.0)
+    steps: int = _ini("sweep", "steps", 201, at_least=2, at_most=100_001)
+    theta_steps: int = _ini("axis", "theta_steps", 61, at_least=2,
+                            at_most=361)
+    phi_deg: float = _ini("axis", "phi_deg", 0.0)
+    qw_thicknesses_nm: tuple = _ini("qw", "thicknesses_nm", (12.0, 4.0))
+    qw_barrier_nm: float = _ini("qw", "barrier_thickness_nm", 20.0)
+    qw_barrier_al_fraction: float = _ini("qw", "barrier_al_fraction", 0.4)
+    qw_grid_points: int = _ini("qw", "grid_points", 301, at_most=10_001)
+    qw_sweep_steps: int = _ini("qw", "sweep_steps", 21, at_least=2,
+                               at_most=10_001)
+    emulation_cb_mev: float = _ini("emulation", "cb_shift_mev", 52.8)
+    emulation_hh_mev: float = _ini("emulation", "hh_shift_mev", 9.1)
+    emulation_lh_mev: float = _ini("emulation", "lh_shift_mev", 10.0)
+    transition_steps: int = _ini("emulation", "transition_steps", 201,
+                                 at_least=2, at_most=100_001)
+    lifetime_ps: float = _ini("calibration", "reference_lifetime_ps", 250.0)
+    snapshot_stresses_gpa: tuple = _ini("dipoles", "snapshot_stresses_gpa",
+                                        ())
 
     @classmethod
     def load(cls, path: Path | None) -> "RunConfig":
+        declared = {f.metadata["ini"]: f for f in fields(cls)}
         raw = {}
         if path is not None:
-            cp = configparser.ConfigParser()
+            # "key = value   ; note" is the value "value"
+            cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
             try:
                 text = Path(path).read_text(encoding="utf-8")
             except OSError as exc:
@@ -149,16 +137,17 @@ class RunConfig:
                 raise ConfigError(f"cannot parse config {path}: {exc}") \
                     from exc
             for section in cp.sections():
-                if section not in _SECTIONS:
+                if section not in {s for s, _ in declared}:
                     raise ConfigError(f"unknown config section [{section}]")
                 for key, value in cp[section].items():
-                    if (section, key) not in _KEYS:
+                    if (section, key) not in declared:
                         raise ConfigError(
                             f"unknown config key {key!r} in [{section}]")
                     raw[section, key] = value
-        return cls(**{field: parse(*where, raw[where])
-                      for where, (field, parse) in _KEYS.items()
-                      if where in raw})
+        # parsed in declaration order: of two bad values, the one declared
+        # first is reported
+        return cls(**{f.name: _parse(f.type, "[%s] %s" % where, raw[where])
+                      for where, f in declared.items() if where in raw})
 
     def validate(self) -> None:
         if self.output_format not in ("csv", "json"):
@@ -167,12 +156,16 @@ class RunConfig:
                 f"{self.output_format!r}")
         if not self.stress_min_gpa < self.stress_max_gpa:
             raise ConfigError("sweep needs stress_min_gpa < stress_max_gpa")
-        for name, steps in (("sweep steps", self.steps),
-                            ("theta_steps", self.theta_steps),
-                            ("qw sweep_steps", self.qw_sweep_steps),
-                            ("transition_steps", self.transition_steps)):
-            if steps < 2:
-                raise ConfigError(f"{name} must be at least 2, got {steps}")
+        for f in fields(self):
+            section, key = f.metadata["ini"]
+            low, high = f.metadata["bounds"]
+            value = getattr(self, f.name)
+            if low is not None and value < low:
+                raise ConfigError(
+                    f"{section} {key} must be at least {low}, got {value}")
+            if high is not None and value > high:
+                raise ConfigError(
+                    f"{section} {key} must be at most {high}, got {value}")
         if not self.qw_thicknesses_nm:
             raise ConfigError("qw thicknesses_nm must not be empty")
         try:

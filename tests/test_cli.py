@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import strainkp
 from strainkp import _blocktri, axis, kp_bulk, optics, qw
-from strainkp.cli import _CHUNK_CELLS, _Grid, _write_table, main
+from strainkp.cli import (_CHUNK_CELLS, RunConfig, _Grid, _write_table,
+                          main)
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
 from strainkp.materials import default_parameter_table
 
@@ -701,6 +703,59 @@ def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and clash in err
+
+
+@pytest.mark.parametrize("command, body, args, message", [
+    # 745 GiB of mixing map: numpy's allocation error and a traceback
+    ("mixing-map", "[sweep]\nsteps = 100000000000\n", [],
+     "sweep steps must be at most 100001, got 100000000000"),
+    ("dipoles", "", ["--steps", "100002"],
+     "sweep steps must be at most 100001, got 100002"),
+    ("mixing-map", "[axis]\ntheta_steps = 362\n", [],
+     "axis theta_steps must be at most 361, got 362"),
+    ("qw", "[qw]\ngrid_points = 10003\n", [],
+     "qw grid_points must be at most 10001, got 10003"),
+    ("qw", "", ["--steps", "10002"],
+     "qw sweep_steps must be at most 10001, got 10002"),
+    ("qw", "[emulation]\ntransition_steps = 100002\n", [],
+     "emulation transition_steps must be at most 100001, got 100002"),
+], ids=["steps", "steps-flag", "theta", "grid", "qw-steps", "transition"])
+def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
+                                           message, capsys, monkeypatch):
+    # every size that sets the work of a run has an upper bound, checked
+    # when the config is validated, before any array of that size
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    for module, name in ((axis, "mixing_curve"), (axis, "mixing_map"),
+                         (optics, "dipole_sweep"),
+                         (qw, "qw_mixing_vs_strain"), (qw, "solve_qw"),
+                         (qw, "emulated_transition_energies")):
+        monkeypatch.setattr(module, name, no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 *args]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_every_work_size_is_bounded_and_its_bounds_validate():
+    # each int field sets an amount of work; its bounds themselves are
+    # valid configs, so no bound contradicts a library check
+    sizes = [f for f in dataclasses.fields(RunConfig) if f.type == "int"]
+    assert {f.name for f in sizes} == {
+        "steps", "theta_steps", "qw_grid_points", "qw_sweep_steps",
+        "transition_steps"}
+    for f in sizes:
+        low, high = f.metadata["bounds"]
+        assert high is not None, f.name
+        for value in (low, high):
+            if value is not None:
+                dataclasses.replace(RunConfig(), **{f.name: value}).validate()
 
 
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from strainkp.materials import (AlloyComposition, ParameterLoadError, algaas,
@@ -130,10 +131,10 @@ def test_vegard_linearity(gaas, alas, rng):
 
 
 def test_vegard_out_of_range():
-    with pytest.raises(ValueError):
-        AlloyComposition(1.2)
-    with pytest.raises(ValueError):
-        AlloyComposition(-0.1)
+    # the first floats outside [0, 1] too, not only far ones
+    for x in (1.2, -0.1, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)):
+        with pytest.raises(ValueError):
+            AlloyComposition(x)
 
 
 def test_algaas_barrier_name(table):

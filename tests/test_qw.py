@@ -932,6 +932,24 @@ def test_transition_energy_emulation_baseline(table, gaas):
     assert energy == pytest.approx(gaas.eg + 0.0528 + 0.0091, abs=1e-12)
 
 
+def test_transition_energy_emulation_off_the_uniaxial_sweep(table, gaas):
+    # any strain, not only a uniaxial one (where e_yy = e_zz): the CB
+    # moves with the full trace, and the shifted 6x6 at k = 0 gives the
+    # hole, HH shift on diagonal entries 0 and 3 and LH shift on 1 and 2
+    offsets = EmulationOffsets(0.03, 0.012, 0.004)
+    for strain in (biaxial_strain(-0.5, gaas),
+                   StrainState(0.002, -0.001, 0.0005, 0.001, -0.0007,
+                               0.0012)):
+        h = h6_vb((0, 0, 0), strain, gaas)
+        h[[0, 3], [0, 3]] -= offsets.hh_shift
+        h[[1, 2], [1, 2]] -= offsets.lh_shift
+        top = np.linalg.eigvalsh(h).max()
+        expected = (gaas.cb_edge + gaas.ac * strain.trace()
+                    + offsets.cb_shift - top)
+        assert transition_energy(offsets, strain, table) \
+            == pytest.approx(expected, abs=1e-12)
+
+
 def test_emulated_transitions_batch_matches_single_points(table, gaas):
     # one batched eigensolve gives bit for bit the per-point bulk doublet
     # formula, so the transition table keeps its bytes
