@@ -4,17 +4,15 @@ quantum-well hole states, quantization-axis analysis, and optical
 selection rules."""
 
 from .axis import (ProjectionResult, QuantizationAxis, commutator_norm,
-                   j_operator, mixing_curve, mixing_map, project_hgs,
-                   rotated_basis)
+                   j_operator, mixing_curve, mixing_map, project_hgs)
 from .elasticity import (ActuatorGeometry, StrainState, StressTensor,
                          actuator_strain, biaxial_strain, strain_from_stress,
                          stress_from_strain, superpose, uniaxial_strain)
-from .kp_bulk import (BLOCH_LABELS, HBAR2_OVER_2M0, SpinorState, Wavevector,
-                      build_h8, dispersion, eigensolve, h4_topmost, h6_vb,
+from .kp_bulk import (BLOCH_LABELS, HBAR2_OVER_2M0, SpinorState, build_h8,
+                      dispersion, eigensolve, h4_topmost, h6_vb,
                       top_valence_doublet)
-from .materials import (AlloyComposition, MaterialParams, ParameterLoadError,
-                        algaas, default_parameter_table, dump_parameter_table,
-                        load_parameter_table, vegard)
+from .materials import (MaterialParams, ParameterLoadError, algaas,
+                        default_parameter_table, load_parameter_table)
 from .optics import (AngularDensity, DipoleStrengths, Polarization,
                      RateCalibration, angular_density, dipole_strengths,
                      dipole_sweep, dlp_and_angle, rates)

@@ -1,8 +1,8 @@
 """Quantization-axis analysis of valence states.
 
-Provides the angular-momentum operators on the HH/LH quadruplet, the
-HH/LH/SO basis rotated to an axis n(theta, phi), and the doublet-averaged
-projection onto it,
+Provides the angular-momentum operators on the HH/LH quadruplet and the
+doublet-averaged projection onto the HH/LH/SO basis rotated to an axis
+n(theta, phi),
 
     p_b = (1/2) sum_{i in doublet} sum_{j in pair b} |<state_i|b_n^j>|^2,
 
@@ -16,7 +16,7 @@ SO weight,
     p_hh(n) = n^T M n / 4 - t/16,  p_lh = t/2 - p_hh,  p_so = s/2:
 
 one real symmetric 3x3 tensor per doublet (``_hgs_tensor``) gives every
-axis without a rotated basis; ``rotated_basis`` is the tests' reference.
+axis without building the rotated basis.
 The sweeps solve all their doublets in one batch and project them along
 every axis asked for: ``mixing_curve`` gives one (strain_xx, p_hh, p_lh,
 p_so) table per axis, ``mixing_map`` p_hh over a (theta, strain) grid.
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import (_BLOCH_ORBITALS, VB_SLICE, SpinorState, _doublet_stack,
-                      _full8, validate_doublet)
+from .kp_bulk import _doublet_stack, _valence, validate_doublet
 from .materials import MaterialParams
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "mixing_curve",
     "mixing_map",
     "project_hgs",
-    "rotated_basis",
 ]
 
 MIXING_CURVE_COLUMNS = ("strain_xx", "p_hh", "p_lh", "p_so")
@@ -100,28 +98,6 @@ def j_operator(component: str) -> np.ndarray:
     raise ValueError(f"component must be 'x', 'y' or 'z', got {component!r}")
 
 
-def rotated_basis(axis: QuantizationAxis) -> list[SpinorState]:
-    """The eight Bloch basis states quantized along ``axis``.
-
-    At theta = phi = 0 this is exactly the canonical basis.  The HH/LH
-    states span the J = 3/2 quadruplet and the SO states the J = 1/2
-    doublet for every axis, so the three pair subspaces are rotation
-    covariant.
-    """
-    ct, st = math.cos(axis.theta), math.sin(axis.theta)
-    cp, sp = math.cos(axis.phi), math.sin(axis.phi)
-    c, s = math.cos(axis.theta / 2.0), math.sin(axis.theta / 2.0)
-    em, ep = np.exp(-0.5j * axis.phi), np.exp(0.5j * axis.phi)
-    # rows: the orbitals (S, X', Y', Z'), Z' along n, in (S, X, Y, Z) and
-    # the spinors quantized along n in the z-spinors
-    ro = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, ct * cp, ct * sp, -st],
-                   [0.0, -sp, cp, 0.0], [0.0, st * cp, st * sp, ct]])
-    rs = np.array([[em * c, ep * s], [-em * s, ep * c]])
-    # column 4 s' + o' is that primed product in the canonical products
-    w = _BLOCH_ORBITALS.conj().T @ np.kron(rs.T, ro.T) @ _BLOCH_ORBITALS
-    return [SpinorState(w[:, j]) for j in range(8)]
-
-
 def project_hgs(doublet, axis: QuantizationAxis) -> ProjectionResult:
     """Project a degenerate valence doublet onto the rotated basis.
 
@@ -129,7 +105,7 @@ def project_hgs(doublet, axis: QuantizationAxis) -> ProjectionResult:
     pair, so the result does not depend on how the degenerate subspace
     was split by the eigensolver.
     """
-    psi = validate_doublet(*doublet)
+    psi = _valence(validate_doublet(*doublet))
     return ProjectionResult(*_project(psi, [axis.unit_vector])[0].tolist())
 
 
@@ -142,12 +118,12 @@ _J_REAL = np.block([[_J_ROWS.real, _J_ROWS.imag],
 
 
 def _hgs_tensor(psi: np.ndarray):
-    """(M, t, s) of the module docstring for the j columns of states psi
-    (..., 6 or 8, j): shapes (..., 3, 3), (...) and (...)."""
+    """(M, t, s) of the module docstring for the j columns of VB states
+    psi (..., 6, j): shapes (..., 3, 3), (...) and (...)."""
     # one einsum over all columns, then one 3x3 product per doublet: the
     # einsum sums in numpy's own loop, where a 2-D BLAS product, growing
     # with the batch, would wake OpenBLAS's thread pool past its threshold
-    columns = np.swapaxes(_full8(psi)[..., VB_SLICE, :], -1, -2)
+    columns = np.swapaxes(psi, -1, -2)
     batch, j = columns.shape[:-2], columns.shape[-2]
     v = columns.reshape(-1, 6)
     x = np.concatenate([v.real, v.imag], 1)
@@ -158,8 +134,8 @@ def _hgs_tensor(psi: np.ndarray):
 
 
 def _project(psi: np.ndarray, directions) -> np.ndarray:
-    """(p_hh, p_lh, p_so), shape (..., d, 3), of states psi (..., 6 or 8,
-    j) averaged over the j columns, along each unit row of ``directions``."""
+    """(p_hh, p_lh, p_so), shape (..., d, 3), of VB states psi (..., 6, j)
+    averaged over the j columns, along each unit row of ``directions``."""
     m, t, s = _hgs_tensor(psi)
     p = np.empty(t.shape + (len(directions), 3))
     p[..., 0] = _p_hh(m, t, np.asarray(directions, dtype=float))
@@ -174,8 +150,10 @@ def _p_hh(m: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     product of that size grows with the sweep and the grid and, past
     OpenBLAS's threshold, wakes its thread pool; einsum calls no BLAS."""
     nn = (n[:, :, None] * n[:, None, :]).reshape(-1, 9)
-    return (0.25 * np.einsum("...k,dk->...d", m.reshape(t.shape + (9,)), nn)
-            - t[..., None] / 16)
+    p = np.einsum("...k,dk->...d", m.reshape(t.shape + (9,)), nn)
+    p *= 0.25  # in place, so that no second array of its size is made
+    p -= t[..., None] / 16
+    return p
 
 
 def commutator_norm(j: np.ndarray, h4: np.ndarray) -> float:

@@ -88,7 +88,9 @@ def _parse(kind: str, where: str, raw: str):
 # its solve on the doubled convergence grid.  So the largest run of each
 # command keeps its arrays under 1 GB (mixing-map at 100001 x 361 about
 # 0.62 GB).  A well sweep point holds a few numbers but costs a well solve
-# per thickness, so that sweep stops at 10001 points.
+# per thickness, so that sweep stops at 10001 points.  A list stops at 1001
+# values: each holds a (sweep point, 8) well table, 0.64 MB at 10001
+# points, or a 90 x 180 snapshot density, 0.13 MB, until it is written.
 
 
 @dataclass
@@ -104,7 +106,8 @@ class RunConfig:
     theta_steps: int = _ini("axis", "theta_steps", 61, at_least=2,
                             at_most=361)
     phi_deg: float = _ini("axis", "phi_deg", 0.0)
-    qw_thicknesses_nm: tuple = _ini("qw", "thicknesses_nm", (12.0, 4.0))
+    qw_thicknesses_nm: tuple = _ini("qw", "thicknesses_nm", (12.0, 4.0),
+                                    at_least=1, at_most=1001)
     qw_barrier_nm: float = _ini("qw", "barrier_thickness_nm", 20.0)
     qw_barrier_al_fraction: float = _ini("qw", "barrier_al_fraction", 0.4)
     qw_grid_points: int = _ini("qw", "grid_points", 301, at_most=10_001)
@@ -117,7 +120,7 @@ class RunConfig:
                                  at_least=2, at_most=100_001)
     lifetime_ps: float = _ini("calibration", "reference_lifetime_ps", 250.0)
     snapshot_stresses_gpa: tuple = _ini("dipoles", "snapshot_stresses_gpa",
-                                        ())
+                                        (), at_most=1001)
 
     @classmethod
     def load(cls, path: Path | None) -> "RunConfig":
@@ -159,15 +162,15 @@ class RunConfig:
         for f in fields(self):
             section, key = f.metadata["ini"]
             low, high = f.metadata["bounds"]
-            value = getattr(self, f.name)
+            value, name = getattr(self, f.name), f"{section} {key}"
+            if isinstance(value, tuple):
+                value, name = len(value), f"the number of {name} values"
             if low is not None and value < low:
                 raise ConfigError(
-                    f"{section} {key} must be at least {low}, got {value}")
+                    f"{name} must be at least {low}, got {value}")
             if high is not None and value > high:
                 raise ConfigError(
-                    f"{section} {key} must be at most {high}, got {value}")
-        if not self.qw_thicknesses_nm:
-            raise ConfigError("qw thicknesses_nm must not be empty")
+                    f"{name} must be at most {high}, got {value}")
         try:
             optics.RateCalibration(self.lifetime_ps)
         except ValueError as exc:
@@ -292,7 +295,8 @@ def _write_table(path: Path, columns, rows, output_format: str) -> None:
             f.write(",".join(columns) + "\n")
             f.writelines(_body(rows, len(columns)))
             return
-        f.write('{"columns":' + _compact_json(list(columns)) + ',"rows":[')
+        header = json.dumps(list(columns), separators=(",", ":"))
+        f.write('{"columns":' + header + ',"rows":[')
         sep = ""
         for piece in _body(rows, len(columns)):
             if piece:
@@ -317,10 +321,6 @@ _EXPONENT = re.compile(r"e(?:\+(?:09|1[0-5])|-3(?:0[89]|[1-9]\d))(?=[,\]])")
 _EXPONENT_CELL = re.compile(r"([,\[])([-\d.]+" + _EXPONENT.pattern + ")")
 
 
-def _repr_cell(match: re.Match) -> str:
-    return match[1] + repr(float(match[2]))
-
-
 def _json_rows(piece: str) -> str:
     """JSON text of the rows of a CSV body piece, without the outer list
     brackets: the bytes of ``json.dumps`` of the cells parsed as floats,
@@ -330,12 +330,8 @@ def _json_rows(piece: str) -> str:
     for pattern in _INTEGER_CELLS:
         rows = pattern.sub(r"\g<0>.0", rows)
     if _EXPONENT.search(rows):
-        rows = _EXPONENT_CELL.sub(_repr_cell, rows)
+        rows = _EXPONENT_CELL.sub(lambda m: m[1] + repr(float(m[2])), rows)
     return rows.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def _compact_json(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
 
 
 def _prestress(cfg: RunConfig, p: MaterialParams):

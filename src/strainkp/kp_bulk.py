@@ -14,7 +14,9 @@ Basis ordering, fixed everywhere in this package::
 Everything is stored in the electron-energy picture: the topmost valence
 state is the largest eigenvalue among the six VB states, the CB block is
 diagonal with the hydrostatic shift ``ac * tr(strain)``, and CB-VB
-coupling is neglected, so the CB block is exactly decoupled.
+coupling is neglected, so the CB block is exactly decoupled: a hole state
+is its six VB coefficients (rows 2-7), as solved, and only ``build_h8``,
+``eigensolve`` of it and ``dispersion`` carry the CB, for its edge.
 
 The valence block is the standard Luttinger-Kohn + Bir-Pikus 6x6 written
 in the hole picture and negated.  Scalar ingredients, with ``K`` the
@@ -137,10 +139,10 @@ class Wavevector:
 class SpinorState:
     """Complex coefficient vector over the Bloch basis, with its energy.
 
-    ``coefficients`` may have 8 entries (full basis) or 6 (VB-only
-    restriction in basis order HH+3/2, LH+1/2, LH-1/2, HH-3/2, SO+1/2,
-    SO-1/2).  The state keeps a read-only copy of the coefficients, so
-    no later write to the caller's array changes it.
+    A hole state has 6 entries, the VB rows in basis order HH+3/2,
+    LH+1/2, LH-1/2, HH-3/2, SO+1/2, SO-1/2; ``eigensolve`` of an 8x8
+    gives 8 (full basis).  The state keeps a read-only copy of the
+    coefficients, so no later write to the caller's array changes it.
     """
 
     coefficients: np.ndarray
@@ -373,7 +375,7 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
                    hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[np.ndarray, np.ndarray]:
     """Topmost VB doublets of Voigt strains (..., 6) from one batched
-    eigensolve: energies (..., 2) and 8-component states (..., 8, 2);
+    eigensolve: energies (..., 2) and VB states (..., 6, 2);
     the shifts add to the electron-picture HH and LH diagonal entries
     (the emulated confinement of ``qw``).
 
@@ -390,31 +392,31 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
     h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
     _check_hermitian(h)
     energies, vectors = _kramers_solve(h, partial(_top_eigh, h), 1)
-    vectors = _fix_phases(vectors)
-    _check_norms(vectors)
-    states = _full8(vectors)
+    states = _fix_phases(vectors)
+    _check_norms(states)
     _check_doublets(energies, states)
     return energies, states
 
 
 def top_valence_doublet(strain: StrainState, p: MaterialParams,
                         k=(0, 0, 0)) -> tuple[SpinorState, SpinorState]:
-    """Topmost (Kramers-degenerate) VB doublet, as 8-component states."""
+    """Topmost (Kramers-degenerate) VB doublet, as 6-component states."""
     energies, states = _doublet_stack(strain.as_voigt(), p, k)
     return tuple(SpinorState(c, energy=float(e))
                  for c, e in zip(states.T, energies))
 
 
-def _full8(states: np.ndarray) -> np.ndarray:
-    """Coefficients (..., 6 or 8, j) padded to the full 8-band basis."""
-    if states.shape[-2] == 8:
-        return states
-    if states.shape[-2] == 6:
-        full = np.zeros(states.shape[:-2] + (8, states.shape[-1]),
-                        dtype=complex)
-        full[..., VB_SLICE, :] = states
-        return full
-    raise ValueError("projection needs 6- or 8-component states")
+def _valence(psi: np.ndarray) -> np.ndarray:
+    """The VB coefficients (..., 6, j) of hole states psi (..., m, j): six
+    rows as they are, or eight (the full basis of ``eigensolve``) without
+    the CB rows, which must hold no weight; any other psi raises
+    ValueError."""
+    if psi.shape[-2] == 8 and np.sum(np.abs(psi[..., :2, :]) ** 2) <= 1e-9:
+        return psi[..., VB_SLICE, :]
+    if psi.shape[-2] != 6:
+        raise ValueError(f"hole states need 6 VB components, or 8 with no "
+                         f"CB weight; got {psi.shape[-2]}")
+    return psi
 
 
 def _check_doublets(energies: np.ndarray, states: np.ndarray) -> None:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elasticity import StrainState, _require_integer, uniaxial_sweep
-from .kp_bulk import (_BLOCH_ORBITALS, VB_SLICE, SpinorState, _doublet_stack,
-                      _full8, validate_doublet)
+from .kp_bulk import (_BLOCH_ORBITALS, SpinorState, _doublet_stack,
+                      _valence, validate_doublet)
 from .materials import MaterialParams
 
 __all__ = [
@@ -41,8 +41,8 @@ DIPOLE_SWEEP_COLUMNS = ("strain_xx", "s_x", "s_y", "s_z",
                         "rate_x_ghz", "rate_y_ghz", "rate_z_ghz")
 
 # (X, Y, Z) x (up, dn) content of the six VB coefficients, spin-major:
-# the X/Y/Z rows of the Bloch-orbital table (no VB state holds S)
-_XYZ_CONTENT = _BLOCH_ORBITALS[[1, 2, 3, 5, 6, 7], VB_SLICE]
+# the X/Y/Z rows, VB columns, of the Bloch-orbital table (no VB state holds S)
+_XYZ_CONTENT = _BLOCH_ORBITALS[[1, 2, 3, 5, 6, 7], 2:]
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _sphere_grid(n_theta: int, n_phi: int):
 
 def _orbital_weights(psi: np.ndarray,
                      directions: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the columns of states psi (..., 8, j) and both spins of
+    """Sum over the columns of VB states psi (..., 6, j) and both spins of
     |n . v|^2 per row n of ``directions`` (d, 3), or cubic axis if None:
     shape (..., d), with v a column's (X, Y, Z) content for one spin, its
     real and imaginary parts projected apart.  Each column's four squares
@@ -145,7 +145,7 @@ def _orbital_weights(psi: np.ndarray,
     # einsums over all columns: a stack would take a BLAS call per matrix,
     # and a 2-D BLAS product, growing with the sweep or the sphere grid,
     # wakes OpenBLAS's thread pool past its threshold; einsum calls no BLAS
-    columns = np.swapaxes(psi[..., VB_SLICE, :], -1, -2)
+    columns = np.swapaxes(psi, -1, -2)
     v = np.einsum("ik,lk->il", columns.reshape(-1, 6), _XYZ_CONTENT)
     amp = np.concatenate([v.real, v.imag], 1).reshape(-1, 3)
     if directions is not None:
@@ -176,9 +176,7 @@ def angular_density(state, n_theta: int = 90,
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     states = (state,) if isinstance(state, SpinorState) else tuple(state)
-    psi = _full8(np.stack([s.coefficients for s in states], -1))
-    if np.sum(np.abs(psi[:2]) ** 2) > 1e-9:
-        raise ValueError("angular density is defined for VB states only")
+    psi = _valence(np.stack([s.coefficients for s in states], -1))
     th, ph, orbitals, weights = _sphere_grid(n_theta, n_phi)
     density = _orbital_weights(psi, orbitals.T).reshape(weights.shape)
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
@@ -202,8 +200,7 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None) \
                 or np.abs(frame @ frame.T - np.eye(3)).max() > 1e-10:
             raise ValueError("frame must be a 3x3 orthogonal matrix whose "
                              "rows are the dipole axes")
-    psi = validate_doublet(*doublet)
-    s = 0.5 * _orbital_weights(_full8(psi), frame)
+    s = 0.5 * _orbital_weights(_valence(validate_doublet(*doublet)), frame)
     return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))
 
 

@@ -1,13 +1,15 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from oracles import rotated_basis
 from strainkp.axis import (QuantizationAxis, _hgs_tensor, commutator_norm,
                            default_theta_grid, j_operator, mixing_curve,
-                           mixing_map, project_hgs, rotated_basis)
+                           mixing_map, project_hgs)
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain, uniaxial_sweep)
 from strainkp.kp_bulk import (SpinorState, _doublet_stack,
@@ -20,20 +22,21 @@ Z_AXIS = QuantizationAxis(0.0)
 K0 = (0.0, 0.0, 0.0)
 
 
-def jx_eigen_projection(state8):
-    """Independent oracle: HH/LH weights from the eigenvectors of J_x on
-    the 4-band block (distinct eigenvalues, so unique up to phase); SO
-    weight from the split-off rows, which are axis independent."""
+def jx_eigen_projection(state6):
+    """Independent oracle on the six VB coefficients: HH/LH weights from
+    the eigenvectors of J_x on the 4-band block (distinct eigenvalues, so
+    unique up to phase); SO weight from the split-off rows, which are axis
+    independent."""
     jx = np.array([[0, math.sqrt(3) / 2, 0, 0],
                    [math.sqrt(3) / 2, 0, 1, 0],
                    [0, 1, 0, math.sqrt(3) / 2],
                    [0, 0, math.sqrt(3) / 2, 0]])
     vals, vecs = np.linalg.eigh(jx)  # ascending: -3/2, -1/2, +1/2, +3/2
-    four = state8[2:6]
+    four = state6[:4]
     weights = np.abs(vecs.conj().T @ four) ** 2
     p_hh = weights[0] + weights[3]
     p_lh = weights[1] + weights[2]
-    p_so = abs(state8[6]) ** 2 + abs(state8[7]) ** 2
+    p_so = abs(state6[4]) ** 2 + abs(state6[5]) ** 2
     return p_hh, p_lh, p_so
 
 
@@ -262,10 +265,29 @@ def test_mixing_map_rejects_empty_grid(gaas):
         mixing_map([], biaxial_strain(-0.12, gaas), gaas)
 
 
+def test_mixing_map_memory_is_bounded(gaas):
+    # the map is the largest array of a sweep and is made once: scaled
+    # in place, not held twice (measured 1.13 times its bytes at 2001 x
+    # 361; twice them when the scaled copy was a second array)
+    pre = biaxial_strain(-0.12, gaas)
+    stresses = np.linspace(-2.0, 2.0, 2001)
+    thetas = default_theta_grid(361)
+    mixing_map(stresses[:3], pre, gaas, thetas=thetas[:3])  # warm caches
+    tracemalloc.start()
+    try:
+        _, _, phh = mixing_map(stresses, pre, gaas, thetas=thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phh.shape == (361, 2001)
+    assert peak < 1.5 * phh.nbytes
+
+
 def overlap_oracle(states, axis):
     """(p_hh, p_lh, p_so): (1/2) sum |b^dagger psi|^2 over each rotated
     pair b of ``rotated_basis(axis)`` and over the states, bulk spinors
-    (8,) or well envelopes (6, N) (the overlap is taken node by node)."""
+    (6,) or well envelopes (6, N) (the overlap is taken node by node),
+    each padded with the two empty CB rows of the eight-state basis."""
     basis = np.column_stack([b.coefficients for b in rotated_basis(axis)])
     weights = np.zeros(8)
     for state in states:

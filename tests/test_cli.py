@@ -1,8 +1,10 @@
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -535,6 +537,29 @@ def test_cli_reads_no_private_library_name():
     assert private == []
 
 
+def test_every_exported_name_has_a_user():
+    # the package namespace is the public surface: each name in it but the
+    # submodules is used by the CLI, the acceptance tests or the benchmark
+    # worker, or named in the README
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in (Path(strainkp.cli.__file__),
+                 root / "tests" / "test_acceptance.py",
+                 root / "bench" / "worker.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    named = set(re.findall(r"\w+", (root / "README.md").read_text("utf-8")))
+    exported = [name for name, value in vars(strainkp).items()
+                if not name.startswith("_") and not inspect.ismodule(value)]
+    assert "top_valence_doublet" in exported
+    assert [name for name in exported if name not in used | named] == []
+
+
 def test_determinism_byte_identical(tmp_path, config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -719,7 +744,18 @@ def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
      "qw sweep_steps must be at most 10001, got 10002"),
     ("qw", "[emulation]\ntransition_steps = 100002\n", [],
      "emulation transition_steps must be at most 100001, got 100002"),
-], ids=["steps", "steps-flag", "theta", "grid", "qw-steps", "transition"])
+    # the lists: one table, or one 90 x 180 density, held per value
+    ("qw", "[qw]\nthicknesses_nm = "
+     + ", ".join(str(t) for t in range(1, 1003)) + "\n", [],
+     "the number of qw thicknesses_nm values must be at most 1001, got 1002"),
+    ("qw", "[qw]\nthicknesses_nm =\n", [],
+     "the number of qw thicknesses_nm values must be at least 1, got 0"),
+    ("dipoles", "[dipoles]\nsnapshot_stresses_gpa = "
+     + ", ".join(str(s / 1000) for s in range(1002)) + "\n", [],
+     "the number of dipoles snapshot_stresses_gpa values must be at most "
+     "1001, got 1002"),
+], ids=["steps", "steps-flag", "theta", "grid", "qw-steps", "transition",
+        "thicknesses", "no-thickness", "snapshots"])
 def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
                                            message, capsys, monkeypatch):
     # every size that sets the work of a run has an upper bound, checked
@@ -729,6 +765,8 @@ def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
 
     for module, name in ((axis, "mixing_curve"), (axis, "mixing_map"),
                          (optics, "dipole_sweep"),
+                         (optics, "angular_density"),
+                         (kp_bulk, "top_valence_doublet"),
                          (qw, "qw_mixing_vs_strain"), (qw, "solve_qw"),
                          (qw, "emulated_transition_energies")):
         monkeypatch.setattr(module, name, no_solve)
@@ -756,6 +794,16 @@ def test_every_work_size_is_bounded_and_its_bounds_validate():
         for value in (low, high):
             if value is not None:
                 dataclasses.replace(RunConfig(), **{f.name: value}).validate()
+    # each list field sets a number of tables held until they are written;
+    # its length bound is valid too, with values of distinct file names
+    lists = [f for f in dataclasses.fields(RunConfig) if f.type == "tuple"]
+    assert {f.name for f in lists} == {"qw_thicknesses_nm",
+                                       "snapshot_stresses_gpa"}
+    for f in lists:
+        _, high = f.metadata["bounds"]
+        assert high is not None, f.name
+        values = tuple(float(v) for v in range(1, high + 1))
+        dataclasses.replace(RunConfig(), **{f.name: values}).validate()
 
 
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):

@@ -171,8 +171,8 @@ def test_top_valence_doublet_contract(gaas):
     strain = uniaxial_strain(0.8, gaas)
     a, b = top_valence_doublet(strain, gaas)
     validate_doublet(a, b)
-    assert a.coefficients.shape == (8,)
-    assert np.all(a.coefficients[:2] == 0.0)
+    # the six VB coefficients, as solved
+    assert a.coefficients.shape == b.coefficients.shape == (6,)
 
 
 def test_bloch_orbital_table_is_built_once_and_read_only():
@@ -306,7 +306,7 @@ def _shear_free_voigt(rng, n, xy):
 
 
 def _strengths(states):
-    """(s_x, s_y, s_z), last axis, of doublets (..., 8, 2)."""
+    """(s_x, s_y, s_z), last axis, of doublets (..., 6, 2)."""
     return 0.5 * _orbital_weights(states, np.eye(3))
 
 
@@ -345,9 +345,8 @@ def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch,
         assert np.abs(_strengths(states) - _strengths(ref_states)).max() \
             < 1e-10
         # psi lives in the kept bands, T psi in their partners
-        vb = states[:, kp_bulk.VB_SLICE]
-        assert not vb[:, kp_bulk._PARTNER_BANDS, 0].any()
-        assert not vb[:, kp_bulk._KEPT_BANDS, 1].any()
+        assert not states[:, kp_bulk._PARTNER_BANDS, 0].any()
+        assert not states[:, kp_bulk._KEPT_BANDS, 1].any()
 
 
 def test_sheared_doublets_take_the_6x6_path(gaas, rng, kramers_solves):
@@ -367,7 +366,7 @@ def test_sheared_doublets_take_the_6x6_path(gaas, rng, kramers_solves):
                 voigt[:, column] = rng.uniform(-0.01, 0.01, size=5)
             energies, states = kp_bulk._doublet_stack(voigt, gaas, k)
             assert seen.pop() == ((5, 6, 2), dtype)
-            assert energies.shape == (5, 2) and states.shape == (5, 8, 2)
+            assert energies.shape == (5, 2) and states.shape == (5, 6, 2)
 
 
 def test_split_path_keeps_the_hermitian_check(gaas, monkeypatch):

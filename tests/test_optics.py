@@ -1,13 +1,16 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from strainkp.axis import QuantizationAxis, mixing_curve, rotated_basis
+from oracles import rotated_basis
+from strainkp.axis import QuantizationAxis, mixing_curve, project_hgs
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain)
 from strainkp.kp_bulk import (ORBITAL_SPIN_LABELS, SpinorState,
-                              bloch_orbital_matrix, top_valence_doublet)
+                              bloch_orbital_matrix, build_h8, eigensolve,
+                              top_valence_doublet)
 from strainkp.optics import (DIPOLE_SWEEP_COLUMNS, DipoleStrengths,
                              RateCalibration, angular_density,
                              dipole_strengths, dipole_sweep, dlp_and_angle,
@@ -96,7 +99,9 @@ def test_frame_strengths_match_product_basis_oracle(gaas, random_strain,
     for _ in range(20):
         doublet = top_valence_doublet(random_strain(), gaas)
         frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        products = u @ np.column_stack([s.coefficients for s in doublet])
+        # the VB columns of the table times the six VB coefficients
+        products = u[:, 2:] @ np.column_stack([s.coefficients
+                                               for s in doublet])
         expected = [0.5 * sum(abs(n @ products[rows, j]) ** 2
                               for rows in ([1, 2, 3], [5, 6, 7])
                               for j in range(2))
@@ -331,6 +336,32 @@ def test_angular_density_of_a_doublet_adds_its_states(gaas, rng):
 def test_angular_density_rejects_cb_state():
     with pytest.raises(ValueError, match="VB"):
         angular_density(basis_state(0))
+
+
+@pytest.mark.parametrize("read", [
+    lambda d: np.array(astuple(project_hgs(d, QuantizationAxis(0.7, 0.3)))),
+    lambda d: dipole_strengths(d).as_array(),
+    lambda d: angular_density(d, n_theta=7, n_phi=11).density,
+], ids=["project_hgs", "dipole_strengths", "angular_density"])
+def test_hole_states_are_six_vb_or_eight_cb_free_components(gaas, read):
+    # one rule for every call that takes hole states: the six VB rows as
+    # they are, eight (the full basis of eigensolve) with the CB rows
+    # empty, and nothing else
+    strain = StrainState(0.003, -0.001, -0.002, 0.0005, -0.001, 0.002)
+    full = eigensolve(build_h8((0.0, 0.0, 0.0), strain, gaas))[2:4]
+    vb = [SpinorState(s.coefficients[2:], energy=s.energy) for s in full]
+    assert np.array_equal(read(full), read(vb))
+    # a CB admixture keeps the pair degenerate and orthonormal
+    mixed = []
+    for i, s in enumerate(full):
+        c = math.sqrt(0.99) * s.coefficients
+        c[i] += 0.1
+        mixed.append(SpinorState(c, energy=s.energy))
+    with pytest.raises(ValueError, match="8 with no CB weight; got 8"):
+        read(mixed)
+    five = [SpinorState(np.eye(5)[i], energy=0.0) for i in range(2)]
+    with pytest.raises(ValueError, match="need 6 VB components.*got 5"):
+        read(five)
 
 
 def test_polarization_monotone_under_tension(gaas):

@@ -806,7 +806,7 @@ def test_random_stress_bulk_doublets_match_eigensolve(gaas, kramers_solves,
     reference = kp_bulk.eigensolve(h6_vb((0.0, 0.0, 0.0), strain, gaas))
     _assert_pairs_match(
         np.array([s.energy for s in doublet]),
-        np.array([s.coefficients[kp_bulk.VB_SLICE] for s in doublet]).T,
+        np.array([s.coefficients for s in doublet]).T,
         np.array([s.energy for s in reference]),
         np.array([s.coefficients for s in reference]).T)
 
