@@ -123,7 +123,7 @@ def _hgs_tensor(psi: np.ndarray):
     # one einsum over all columns, then one 3x3 product per doublet: the
     # einsum sums in numpy's own loop, where a 2-D BLAS product, growing
     # with the batch, would wake OpenBLAS's thread pool past its threshold
-    columns = np.swapaxes(psi, -1, -2)
+    columns = psi.swapaxes(-1, -2)
     batch, j = columns.shape[:-2], columns.shape[-2]
     v = columns.reshape(-1, 6)
     x = np.concatenate([v.real, v.imag], 1)

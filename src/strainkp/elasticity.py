@@ -130,6 +130,11 @@ def _check_stability(p: MaterialParams) -> None:
             f"(c11={p.c11}, c12={p.c12}, c44={p.c44}); map is singular")
 
 
+def _young_100(p: MaterialParams) -> float:
+    """Young modulus (GPa) along [100]: (c11-c12)(c11+2c12)/(c11+c12)."""
+    return (p.c11 - p.c12) * (p.c11 + 2.0 * p.c12) / (p.c11 + p.c12)
+
+
 def stiffness_matrix(p: MaterialParams) -> np.ndarray:
     """6x6 cubic stiffness (GPa) acting on engineering-shear strain."""
     c = np.zeros((6, 6))
@@ -151,11 +156,20 @@ def stress_from_strain(strain: StrainState, p: MaterialParams) \
 
 def strain_from_stress(stress: StressTensor, p: MaterialParams) \
         -> StrainState:
-    """Invert the cubic stiffness map; exact to solver precision."""
+    """Invert the cubic stiffness map in closed form: with the [100]
+    Young modulus E and Poisson ratio nu of ``uniaxial_sweep``,
+    e_xx = s_xx/E - nu (s_yy/E + s_zz/E) (and cyclically), and each
+    tensor shear is e_ij = s_ij / (2 c44).  A [100] stress alone gives
+    the bits of ``uniaxial_strain``; any stress agrees with an LU solve
+    of ``stiffness_matrix`` to a few units in the last place."""
     _check_stability(p)
-    eng = np.linalg.solve(stiffness_matrix(p), stress.as_voigt())
-    eng[3:] /= 2.0
-    return StrainState(*eng, stress=stress)
+    young, nu = _young_100(p), p.poisson_ratio_100
+    ux, uy, uz = stress.sxx / young, stress.syy / young, stress.szz / young
+    shear = 2.0 * p.c44
+    return StrainState(ux - nu * (uy + uz), uy - nu * (ux + uz),
+                       uz - nu * (ux + uy), stress.syz / shear,
+                       stress.sxz / shear, stress.sxy / shear,
+                       stress=stress)
 
 
 def uniaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
@@ -175,7 +189,7 @@ def uniaxial_sweep(stresses_gpa, p: MaterialParams,
     the first failing one raises.
     """
     _check_stability(p)
-    young = (p.c11 - p.c12) * (p.c11 + 2.0 * p.c12) / (p.c11 + p.c12)
+    young = _young_100(p)
     stresses = np.asarray(stresses_gpa, dtype=float)
     if stresses.ndim != 1:
         raise ValueError(f"stresses_gpa must be a 1-D sequence of stresses, "

@@ -92,13 +92,31 @@ VB_SLICE = slice(2, 8)
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 _SQ32 = math.sqrt(1.5)
-# (row, column) of the diagonal and the nonzero upper entries of _vb_hole
-_ROWS, _COLS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
-                         (0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4),
-                         (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]).T
-# the same entries, and the mirror images of the 12 off the diagonal, as
-# indices into a flat 6x6
-_UPPER_FLAT, _LOWER_FLAT = _ROWS * 6 + _COLS, (_COLS * 6 + _ROWS)[6:]
+
+
+def _part_sources() -> list[int]:
+    """For each of the 72 parts (real, imaginary; row-major) of a complex
+    6x6, the index of its value in the list ``_vb_hole`` builds: 0 holds
+    zero, then come the 8 real upper entries (the mirror image of each
+    shares its value and has a +0 imaginary part), then the real part,
+    the imaginary part and its negative of each of the 10 complex upper
+    entries, the negative being the mirror image's.  The entries below
+    are flat row-major indices, in ``_vb_hole``'s order."""
+    source = [0] * 72
+    for i, flat in enumerate((0, 7, 14, 21, 28, 35, 10, 17,
+                              1, 2, 4, 5, 9, 11, 15, 16, 22, 23)):
+        upper, mirror = 2 * flat, 12 * (flat % 6) + 2 * (flat // 6)
+        re, im, minus_im = (1 + i, 0, 0) if i < 8 \
+            else (3 * i - 15, 3 * i - 14, 3 * i - 13)
+        source[upper], source[upper + 1] = re, im
+        source[mirror], source[mirror + 1] = re, minus_im
+    return source
+
+
+_PART_SOURCES = np.array(_part_sources())
+# the parts a stack writes (the others stay zero), with their sources
+_STACK_PARTS = [(at, source)
+                for at, source in enumerate(_PART_SOURCES.tolist()) if source]
 # VB bands {HH+3/2, LH-1/2, SO-1/2} kept by the Kramers split, and their
 # partners {LH+1/2, HH-3/2, SO+1/2}: at k = 0 only S couples the two sets
 _KEPT_BANDS = np.array([0, 2, 5])
@@ -153,8 +171,10 @@ class SpinorState:
         if coeff.ndim != 1 or coeff.size < 2:
             raise ValueError(f"unsupported spinor shape {coeff.shape}")
         # np.linalg.norm of a complex vector, without its wrapper
-        norm = math.sqrt(coeff.real @ coeff.real + coeff.imag @ coeff.imag)
-        if abs(norm - 1.0) > 1e-10:
+        re, im = coeff.real, coeff.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+        # not a > comparison, which a NaN norm passes
+        if not abs(norm - 1.0) <= 1e-10:
             raise NumericalError(f"spinor norm {norm} deviates from 1")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
@@ -167,64 +187,100 @@ def _kvec(k) -> np.ndarray:
         else np.asarray(k, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValueError("wavevector must have three components")
-    if not np.isfinite(arr).all():
+    if _first_failure(np.isfinite(arr)) is not None:
         raise ValueError("wavevector components must be finite")
     return arr
 
 
+def _components(a: np.ndarray):
+    """The components along the last axis of a: Python floats for a 1-D
+    a (one point), whose arithmetic has the bits of numpy's at several
+    times the speed of numpy scalars', or arrays over the batch."""
+    return a.tolist() if a.ndim == 1 else a.transpose(-1, *range(a.ndim - 1))
+
+
+# numpy's complex arithmetic, signed zeros included, on (real, imaginary)
+# pairs of floats or float arrays, so that one point and a stack share the
+# bits: a real operand r is the complex (r, +0.0).  Python's complex type
+# divides by the divisor, where numpy multiplies by its reciprocal, and
+# from 3.14 it mixes real and complex operands by other rules.
+
+def _times(z, r):
+    """z r for a complex z and a real r (numpy's full complex product)."""
+    re, im = z
+    return re * r - im * 0.0, re * 0.0 + im * r
+
+
+def _over(z, r):
+    """z / r for a complex z and a real r (numpy's quotient, by the
+    reciprocal of the divisor)."""
+    re, im = z
+    rat = 0.0 / r
+    scale = 1.0 / (r + 0.0 * rat)
+    return (re + im * rat) * scale, (im - re * rat) * scale
+
+
 def _scalars(k, voigt, p: MaterialParams):
-    """Hole-picture scalar entries (C is returned in the electron picture)
-    for wavevectors (..., 3) and Voigt strains (..., 6); each entry has
-    the broadcast batch shape."""
-    k = _kvec(k)
-    # the components as numpy scalars at one point, whose arithmetic is
-    # several times faster than that of 0-d arrays
-    kx, ky, kz = k.transpose(-1, *range(k.ndim - 1))
+    """Hole-picture scalar entries for wavevectors (..., 3) and Voigt
+    strains (..., 6): P and Q real, R and S as (real, imaginary) pairs,
+    each part of the broadcast batch shape, with the bits of the same
+    expressions in complex numpy."""
+    kx, ky, kz = _components(_kvec(k))
+    exx, eyy, ezz, eyz, exz, exy = _components(voigt)
     k2 = kx * kx + ky * ky + kz * kz
-    exx, eyy, ezz, eyz, exz, exy = voigt.transpose(-1, *range(voigt.ndim - 1))
     tr = exx + eyy + ezz
     kin = HBAR2_OVER_2M0
 
-    c_elec = p.vb_edge + p.eg + kin * k2 / p.me + p.ac * tr
     pp = -p.vb_edge + kin * p.gamma1 * k2 - p.av * tr
     qq = kin * p.gamma2 * (k2 - 3.0 * kz * kz) \
         - 0.5 * p.b * (exx + eyy - 2.0 * ezz)
-    rr = kin * _SQ3 * (-p.gamma2 * (kx * kx - ky * ky)
-                       + 2.0j * p.gamma3 * kx * ky) \
-        + 0.5 * _SQ3 * p.b * (exx - eyy) - 1.0j * p.d * exy
-    ss = 2.0 * _SQ3 * kin * p.gamma3 * (kx - 1.0j * ky) * kz \
-        - p.d * (exz - 1.0j * eyz)
-    return c_elec, pp, qq, rr, ss
+    # R = K sqrt(3) [-g2 (kx^2 - ky^2) + 2i g3 kx ky]
+    #     + (sqrt(3) b / 2)(exx - eyy) - i d exy, evaluated left to right
+    re, im = _times(_times(_times((0.0, 2.0), p.gamma3), kx), ky)
+    re, im = _times((-p.gamma2 * (kx * kx - ky * ky) + re, 0.0 + im),
+                    kin * _SQ3)
+    shear = _times(_times((0.0, 1.0), p.d), exy)
+    rr = (re + 0.5 * _SQ3 * p.b * (exx - eyy) - shear[0],
+          im + 0.0 - shear[1])
+    # S = 2 sqrt(3) K g3 (kx - i ky) kz - d (exz - i eyz)
+    re, im = _times((0.0, 1.0), ky)
+    re, im = _times(_times((kx - re, 0.0 - im),
+                           2.0 * _SQ3 * kin * p.gamma3), kz)
+    shear = _times((0.0, 1.0), eyz)
+    shear = _times((exz - shear[0], 0.0 - shear[1]), p.d)
+    ss = (re - shear[0], im - shear[1])
+    return pp, qq, rr, ss
 
 
 def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
     """Hole-picture VB matrices of shape (..., 6, 6) for Voigt strains of
-    shape (..., 6); shifts are hole-picture diagonal adds."""
-    _, pp, qq, rr, ss = _scalars(k, voigt, p)
-    sc, rc = np.conj(ss), np.conj(rr)
+    shape (..., 6); shifts are hole-picture diagonal adds.
+
+    The lower triangle mirrors the upper one exactly (a conjugate, and a
+    real entry's mirror keeps a +0 imaginary part), so every matrix is
+    exactly Hermitian and reads the same from either triangle."""
+    pp, qq, rr, ss = _scalars(k, voigt, p)
     dso = p.delta
-    upper = (
-        pp + qq + hh_shift, pp - qq + lh_shift, pp - qq + lh_shift,
-        pp + qq + hh_shift, pp + dso, pp + dso,
-        -ss, rr, -ss / _SQ2, _SQ2 * rr,
-        rr, -_SQ2 * qq, _SQ32 * ss,
-        ss, _SQ32 * sc, _SQ2 * qq,
-        -_SQ2 * rc, -sc / _SQ2)
-    if np.ndim(pp) == 0:
-        # one point: two scatters instead of 36 scalar writes, with the
-        # same bits (np.conj of a real entry keeps a +0 imaginary part)
-        h = np.zeros(36, dtype=complex)
-        h[_UPPER_FLAT] = upper
-        h[_LOWER_FLAT] = [np.conj(value) for value in upper[6:]]
-        return h.reshape(6, 6)
-    # a stack: one strided write per entry, a third of the time of
-    # stacking the entries and scattering them with fancy indices, for a
-    # 1001-point sweep
-    h = np.zeros(np.shape(pp) + (6, 6), dtype=complex)
-    for row, col, value in zip(_ROWS.tolist(), _COLS.tolist(), upper):
-        h[..., col, row] = np.conj(value)
-        h[..., row, col] = value
-    return h
+    real = (pp + qq + hh_shift, pp - qq + lh_shift, pp - qq + lh_shift,
+            pp + qq + hh_shift, pp + dso, pp + dso, -_SQ2 * qq, _SQ2 * qq)
+    # -S, R, -S/sqrt(2), sqrt(2) R, R, sqrt(3/2) S, S, sqrt(3/2) S*,
+    # -sqrt(2) R* and -S*/sqrt(2), with numpy's signed zeros
+    (r0, r1), (s0, s1) = rr, ss
+    complex_ = ((-s0, -s1), rr, _over((-s0, -s1), _SQ2), _times(rr, _SQ2),
+                rr, _times(ss, _SQ32), ss, _times((s0, -s1), _SQ32),
+                _times((r0, -r1), -_SQ2), _over((-s0, s1), _SQ2))
+    # the values of the parts, in the order of _part_sources
+    values = [0.0, *real]
+    for re, im in complex_:
+        values += (re, im, -im)
+    if isinstance(pp, float):
+        # one point: Python floats, gathered by two array calls
+        return np.array(values)[_PART_SOURCES].view(complex).reshape(6, 6)
+    # a stack: one strided write per part that is not zero
+    h = np.zeros(np.shape(pp) + (72,))
+    for at, source in _STACK_PARTS:
+        h[..., at] = values[source]
+    return h.view(complex).reshape(h.shape[:-1] + (6, 6))
 
 
 def h6_vb(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
@@ -236,8 +292,12 @@ def build_h8(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     """Full 8x8 Hamiltonian (eV), CB block decoupled from the VB block;
     a stack (..., 8, 8) for wavevectors of shape (..., 3)."""
     k = _kvec(k)
+    kx, ky, kz = _components(k)
     h = np.zeros(k.shape[:-1] + (8, 8), dtype=complex)
-    h[..., 0, 0] = h[..., 1, 1] = _scalars(k, strain.as_voigt(), p)[0]
+    # the CB edge with its kinetic and hydrostatic shifts
+    h[..., 0, 0] = h[..., 1, 1] = p.vb_edge + p.eg \
+        + HBAR2_OVER_2M0 * (kx * kx + ky * ky + kz * kz) / p.me \
+        + p.ac * (strain.exx + strain.eyy + strain.ezz)
     h[..., VB_SLICE, VB_SLICE] = h6_vb(k, strain, p)
     return h
 
@@ -251,7 +311,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Unit columns of (..., m, j) with the first coefficient above 1e-10
     of each (a unit column always has one) made real and positive, so
     degenerate subspaces come out reproducibly for identical inputs."""
-    pivot = np.argmax(np.abs(vectors) > 1e-10, axis=-2)
+    pivot = (np.abs(vectors) > 1e-10).argmax(axis=-2)
     # the pivot entries by plain integer indexing over the stack: the
     # gather of np.take_along_axis, without its Python-level index setup
     stack = vectors.reshape((-1,) + vectors.shape[-2:])
@@ -262,30 +322,40 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / (lead / np.abs(lead))
 
 
+def _first_failure(ok: np.ndarray) -> int | None:
+    """Flat index of the first False of ``ok``, in stack order, or None.
+    Each check passes a value by a <= comparison, which NaN fails."""
+    if np.count_nonzero(ok) == ok.size:
+        return None
+    return int(np.argmin(ok))
+
+
 def _check_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianError for the first matrix of (..., m, m), in
     stack order, with ``max|h - h^dagger|`` above ``_HERMITIAN_ATOL``."""
-    resid = np.abs(h - _herm(h)).max(axis=(-2, -1))
-    bad = resid > _HERMITIAN_ATOL
-    if bad.any():
+    # one reduction over the flattened matrices, not over two axes (an
+    # explicit size: a -1 cannot be resolved for an empty stack)
+    m = h.shape[-1]
+    resid = np.abs(h - _herm(h)).reshape(h.shape[:-2] + (m * m,)).max(axis=-1)
+    first = _first_failure(resid <= _HERMITIAN_ATOL)
+    if first is not None:
         raise NonHermitianError(
             f"matrix is not Hermitian: residual "
-            f"{resid.ravel()[np.flatnonzero(bad)[0]]:g} exceeds "
-            f"{_HERMITIAN_ATOL:g}")
+            f"{resid.ravel()[first]:g} exceeds {_HERMITIAN_ATOL:g}")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    return a.swapaxes(-1, -2).conjugate()
 
 
 def _check_norms(vectors: np.ndarray) -> None:
     """Raise SpinorState's error for the first column of (..., m, j) whose
     norm drifts from 1 by more than 1e-10."""
-    squares = (np.conj(vectors) * vectors).real.sum(axis=-2)
-    drift = np.abs(np.sqrt(squares) - 1.0) > 1e-10
-    if drift.any():
+    squares = (vectors.conjugate() * vectors).real.sum(axis=-2)
+    first = _first_failure(np.abs(np.sqrt(squares) - 1.0) <= 1e-10)
+    if first is not None:
         columns = np.moveaxis(vectors, -1, -2).reshape(-1, vectors.shape[-2])
-        SpinorState(columns[np.flatnonzero(drift)[0]])
+        SpinorState(columns[first])
 
 
 def _eigh_descending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +424,7 @@ def _kramers_solve(blocks: np.ndarray, solve, k: int) \
     at its energy, an exact degenerate orthogonal pair.  Any other
     operator solves all six bands for 2k vectors.
     """
-    if blocks[..., _COUPLINGS].any():
+    if np.count_nonzero(blocks[..., _COUPLINGS]):
         return solve(_ALL_BANDS, 2 * k)
     energies, kept = solve(_KEPT_BANDS, k)
     return np.repeat(energies, 2, axis=-1), _kramers_pairs(kept)
@@ -364,9 +434,13 @@ def _top_eigh(h: np.ndarray, bands: np.ndarray, count: int) \
         -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` topmost eigenpairs, descending, of matrices h
     (..., 6, 6) restricted to ``bands``, by one batched ``eigh``, real
-    when the restriction's imaginary part is exactly zero."""
-    block = h[..., bands[:, None], bands]
-    block = block if block.imag.any() else block.real
+    when the restriction's imaginary part is exactly zero.  All six
+    bands are h itself, not a gathered copy.  h mirrors its upper
+    triangle exactly (see ``_vb_hole``), so symmetrizing it changes no
+    value; it does set the sign of zero parts, on which eigh's choice of
+    vectors inside a degenerate pair depends, so it stays."""
+    block = h if len(bands) == 6 else h[..., bands[:, None], bands]
+    block = block if np.count_nonzero(block.imag) else block.real
     energies, vectors = np.linalg.eigh((block + _herm(block)) / 2.0)
     return energies[..., :-count - 1:-1], vectors[..., :-count - 1:-1]
 
@@ -402,8 +476,8 @@ def top_valence_doublet(strain: StrainState, p: MaterialParams,
                         k=(0, 0, 0)) -> tuple[SpinorState, SpinorState]:
     """Topmost (Kramers-degenerate) VB doublet, as 6-component states."""
     energies, states = _doublet_stack(strain.as_voigt(), p, k)
-    return tuple(SpinorState(c, energy=float(e))
-                 for c, e in zip(states.T, energies))
+    return tuple(SpinorState(c, energy=e)
+                 for c, e in zip(states.T, energies.tolist()))
 
 
 def _valence(psi: np.ndarray) -> np.ndarray:
@@ -424,13 +498,13 @@ def _check_doublets(energies: np.ndarray, states: np.ndarray) -> None:
     degenerate within ``_DEGENERACY_ATOL`` and orthogonal; the first
     failing pair raises, with its gap reported before its overlap."""
     gap = np.abs(energies[..., 0] - energies[..., 1])
-    overlap = np.abs((np.conj(states[..., 0]) * states[..., 1]).sum(axis=-1))
-    bad = (gap > _DEGENERACY_ATOL) | (overlap > 1e-8)
-    if not bad.any():
+    overlap = np.abs((states[..., 0].conjugate() * states[..., 1])
+                     .sum(axis=-1))
+    first = _first_failure((gap <= _DEGENERACY_ATOL) & (overlap <= 1e-8))
+    if first is None:
         return
-    first = np.flatnonzero(bad)[0]
     gap, overlap = gap.ravel()[first], overlap.ravel()[first]
-    if gap > _DEGENERACY_ATOL:
+    if not gap <= _DEGENERACY_ATOL:
         raise NumericalError(
             f"states are not degenerate: |dE| = {gap:g} eV exceeds "
             f"{_DEGENERACY_ATOL:g} eV")

@@ -16,7 +16,7 @@ hard-coded in the physics modules.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -197,8 +197,9 @@ def vegard(x: AlloyComposition | float, a: MaterialParams,
     if not isinstance(x, AlloyComposition):
         x = AlloyComposition(float(x))
     t = x.al_fraction
-    values = {f.name: (1.0 - t) * getattr(a, f.name) + t * getattr(b, f.name)
-              for f in fields(MaterialParams) if f.name != "name"}
+    # every field but the name, as the parameter file keys them
+    values = {field: (1.0 - t) * getattr(a, field) + t * getattr(b, field)
+              for field in _FIELD_KEYS}
     mixed = MaterialParams(
         name=name or f"{a.name}({1.0 - t:g})+{b.name}({t:g})", **values)
     mixed.validate()

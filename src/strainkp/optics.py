@@ -145,7 +145,7 @@ def _orbital_weights(psi: np.ndarray,
     # einsums over all columns: a stack would take a BLAS call per matrix,
     # and a 2-D BLAS product, growing with the sweep or the sphere grid,
     # wakes OpenBLAS's thread pool past its threshold; einsum calls no BLAS
-    columns = np.swapaxes(psi, -1, -2)
+    columns = psi.swapaxes(-1, -2)
     v = np.einsum("ik,lk->il", columns.reshape(-1, 6), _XYZ_CONTENT)
     amp = np.concatenate([v.real, v.imag], 1).reshape(-1, 3)
     if directions is not None:
@@ -201,7 +201,7 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None) \
             raise ValueError("frame must be a 3x3 orthogonal matrix whose "
                              "rows are the dipole axes")
     s = 0.5 * _orbital_weights(_valence(validate_doublet(*doublet)), frame)
-    return DipoleStrengths(s_x=float(s[0]), s_y=float(s[1]), s_z=float(s[2]))
+    return DipoleStrengths(*s.tolist())
 
 
 def rates(strengths: DipoleStrengths, calibration: RateCalibration) \

@@ -158,7 +158,8 @@ class EnvelopeState:
         if c.ndim != 2 or c.shape[0] != 6:
             raise ValueError("envelope coefficients must have shape (6, N)")
         norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > 1e-8:
+        # not a > comparison, which a NaN norm passes
+        if not abs(norm - 1.0) <= 1e-8:
             raise kp_bulk.NumericalError(
                 f"envelope norm {norm} deviates from 1")
         z = np.array(self.z, dtype=float)

@@ -137,6 +137,14 @@ def test_non_degenerate_pair_rejected(gaas):
         project_hgs((states[1], lower), Z_AXIS)
 
 
+def test_pair_with_nan_energies_rejected(gaas):
+    # a NaN gap is no degeneracy: the pair is rejected, not projected
+    a, b = top_valence_doublet(biaxial_strain(-0.5, gaas), gaas)
+    pair = [SpinorState(s.coefficients, energy=math.nan) for s in (a, b)]
+    with pytest.raises(ValueError, match="not degenerate"):
+        project_hgs(pair, Z_AXIS)
+
+
 def test_doublet_remix_invariance(gaas, rng):
     strain = superpose(biaxial_strain(-0.12, gaas),
                        uniaxial_strain(0.4, gaas))

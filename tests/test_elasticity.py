@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import strain_by_lu
 from strainkp.elasticity import (ActuatorGeometry, StrainState, StressTensor,
                                  actuator_strain, biaxial_strain,
                                  stiffness_matrix, strain_from_stress,
                                  stress_from_strain, superpose,
                                  uniaxial_strain)
+from strainkp.materials import algaas
 
 
 def test_zero_stress_gives_zero_strain(gaas):
@@ -50,10 +54,28 @@ def test_biaxial_relation(gaas):
 
 
 def test_uniaxial_matches_full_inversion(gaas):
+    # the closed-form inversion of a [100] stress is uniaxial_strain's
+    # arithmetic, bit for bit
     for sigma in (-2.0, -0.3, 0.7, 2.0):
         direct = uniaxial_strain(sigma, gaas).as_voigt()
         solved = strain_from_stress(StressTensor(sxx=sigma), gaas).as_voigt()
-        assert np.max(np.abs(direct - solved)) < 1e-14
+        assert np.array_equal(direct, solved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stress=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       scale=st.sampled_from([1e-3, 1.0]),
+       material=st.sampled_from(["GaAs", "AlAs"]) | st.floats(0.0, 1.0))
+def test_closed_form_compliance_matches_the_lu_solve(table, stress, scale,
+                                                     material):
+    # every component within 8 ulps of the largest strain component
+    p = table[material] if isinstance(material, str) \
+        else algaas(material, table)
+    sigma = StressTensor(*(scale * s for s in stress))
+    closed = strain_from_stress(sigma, p).as_voigt()
+    solved = strain_by_lu(sigma, p)
+    bound = 8.0 * np.finfo(float).eps * np.abs(solved).max()
+    assert np.abs(closed - solved).max() <= bound
 
 
 def test_biaxial_matches_full_inversion(gaas):

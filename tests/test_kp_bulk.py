@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import vb_hole_complex
 from strainkp import kp_bulk
 from strainkp.axis import QuantizationAxis, _project
 from strainkp.elasticity import (StrainState, biaxial_strain, uniaxial_strain,
@@ -408,6 +409,44 @@ def test_spinor_norm_enforced():
         SpinorState(np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
 
 
+def test_spinor_state_rejects_nan_coefficients():
+    # the norm check passes only a norm within 1e-10 of 1, which NaN is not
+    with pytest.raises(kp_bulk.NumericalError, match="spinor norm nan"):
+        SpinorState([math.nan, 1.0, 0, 0, 0, 0], energy=0.0)
+
+
+def test_check_norms_rejects_nan():
+    vectors = np.zeros((3, 6, 2), dtype=complex)
+    vectors[..., 0, :] = 1.0
+    vectors[1, 4, 1] = math.nan
+    with pytest.raises(kp_bulk.NumericalError, match="spinor norm nan"):
+        kp_bulk._check_norms(vectors)
+
+
+def test_check_doublets_rejects_nan():
+    # a NaN gap fails the degeneracy check, a NaN overlap the orthogonality
+    energies, states = _basis_pairs(3)
+    energies[1, 0] = math.nan
+    with pytest.raises(kp_bulk.NumericalError,
+                       match=r"not degenerate: \|dE\| = nan"):
+        kp_bulk._check_doublets(energies, states)
+    energies, states = _basis_pairs(3)
+    states[2, 5, 1] = math.nan
+    with pytest.raises(kp_bulk.NumericalError,
+                       match=r"not orthogonal \(\|overlap\| = nan\)"):
+        kp_bulk._check_doublets(energies, states)
+
+
+def test_check_hermitian_rejects_nan():
+    h = np.repeat(np.eye(4, dtype=complex)[None], 3, axis=0)
+    h[1, 2, 2] = math.nan
+    with pytest.raises(NonHermitianError, match="residual nan exceeds"):
+        kp_bulk._check_hermitian(h)
+    # eigensolve raises the check's error, not LAPACK's non-convergence
+    with pytest.raises(NonHermitianError, match="residual nan exceeds"):
+        eigensolve(np.full((4, 4), math.nan, dtype=complex))
+
+
 def test_dispersion_single_point_matches_eigensolve(gaas, rng,
                                                    random_strain):
     energies = dispersion([Wavevector()], ZERO, gaas)
@@ -476,20 +515,36 @@ def test_spinor_state_copies_the_callers_array():
     assert state.coefficients.tolist() == [0j] * 5 + [1 + 0j, 0j, 0j]
 
 
-def test_single_point_assembly_matches_the_stack_bit_for_bit(gaas, rng):
-    # one point takes its own assembly path; the integer views tell
-    # signed zeros apart (a real entry's mirror keeps a +0 imaginary part)
-    voigt = rng.uniform(-0.01, 0.01, size=(5, 6))
-    k = rng.uniform(-0.3, 0.3, size=(5, 3))
-    # a biaxial strain at k = 0 gives entries with signed zeros
-    k[0] = 0.0
-    voigt[0] = biaxial_strain(-0.12, gaas).as_voigt()
-    stack = kp_bulk._vb_hole(k, voigt, gaas, 0.01, -0.02)
-    for i in range(5):
-        single = kp_bulk._vb_hole(k[i], voigt[i], gaas, 0.01, -0.02)
+@settings(max_examples=200, deadline=None)
+@example(points=[([-1e-3, -1e-3, 9e-4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])],
+         shifts=(0.01, -0.02))   # biaxial at k = 0: entries with zeros
+@given(points=st.lists(st.tuples(st.lists(_SMALL, min_size=6, max_size=6),
+                                 st.lists(_SMALL.map(lambda x: 60.0 * x),
+                                          min_size=3, max_size=3)),
+                       min_size=1, max_size=6),
+       shifts=st.tuples(_SMALL, _SMALL))
+def test_single_point_assembly_matches_the_stack_bit_for_bit(gaas, points,
+                                                             shifts):
+    # one point is assembled from Python floats, a stack from arrays; the
+    # integer views tell signed zeros apart (a real entry's mirror keeps a
+    # +0 imaginary part), so zero components of either sign are drawn
+    voigt = np.array([v for v, _ in points])
+    k = np.array([q for _, q in points])
+    hh, lh = shifts
+    stack = kp_bulk._vb_hole(k, voigt, gaas, hh, lh)
+    assert np.array_equal(
+        stack.view(np.uint64),
+        vb_hole_complex(k, voigt, gaas, hh, lh).view(np.uint64))
+    one_k = kp_bulk._vb_hole(k[0], voigt, gaas, hh, lh)
+    for i in range(len(points)):
+        single = kp_bulk._vb_hole(k[i], voigt[i], gaas, hh, lh)
         assert single.shape == (6, 6)
         assert np.array_equal(single.view(np.uint64),
                               stack[i].view(np.uint64))
+        # one wavevector over a stack of strains, as the well's blocks
+        assert np.array_equal(
+            kp_bulk._vb_hole(k[0], voigt[i], gaas, hh, lh).view(np.uint64),
+            one_k[i].view(np.uint64))
 
 
 def _take_along_phases(vectors):

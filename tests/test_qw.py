@@ -1057,6 +1057,14 @@ def test_envelope_state_copies_the_callers_array():
     assert state.coefficients[3].tolist() == [0j, 0j, 0j, 0j, 1 + 0j]
 
 
+def test_envelope_state_rejects_nan_coefficients():
+    c = np.zeros((6, 5), dtype=complex)
+    c[0, 2] = 1.0
+    c[3, 1] = math.nan
+    with pytest.raises(kp_bulk.NumericalError, match="envelope norm nan"):
+        EnvelopeState(-0.1, c, np.linspace(-1.0, 1.0, 5))
+
+
 def test_envelope_state_keeps_its_own_read_only_z(table):
     # z as the coefficients: a read-only float copy, so neither the
     # caller's array nor another state's z reaches it

@@ -6,6 +6,7 @@ sweep with one stacked eigensolve; every row must equal what
 gives for that stress alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,35 @@ def test_dipole_sweep_matches_per_point(gaas, prestress, stresses, lifetime):
         assert row == pytest.approx(
             [strain.exx, s.s_x, s.s_y, s.s_z, s.r_x, s.r_y, s.r_z], abs=TOL)
         assert row[1:4].sum() == pytest.approx(1.0, abs=TOL)
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``, signed zeros apart."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("shears", [
+    {}, {"exy": 2e-3}, {"eyz": -2e-3, "exz": 1e-3, "exy": 2e-3}],
+    ids=["uniaxial", "exy", "sheared"])
+def test_single_calls_match_the_sweep_rows_bit_for_bit(gaas, shears):
+    # one stress at a time through the public calls gives the bits of the
+    # sweep's row, along z, x and an oblique axis, and for the dipoles
+    prestress = dataclasses.replace(biaxial_strain(-0.12, gaas), **shears)
+    stresses = np.linspace(-2.0, 2.0, 41)
+    axes = (QuantizationAxis(0.0), QuantizationAxis(math.pi / 2.0),
+            QuantizationAxis(0.9, 0.4))
+    curves = mixing_curve(stresses, prestress, axes, gaas)
+    calibration = RateCalibration()
+    dipoles = dipole_sweep(stresses, prestress, gaas, calibration)
+    for i, (strain, doublet) in enumerate(
+            per_point_doublets(stresses, prestress, gaas)):
+        for axis, rows in zip(axes, curves):
+            proj = project_hgs(doublet, axis)
+            assert _bits(rows[i]) == _bits(
+                [strain.exx, proj.p_hh, proj.p_lh, proj.p_so])
+        s = rates(dipole_strengths(doublet), calibration)
+        assert _bits(dipoles[i]) == _bits(
+            [strain.exx, s.s_x, s.s_y, s.s_z, s.r_x, s.r_y, s.r_z])
 
 
 def sweeps(stresses, prestress, p):
