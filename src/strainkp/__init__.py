@@ -8,8 +8,8 @@ from .axis import (ProjectionResult, QuantizationAxis, commutator_norm,
 from .elasticity import (ActuatorGeometry, StrainState, StressTensor,
                          actuator_strain, biaxial_strain, strain_from_stress,
                          stress_from_strain, superpose, uniaxial_strain)
-from .kp_bulk import (BLOCH_LABELS, HBAR2_OVER_2M0, SpinorState, build_h8,
-                      dispersion, eigensolve, h4_topmost, h6_vb,
+from .kp_bulk import (BLOCH_LABELS, HBAR2_OVER_2M0, Doublet, SpinorState,
+                      build_h8, dispersion, eigensolve, h4_topmost, h6_vb,
                       top_valence_doublet)
 from .materials import (MaterialParams, ParameterLoadError, algaas,
                         default_parameter_table, load_parameter_table)

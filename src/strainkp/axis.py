@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import _doublet_stack, _valence, validate_doublet
+from .kp_bulk import Doublet, _doublet_stack, _valence
 from .materials import MaterialParams
 
 __all__ = [
@@ -103,9 +103,10 @@ def project_hgs(doublet, axis: QuantizationAxis) -> ProjectionResult:
 
     Weights are averaged over the doublet and summed over each rotated
     pair, so the result does not depend on how the degenerate subspace
-    was split by the eigensolver.
+    was split by the eigensolver.  A ``Doublet`` is read as it is; any
+    other pair of states is checked by making it one.
     """
-    psi = _valence(validate_doublet(*doublet))
+    psi = _valence(Doublet(doublet).coefficients)
     return ProjectionResult(*_project(psi, [axis.unit_vector])[0].tolist())
 
 

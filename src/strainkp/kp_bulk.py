@@ -59,11 +59,13 @@ from functools import partial
 
 import numpy as np
 
+from ._doublet import Doublet, NumericalError, _check_doublets, _first_failure
 from .elasticity import StrainState
 from .materials import MaterialParams
 
 __all__ = [
     "BLOCH_LABELS",
+    "Doublet",
     "HBAR2_OVER_2M0",
     "NonHermitianError",
     "NumericalError",
@@ -77,7 +79,6 @@ __all__ = [
     "h4_topmost",
     "h6_vb",
     "top_valence_doublet",
-    "validate_doublet",
 ]
 
 HBAR2_OVER_2M0 = 0.0380998  # eV nm^2; single source of unit truth
@@ -128,13 +129,6 @@ _COUPLINGS[_KEPT_BANDS[:, None], _PARTNER_BANDS] = True
 _COUPLINGS |= _COUPLINGS.T
 # largest max|h - h^dagger| (eV) a matrix may have and still be solved
 _HERMITIAN_ATOL = 1e-12
-# largest energy gap (eV) inside a pair that still counts as a doublet
-_DEGENERACY_ATOL = 1e-6
-
-
-class NumericalError(ValueError):
-    """A computed result failed a numerical check (Hermiticity, doublet
-    degeneracy or orthogonality, norm drift)."""
 
 
 class NonHermitianError(NumericalError):
@@ -167,17 +161,30 @@ class SpinorState:
     energy: float | None = None
 
     def __post_init__(self):
-        coeff = np.array(self.coefficients, dtype=complex)
-        if coeff.ndim != 1 or coeff.size < 2:
-            raise ValueError(f"unsupported spinor shape {coeff.shape}")
+        coeff = self._own(np.array(self.coefficients, dtype=complex))
         # np.linalg.norm of a complex vector, without its wrapper
         re, im = coeff.real, coeff.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
         # not a > comparison, which a NaN norm passes
         if not abs(norm - 1.0) <= 1e-10:
             raise NumericalError(f"spinor norm {norm} deviates from 1")
+
+    def _own(self, coeff: np.ndarray) -> np.ndarray:
+        """Keep the complex array coeff, one vector, read-only."""
+        if coeff.ndim != 1 or coeff.size < 2:
+            raise ValueError(f"unsupported spinor shape {coeff.shape}")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
+        return coeff
+
+    @classmethod
+    def _checked(cls, coeff: np.ndarray, energy: float) -> SpinorState:
+        """The state of the complex array coeff, whose norm has passed
+        ``_check_norms``; it keeps coeff itself, without the norm check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "energy", energy)
+        state._own(coeff)
+        return state
 
 
 def _kvec(k) -> np.ndarray:
@@ -322,14 +329,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / (lead / np.abs(lead))
 
 
-def _first_failure(ok: np.ndarray) -> int | None:
-    """Flat index of the first False of ``ok``, in stack order, or None.
-    Each check passes a value by a <= comparison, which NaN fails."""
-    if np.count_nonzero(ok) == ok.size:
-        return None
-    return int(np.argmin(ok))
-
-
 def _check_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianError for the first matrix of (..., m, m), in
     stack order, with ``max|h - h^dagger|`` above ``_HERMITIAN_ATOL``."""
@@ -461,7 +460,7 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
     the shears alone, the same bits at every point.  So every doublet has
     the same bits in any batch as alone.  Either way every matrix passes
     the Hermitian check of ``eigensolve``, and every doublet the norm
-    check of ``SpinorState`` and the checks of ``validate_doublet``.
+    check of ``SpinorState`` and the pair checks of ``Doublet``.
     """
     h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
     _check_hermitian(h)
@@ -473,11 +472,17 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
 
 
 def top_valence_doublet(strain: StrainState, p: MaterialParams,
-                        k=(0, 0, 0)) -> tuple[SpinorState, SpinorState]:
+                        k=(0, 0, 0)) -> Doublet:
     """Topmost (Kramers-degenerate) VB doublet, as 6-component states."""
     energies, states = _doublet_stack(strain.as_voigt(), p, k)
-    return tuple(SpinorState(c, energy=e)
-                 for c, e in zip(states.T, energies.tolist()))
+    # the pair and the norms are checked: the states skip SpinorState's
+    # check and share the read-only rows of one complex (2, 6) array,
+    # laid out as the copy that Doublet((a, b)) makes
+    pair = states.T.astype(complex, order="C")
+    pair.flags.writeable = False
+    a, b = energies.tolist()
+    return Doublet._checked((SpinorState._checked(pair[0], a),
+                             SpinorState._checked(pair[1], b)), pair)
 
 
 def _valence(psi: np.ndarray) -> np.ndarray:
@@ -491,39 +496,6 @@ def _valence(psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"hole states need 6 VB components, or 8 with no "
                          f"CB weight; got {psi.shape[-2]}")
     return psi
-
-
-def _check_doublets(energies: np.ndarray, states: np.ndarray) -> None:
-    """Check that pairs, energies (..., 2) and states (..., m, 2), are
-    degenerate within ``_DEGENERACY_ATOL`` and orthogonal; the first
-    failing pair raises, with its gap reported before its overlap."""
-    gap = np.abs(energies[..., 0] - energies[..., 1])
-    overlap = np.abs((states[..., 0].conjugate() * states[..., 1])
-                     .sum(axis=-1))
-    first = _first_failure((gap <= _DEGENERACY_ATOL) & (overlap <= 1e-8))
-    if first is None:
-        return
-    gap, overlap = gap.ravel()[first], overlap.ravel()[first]
-    if not gap <= _DEGENERACY_ATOL:
-        raise NumericalError(
-            f"states are not degenerate: |dE| = {gap:g} eV exceeds "
-            f"{_DEGENERACY_ATOL:g} eV")
-    raise NumericalError(f"doublet states are not orthogonal "
-                         f"(|overlap| = {overlap:g})")
-
-
-def validate_doublet(a, b) -> np.ndarray:
-    """Check that two states, ``SpinorState`` coefficients (m,) or well
-    envelopes (6, N), form a degenerate orthonormal pair; returns their
-    coefficients side by side, (m, 2) or (6, 2N)."""
-    if a.energy is None or b.energy is None:
-        raise ValueError("doublet states need energies attached")
-    if a.coefficients.shape != b.coefficients.shape:
-        raise ValueError("doublet states live in different bases")
-    pair = np.array([a.coefficients, b.coefficients])
-    _check_doublets(np.array([a.energy, b.energy]), pair.reshape(2, -1).T)
-    # (2, m) -> (m, 2), or (2, 6, N) -> (6, 2N) as np.hstack joins them
-    return pair.swapaxes(0, 1).reshape(pair.shape[1], -1)
 
 
 def bloch_orbital_matrix() -> np.ndarray:

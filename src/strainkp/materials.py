@@ -16,6 +16,7 @@ hard-coded in the physics modules.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -107,7 +108,11 @@ class MaterialParams:
 
     def validate(self) -> None:
         """Raise ParameterLoadError if any physical invariant is violated."""
-        bad = []
+        # a NaN or inf passes some comparisons below and fails others, and
+        # would surface later as a wrong result or a misnamed solver error
+        bad = [f"{key} must be finite ({field}={getattr(self, field)})"
+               for field, key in _FIELD_KEYS.items()
+               if not math.isfinite(getattr(self, field))]
         if not self.eg > 0:
             bad.append(f"band gap must be positive (eg={self.eg})")
         if not self.delta > 0:

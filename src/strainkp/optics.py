@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elasticity import StrainState, _require_integer, uniaxial_sweep
-from .kp_bulk import (_BLOCH_ORBITALS, SpinorState, _doublet_stack,
-                      _valence, validate_doublet)
+from .kp_bulk import (_BLOCH_ORBITALS, Doublet, SpinorState, _doublet_stack,
+                      _valence)
 from .materials import MaterialParams
 
 __all__ = [
@@ -191,7 +191,8 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None) \
     other matrix (a non-finite entry, or frame frame^T off the identity
     by more than 1e-10) raises ValueError.  The weights are invariant
     under unitary remixing of the doublet and sum to one for valence
-    states.
+    states.  A ``Doublet`` is read as it is; any other pair of states is
+    checked by making it one.
     """
     if frame is not None:
         frame = np.asarray(frame, dtype=float)
@@ -200,7 +201,8 @@ def dipole_strengths(doublet, frame: np.ndarray | None = None) \
                 or np.abs(frame @ frame.T - np.eye(3)).max() > 1e-10:
             raise ValueError("frame must be a 3x3 orthogonal matrix whose "
                              "rows are the dipole axes")
-    s = 0.5 * _orbital_weights(_valence(validate_doublet(*doublet)), frame)
+    s = 0.5 * _orbital_weights(_valence(Doublet(doublet).coefficients),
+                               frame)
     return DipoleStrengths(*s.tolist())
 
 

@@ -1,10 +1,12 @@
 """Reference constructions that the tests check the library against."""
 
+import itertools
 import math
 
 import numpy as np
 
-from strainkp.elasticity import stiffness_matrix
+from strainkp.axis import QuantizationAxis
+from strainkp.elasticity import StrainState, stiffness_matrix
 from strainkp.kp_bulk import (HBAR2_OVER_2M0, SpinorState,
                               bloch_orbital_matrix)
 
@@ -79,3 +81,20 @@ def strain_by_lu(stress, p) -> np.ndarray:
     engineering = np.linalg.solve(stiffness_matrix(p), stress.as_voigt())
     engineering[3:] /= 2.0
     return engineering
+
+
+# the 48 operations of O_h as signed permutation matrices
+CUBIC_GROUP = [np.diag(signs) @ np.eye(3)[list(order)]
+               for order in itertools.permutations(range(3))
+               for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
+def strain_of(e) -> StrainState:
+    """The ``StrainState`` of a symmetric 3x3 strain tensor."""
+    return StrainState(e[0, 0], e[1, 1], e[2, 2], e[1, 2], e[0, 2], e[0, 1])
+
+
+def axis_of(n) -> QuantizationAxis:
+    """The ``QuantizationAxis`` along a unit vector n."""
+    return QuantizationAxis(math.acos(max(-1.0, min(1.0, n[2]))),
+                            math.atan2(n[1], n[0]))

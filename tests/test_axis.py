@@ -6,7 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from oracles import rotated_basis
+from oracles import CUBIC_GROUP, axis_of, rotated_basis, strain_of
 from strainkp.axis import (QuantizationAxis, _hgs_tensor, commutator_norm,
                            default_theta_grid, j_operator, mixing_curve,
                            mixing_map, project_hgs)
@@ -14,7 +14,7 @@ from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain, uniaxial_sweep)
 from strainkp.kp_bulk import (SpinorState, _doublet_stack,
                               bloch_orbital_matrix, dispersion, h4_topmost,
-                              top_valence_doublet, validate_doublet)
+                              top_valence_doublet)
 from strainkp.qw import QwGeometry, envelope_projection, solve_qw
 
 X_AXIS = QuantizationAxis(math.pi / 2.0)
@@ -391,21 +391,6 @@ def test_exact_theta_maximum_matches_the_grid(gaas):
     assert exact[0] >= 0.9 and exact[-1] >= 0.9 and exact[1:-1].min() < 0.9
 
 
-# the 48 operations of O_h as signed permutation matrices
-CUBIC_GROUP = [np.diag(signs) @ np.eye(3)[list(order)]
-               for order in itertools.permutations(range(3))
-               for signs in itertools.product((1.0, -1.0), repeat=3)]
-
-
-def strain_of(e):
-    return StrainState(e[0, 0], e[1, 1], e[2, 2], e[1, 2], e[0, 2], e[0, 1])
-
-
-def axis_of(n):
-    return QuantizationAxis(math.acos(max(-1.0, min(1.0, n[2]))),
-                            math.atan2(n[1], n[0]))
-
-
 def test_cubic_group_symmetry(gaas, rng):
     # energies are invariant under e -> g e g^T, k -> g k for all 48 cubic
     # operations, and the weights turn with the axis, p_b(g n; g e g^T) =
@@ -420,7 +405,7 @@ def test_cubic_group_symmetry(gaas, rng):
         bands = dispersion([k], strain_of(e), gaas)
         doublet = top_valence_doublet(strain_of(e), gaas)
         weights = astuple(project_hgs(doublet, axis_of(n)))
-        m = _hgs_tensor(validate_doublet(*doublet))[0]
+        m = _hgs_tensor(doublet.coefficients)[0]
         for g in CUBIC_GROUP:
             strain = strain_of(g @ e @ g.T)
             assert np.abs(dispersion([g @ k], strain, gaas) - bands).max() \
@@ -428,7 +413,7 @@ def test_cubic_group_symmetry(gaas, rng):
             turned = top_valence_doublet(strain, gaas)
             assert astuple(project_hgs(turned, axis_of(g @ n))) \
                 == pytest.approx(weights, abs=1e-12)
-            assert np.abs(_hgs_tensor(validate_doublet(*turned))[0]
+            assert np.abs(_hgs_tensor(turned.coefficients)[0]
                           - g @ m @ g.T).max() <= 1e-12
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import strainkp
-from strainkp import _blocktri, axis, kp_bulk, optics, qw
+from strainkp import _blocktri, _doublet, axis, kp_bulk, optics, qw
 from strainkp.cli import (_CHUNK_CELLS, RunConfig, _Grid, _write_table,
                           main)
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
@@ -809,7 +809,7 @@ def test_every_work_size_is_bounded_and_its_bounds_validate():
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
     # a doublet check that no pair can pass stands in for a crossing or
     # split doublet: a numerical failure, not a configuration error
-    monkeypatch.setattr(kp_bulk, "_DEGENERACY_ATOL", -1)
+    monkeypatch.setattr(_doublet, "_DEGENERACY_ATOL", -1)
     assert main(["mixing-curve", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err

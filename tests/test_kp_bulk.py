@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import vb_hole_complex
-from strainkp import kp_bulk
-from strainkp.axis import QuantizationAxis, _project
+from strainkp import _doublet, kp_bulk
+from strainkp.axis import QuantizationAxis, _project, project_hgs
 from strainkp.elasticity import (StrainState, biaxial_strain, uniaxial_strain,
                                  uniaxial_sweep)
-from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, SpinorState,
-                              Wavevector, build_h8, dispersion, eigensolve,
-                              h4_topmost, h6_vb, top_valence_doublet,
-                              validate_doublet)
-from strainkp.optics import _orbital_weights
+from strainkp.kp_bulk import (HBAR2_OVER_2M0, Doublet, NonHermitianError,
+                              NumericalError, SpinorState, Wavevector,
+                              build_h8, dispersion, eigensolve, h4_topmost,
+                              h6_vb, top_valence_doublet)
+from strainkp.optics import _orbital_weights, dipole_strengths
 
 K0 = (0.0, 0.0, 0.0)
 ZERO = StrainState()
@@ -170,10 +173,109 @@ def test_kramers_degeneracy_at_gamma(gaas, random_strain):
 
 def test_top_valence_doublet_contract(gaas):
     strain = uniaxial_strain(0.8, gaas)
-    a, b = top_valence_doublet(strain, gaas)
-    validate_doublet(a, b)
-    # the six VB coefficients, as solved
+    doublet = top_valence_doublet(strain, gaas)
+    a, b = doublet
+    # the six VB coefficients, as solved, side by side in a read-only pair
+    assert isinstance(doublet, Doublet) and len(doublet) == 2
     assert a.coefficients.shape == b.coefficients.shape == (6,)
+    assert Doublet(doublet) is doublet
+    remade = Doublet((a, b))
+    assert remade == (a, b) and remade[0] is a
+    assert np.array_equal(remade.coefficients, doublet.coefficients)
+    assert remade.coefficients.strides == doublet.coefficients.strides
+    for array in (doublet.coefficients, remade.coefficients,
+                  a.coefficients, b.coefficients):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(AttributeError, match="immutable"):
+        doublet.coefficients = np.zeros((6, 2))
+    # the states made without SpinorState's check are the checked ones,
+    # complex also where the 6x6 is real (e_xz alone, k in the xz plane)
+    for d in (doublet, top_valence_doublet(
+            StrainState(0, 0, 0, 0, 2e-3, 0), gaas, (0.1, 0, 0.2))):
+        assert d.coefficients.dtype == complex
+        for state, c in zip(d, d.coefficients.T):
+            made = SpinorState(c, energy=state.energy)
+            assert vars(state).keys() == vars(made).keys()
+            assert state.coefficients.dtype == complex
+            assert state.coefficients.tobytes() == made.coefficients.tobytes()
+            assert type(state.energy) is float
+
+
+def test_a_doublet_survives_copy_and_pickle(gaas):
+    # remade from its states and checked, never with a writeable copy
+    doublet = top_valence_doublet(uniaxial_strain(0.8, gaas), gaas)
+    for copied in (copy.copy(doublet), copy.deepcopy(doublet),
+                   pickle.loads(pickle.dumps(doublet))):
+        assert type(copied) is Doublet
+        assert np.array_equal(copied.coefficients, doublet.coefficients)
+        assert not copied.coefficients.flags.writeable
+        assert [s.energy for s in copied] == [s.energy for s in doublet]
+
+
+def test_each_chain_checks_its_pair_once(gaas, monkeypatch):
+    # the pair is checked where it is made; project_hgs and
+    # dipole_strengths read a Doublet as it is, and check any other pair
+    calls = []
+    check = _doublet._check_doublets
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (kp_bulk, _doublet):
+        monkeypatch.setattr(module, "_check_doublets", counted)
+    monkeypatch.setattr(SpinorState, "__post_init__",
+                        lambda self: calls.append(self))
+    doublet = top_valence_doublet(uniaxial_strain(0.8, gaas), gaas)
+    project_hgs(doublet, QuantizationAxis(0.7, 0.3))
+    dipole_strengths(doublet)
+    assert len(calls) == 1
+    swapped = (doublet[1], doublet[0])
+    assert project_hgs(swapped, QuantizationAxis(0.7, 0.3)) \
+        == project_hgs(doublet, QuantizationAxis(0.7, 0.3))
+    dipole_strengths(list(doublet))
+    assert len(calls) == 3
+
+
+def _bad_pairs(gaas):
+    """(pair, error type, message) of pairs that fail one check each."""
+    a, b = top_valence_doublet(uniaxial_strain(0.8, gaas), gaas)
+    nan = SimpleNamespace(coefficients=np.full(6, math.nan), energy=a.energy)
+    full = SpinorState(np.concatenate([[0.0, 0.0], b.coefficients]),
+                       energy=b.energy)
+    return [
+        ((a, SpinorState(b.coefficients, energy=a.energy - 1.0)),
+         NumericalError,
+         "states are not degenerate: |dE| = 1 eV exceeds 1e-06 eV"),
+        ((a, SpinorState(a.coefficients, energy=a.energy)), NumericalError,
+         "doublet states are not orthogonal (|overlap| = 1)"),
+        ([SpinorState(s.coefficients, energy=math.nan) for s in (a, b)],
+         NumericalError,
+         "states are not degenerate: |dE| = nan eV exceeds 1e-06 eV"),
+        ((a, nan), NumericalError,
+         "doublet states are not orthogonal (|overlap| = nan)"),
+        ((a, full), ValueError, "doublet states live in different bases"),
+        ((a, SpinorState(b.coefficients)), ValueError,
+         "doublet states need energies attached"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "split", "not_orthogonal", "nan_energy", "nan_state", "mixed_bases",
+    "no_energy"])
+@pytest.mark.parametrize("call", [
+    Doublet,
+    lambda pair: project_hgs(pair, QuantizationAxis(0.7, 0.3)),
+    dipole_strengths,
+], ids=["Doublet", "project_hgs", "dipole_strengths"])
+def test_a_bad_pair_raises_where_it_is_read(gaas, case, call):
+    # the errors and messages of the pair check that every call once ran
+    pair, error, message = _bad_pairs(gaas)[case]
+    with pytest.raises(error) as info:
+        call(pair)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_bloch_orbital_table_is_built_once_and_read_only():

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from strainkp.materials import (AlloyComposition, ParameterLoadError, algaas,
+from strainkp.materials import (_FIELD_KEYS, AlloyComposition,
+                                ParameterLoadError, algaas,
                                 default_parameter_table, dump_parameter_table,
                                 load_parameter_table, parse_parameter_table,
                                 vegard)
@@ -79,6 +80,20 @@ def test_stability_violation_errors():
                               "elastic_c12_gpa = 130.0")
     with pytest.raises(ParameterLoadError, match="stability"):
         parse_parameter_table(doc)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(_FIELD_KEYS))
+def test_non_finite_field_errors(field, bad):
+    # an infinite gap or c11 once loaded and gave a finite hole energy, and
+    # a NaN d or an infinite gamma3 failed later as a non-Hermitian matrix
+    key = _FIELD_KEYS[field]
+    lines = MINIMAL_DOC.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(key))
+    lines[at] = f"{key} = {bad}"
+    with pytest.raises(ParameterLoadError,
+                       match=rf"'GaAs'.*{key} must be finite \({field}="):
+        parse_parameter_table("\n".join(lines))
 
 
 def test_malformed_field_errors():

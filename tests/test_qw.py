@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strainkp
-from strainkp import _blocktri, cli, kp_bulk, qw
+from oracles import CUBIC_GROUP, axis_of, strain_of
+from strainkp import _blocktri, _doublet, cli, kp_bulk, qw
 from strainkp.axis import QuantizationAxis, project_hgs
 from strainkp.elasticity import (StrainState, StressTensor, biaxial_strain,
                                  strain_from_stress, uniaxial_strain,
                                  uniaxial_sweep)
-from strainkp.kp_bulk import HBAR2_OVER_2M0, NumericalError, h6_vb
+from strainkp.kp_bulk import HBAR2_OVER_2M0, Doublet, NumericalError, h6_vb
 from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
                          EnvelopeState, QwGeometry, build_qw_hamiltonian,
@@ -811,6 +812,43 @@ def test_random_stress_bulk_doublets_match_eigensolve(gaas, kramers_solves,
         np.array([s.coefficients for s in reference]).T)
 
 
+# the 16 operations of D4h, the point group of a [001] well: those of O_h
+# that keep the z axis (x <-> y, and every sign flip)
+D4H = [g for g in CUBIC_GROUP if abs(g[2, 2]) == 1.0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(stress=st.tuples(*[st.floats(-1.0, 1.0)] * 3,
+                        *[st.floats(-0.5, 0.5)] * 3),
+       well_nm=st.floats(3.0, 12.0),
+       grid_points=st.sampled_from(range(51, 62, 2)),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+def test_well_is_invariant_under_d4h(table, gaas, stress, well_nm,
+                                     grid_points, theta, phi):
+    # e -> g e g^T keeps the four topmost energies within 1e-12 eV, and
+    # the ground doublet's weights along g n within 1e-10 of those along
+    # n, for a doublet at least 1 meV from the next (closer, the weights
+    # rest on the solver's 1e-11 eV residual, not on the symmetry); runs
+    # at N = 51 ... 61 and 101 spread by at most 1.7e-14 eV and 7.4e-14
+    assert len({tuple(g.ravel()) for g in D4H}) == 16
+    geometry = QwGeometry(well_nm, barrier_thickness_nm=8.0,
+                          grid_points=grid_points)
+    voigt = strain_from_stress(StressTensor(*stress), gaas).as_voigt()
+    e = np.array([[voigt[0], voigt[5], voigt[4]],
+                  [voigt[5], voigt[1], voigt[3]],
+                  [voigt[4], voigt[3], voigt[2]]])
+    n = QuantizationAxis(theta, phi).unit_vector
+    states = solve_qw(geometry, strain_of(e), table, 4)
+    energies = np.array([s.energy for s in states])
+    weights = astuple(envelope_projection(states[:2], axis_of(n)))
+    for g in D4H:
+        turned = solve_qw(geometry, strain_of(g @ e @ g.T), table, 4)
+        assert np.abs([s.energy for s in turned] - energies).max() <= 1e-12
+        if energies[1] - energies[2] >= 1e-3:
+            assert astuple(envelope_projection(turned[:2], axis_of(g @ n))) \
+                == pytest.approx(weights, abs=1e-10)
+
+
 def test_hole_ground_state_unstrained(table):
     geometry = QwGeometry(12.0, grid_points=151)
     states = solve_qw(geometry, ZERO, table, n_states=4)
@@ -892,15 +930,16 @@ def test_qw_mixing_vs_strain_tables(table):
 
 def test_qw_mixing_vs_strain_checks_each_pair_once(table, monkeypatch):
     # solve_qw checks the pair it returns; the sweep projects it without
-    # the second check of envelope_projection
+    # the second check of envelope_projection, which Doublet would run
     calls = []
-    check = kp_bulk._check_doublets
+    check = _doublet._check_doublets
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(kp_bulk, "_check_doublets", counted)
+    for module in (kp_bulk, _doublet):
+        monkeypatch.setattr(module, "_check_doublets", counted)
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
     (rows, _), = qw_mixing_vs_strain([geometry], [-1.0, 0.0, 1.0],
                                      (X_AXIS, Z_AXIS), table)
@@ -1030,6 +1069,20 @@ def test_envelope_projection_is_project_hgs(table, random_strain):
     for project in (envelope_projection, project_hgs):
         with pytest.raises(NumericalError, match="degenerate"):
             project((states[0], states[2]), axis)
+
+
+def test_an_envelope_doublet_joins_its_envelopes(table):
+    # as np.hstack joins them, (6, 2N), read-only; a Doublet is made once
+    states = solve_qw(QwGeometry(8.0, barrier_thickness_nm=8.0,
+                                 grid_points=61), ZERO, table, 2)
+    doublet = Doublet(states)
+    assert doublet.coefficients.shape == (6, 122)
+    assert np.array_equal(doublet.coefficients,
+                          np.hstack([s.coefficients for s in states]))
+    assert not doublet.coefficients.flags.writeable
+    assert Doublet(doublet) is doublet
+    assert envelope_projection(doublet, Z_AXIS) \
+        == envelope_projection(states, Z_AXIS)
 
 
 def test_envelope_projection_requires_degeneracy(table):
