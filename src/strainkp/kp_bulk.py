@@ -71,7 +71,6 @@ __all__ = [
     "NumericalError",
     "ORBITAL_SPIN_LABELS",
     "SpinorState",
-    "Wavevector",
     "bloch_orbital_matrix",
     "build_h8",
     "dispersion",
@@ -135,19 +134,7 @@ class NonHermitianError(NumericalError):
     """Input matrix is not Hermitian within the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class Wavevector:
-    """Wavevector in 1/nm."""
-
-    kx: float = 0.0
-    ky: float = 0.0
-    kz: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.kx, self.ky, self.kz])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinorState:
     """Complex coefficient vector over the Bloch basis, with its energy.
 
@@ -155,6 +142,7 @@ class SpinorState:
     LH+1/2, LH-1/2, HH-3/2, SO+1/2, SO-1/2; ``eigensolve`` of an 8x8
     gives 8 (full basis).  The state keeps a read-only copy of the
     coefficients, so no later write to the caller's array changes it.
+    States compare and hash by identity.
     """
 
     coefficients: np.ndarray
@@ -188,10 +176,9 @@ class SpinorState:
 
 
 def _kvec(k) -> np.ndarray:
-    """A Wavevector, or wavevectors of shape (..., 3), as an array; any
-    non-finite component raises ValueError."""
-    arr = k.as_array() if isinstance(k, Wavevector) \
-        else np.asarray(k, dtype=float)
+    """Wavevectors (..., 3) in 1/nm as an array; any non-finite component
+    raises ValueError."""
+    arr = np.asarray(k, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValueError("wavevector must have three components")
     if _first_failure(np.isfinite(arr)) is not None:
@@ -545,5 +532,14 @@ def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:
     tracked through crossings: inside a Kramers pair no overlap
     criterion could tell them apart.
     """
-    k = np.array([_kvec(q) for q in path]).reshape(-1, 3)
-    return _eigh_descending(build_h8(k, strain, p))[0]
+    try:
+        k = np.asarray(path, dtype=float)
+    except ValueError:
+        # a ragged path: the first point without three components raises
+        for point in path:
+            _kvec(point)
+        raise
+    if k.ndim == 1:
+        # no point (an empty path), or points without three components
+        k = k.reshape(-1, 1) if k.size else k.reshape(0, 3)
+    return _eigh_descending(build_h8(_kvec(k).reshape(-1, 3), strain, p))[0]

@@ -22,7 +22,6 @@ from importlib import resources
 from pathlib import Path
 
 __all__ = [
-    "AlloyComposition",
     "MaterialParams",
     "ParameterLoadError",
     "algaas",
@@ -57,18 +56,6 @@ _FIELD_KEYS = {
 
 class ParameterLoadError(ValueError):
     """A parameter table could not be parsed or violates an invariant."""
-
-
-@dataclass(frozen=True)
-class AlloyComposition:
-    """Al mole fraction x of an Al(x)Ga(1-x)As alloy."""
-
-    al_fraction: float
-
-    def __post_init__(self):
-        x = self.al_fraction
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"alloy fraction must lie in [0, 1], got {x}")
 
 
 @dataclass(frozen=True)
@@ -196,12 +183,13 @@ def dump_parameter_table(table: dict[str, MaterialParams]) -> str:
     return "\n".join(lines)
 
 
-def vegard(x: AlloyComposition | float, a: MaterialParams,
-           b: MaterialParams, name: str | None = None) -> MaterialParams:
-    """Linear fieldwise interpolation (1-x)*a + x*b between two materials."""
-    if not isinstance(x, AlloyComposition):
-        x = AlloyComposition(float(x))
-    t = x.al_fraction
+def vegard(x: float, a: MaterialParams, b: MaterialParams,
+           name: str | None = None) -> MaterialParams:
+    """Linear fieldwise interpolation (1-x)*a + x*b between two materials,
+    for a fraction x in [0, 1]."""
+    t = float(x)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"alloy fraction must lie in [0, 1], got {t}")
     # every field but the name, as the parameter file keys them
     values = {field: (1.0 - t) * getattr(a, field) + t * getattr(b, field)
               for field in _FIELD_KEYS}
@@ -211,11 +199,8 @@ def vegard(x: AlloyComposition | float, a: MaterialParams,
     return mixed
 
 
-def algaas(x: AlloyComposition | float,
-           table: dict[str, MaterialParams]) -> MaterialParams:
+def algaas(x: float, table: dict[str, MaterialParams]) -> MaterialParams:
     """Al(x)Ga(1-x)As parameters interpolated from the GaAs/AlAs entries."""
-    if not isinstance(x, AlloyComposition):
-        x = AlloyComposition(float(x))
-    t = x.al_fraction
-    return vegard(x, table["GaAs"], table["AlAs"],
+    t = float(x)
+    return vegard(t, table["GaAs"], table["AlAs"],
                   name=f"Al{t:.2f}Ga{1.0 - t:.2f}As")

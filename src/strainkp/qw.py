@@ -143,11 +143,12 @@ class QwGeometry:
         return np.abs(self.grid()) <= self.well_thickness_nm / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeState:
     """One hole state: energy plus band-resolved envelope coefficients
     of shape (6, N) over the grid z, unit-normalized; the state keeps
-    read-only copies of the coefficients and of z."""
+    read-only copies of the coefficients and of z.  States compare and
+    hash by identity."""
 
     energy: float
     coefficients: np.ndarray
@@ -203,22 +204,19 @@ DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 _SHIFT_MARGIN_EV = 1e-3
 
 
-def _materials_profile(geometry: QwGeometry, table, well=None, barrier=None):
-    well = well if well is not None else table["GaAs"]
-    if barrier is None:
-        barrier = algaas(geometry.barrier_al_fraction, table)
-    return geometry.grid(), geometry.inside(), well, barrier
+def _materials(geometry: QwGeometry, table):
+    """The well material, GaAs, and the AlGaAs barrier material."""
+    return table["GaAs"], algaas(geometry.barrier_al_fraction, table)
 
 
 def vb_edge_profile(geometry: QwGeometry, table):
     """(z, E_v(z)): the unstrained HH/LH band edge along the growth axis."""
-    z, inside, well, barrier = _materials_profile(geometry, table)
-    ev = np.where(inside, well.vb_edge, barrier.vb_edge)
-    return z, ev
+    well, barrier = _materials(geometry, table)
+    ev = np.where(geometry.inside(), well.vb_edge, barrier.vb_edge)
+    return geometry.grid(), ev
 
 
-def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
-                 barrier):
+def _node_blocks(geometry: QwGeometry, strain: StrainState, table):
     """Material blocks of the well Hamiltonian, shared by the dense
     assembly and the solver.
 
@@ -230,16 +228,14 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table, well,
     decided on them first, so a shear-free well never assembles its 6x6
     node blocks.
     """
-    _, inside, well, barrier = _materials_profile(geometry, table,
-                                                  well, barrier)
+    materials = _materials(geometry, table)
     kz = (0.0, 0.0, 1.0 / geometry.spacing())
     onsite = np.array([kp_bulk.h6_vb((0.0, 0.0, 0.0), strain, m)
-                       for m in (well, barrier)])
+                       for m in materials])
     # A / h^2: the bulk kz^2 term at kz = 1/h (k-independent parts drop
     # out); its imaginary part is exactly zero
-    a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in (well, barrier)]) \
-        - onsite
-    return onsite, a.real, np.where(inside, 0, 1)
+    a = np.array([kp_bulk.h6_vb(kz, strain, m) for m in materials]) - onsite
+    return onsite, a.real, np.where(geometry.inside(), 0, 1)
 
 
 def _assemble(onsite: np.ndarray, a: np.ndarray,
@@ -258,9 +254,8 @@ def _assemble(onsite: np.ndarray, a: np.ndarray,
     return diag, -(an[:-1] + an[1:]) / 2.0
 
 
-def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
-                         well: MaterialParams | None = None,
-                         barrier: MaterialParams | None = None) -> np.ndarray:
+def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState,
+                         table) -> np.ndarray:
     """Dense 6N x 6N electron-picture Hamiltonian of the well at
     k_parallel = 0.
 
@@ -273,16 +268,14 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState, table, *,
     assembling them; this dense form is the reference the tests compare
     it with.
     """
-    diag, couplings = _assemble(*_node_blocks(geometry, strain, table,
-                                              well, barrier))
+    diag, couplings = _assemble(*_node_blocks(geometry, strain, table))
     n = geometry.grid_points
     return _dense(diag, couplings).transpose(1, 0, 3, 2).reshape(6 * n,
                                                                  6 * n)
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
-             n_states: int = 4, *, well: MaterialParams | None = None,
-             barrier: MaterialParams | None = None) -> list[EnvelopeState]:
+             n_states: int = 4) -> list[EnvelopeState]:
     """Topmost hole states, descending in energy (Kramers pairs).
 
     The hole ground state is the first returned doublet.  Phases follow
@@ -343,7 +336,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
         raise ValueError(f"n_states must lie in 1 ... {dim} for "
                          f"{n} grid points, got {n_states}")
 
-    onsite, a, node = _node_blocks(geometry, strain, table, well, barrier)
+    onsite, a, node = _node_blocks(geometry, strain, table)
     if np.linalg.eigvalsh(a).max() > 1e-12 * np.abs(a).max():
         raise kp_bulk.NumericalError(
             "the kz^2 matrix of the well or barrier material is not "

@@ -15,7 +15,7 @@ from strainkp.axis import QuantizationAxis, _project, project_hgs
 from strainkp.elasticity import (StrainState, biaxial_strain, uniaxial_strain,
                                  uniaxial_sweep)
 from strainkp.kp_bulk import (HBAR2_OVER_2M0, Doublet, NonHermitianError,
-                              NumericalError, SpinorState, Wavevector,
+                              NumericalError, SpinorState,
                               build_h8, dispersion, eigensolve, h4_topmost,
                               h6_vb, top_valence_doublet)
 from strainkp.optics import _orbital_weights, dipole_strengths
@@ -212,6 +212,22 @@ def test_a_doublet_survives_copy_and_pickle(gaas):
         assert np.array_equal(copied.coefficients, doublet.coefficients)
         assert not copied.coefficients.flags.writeable
         assert [s.energy for s in copied] == [s.energy for s in doublet]
+
+
+def test_states_and_doublets_compare_by_identity(gaas):
+    # equal coefficients make equal-looking states, not equal ones: ==
+    # is identity and never raises, and states and doublets hash, so
+    # they can go into a set
+    c = np.zeros(6, dtype=complex)
+    c[0] = 1.0
+    a, b = SpinorState(c, energy=0.0), SpinorState(c, energy=0.0)
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+    strain = uniaxial_strain(0.8, gaas)
+    first, second = (top_valence_doublet(strain, gaas) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+    assert len({*first, *second}) == 4
 
 
 def test_each_chain_checks_its_pair_once(gaas, monkeypatch):
@@ -495,7 +511,7 @@ def test_non_finite_wavevectors_are_rejected(gaas, bad):
     # failure for bad input) and an inf overflowed in the assembly
     k = (0.1, bad, 0.0)
     calls = (lambda: h6_vb(k, ZERO, gaas),
-             lambda: h6_vb(Wavevector(kz=bad), ZERO, gaas),
+             lambda: h6_vb((0.0, 0.0, bad), ZERO, gaas),
              lambda: build_h8(k, ZERO, gaas),
              lambda: build_h8(np.array([K0, k]), ZERO, gaas),
              lambda: top_valence_doublet(ZERO, gaas, k),
@@ -551,11 +567,11 @@ def test_check_hermitian_rejects_nan():
 
 def test_dispersion_single_point_matches_eigensolve(gaas, rng,
                                                    random_strain):
-    energies = dispersion([Wavevector()], ZERO, gaas)
+    energies = dispersion([K0], ZERO, gaas)
     expected = [s.energy for s in eigensolve(build_h8(K0, ZERO, gaas))]
     assert energies[0] == pytest.approx(expected, abs=1e-12)
     # a path is solved as one stack, bit for bit the eigenvalues of
-    # build_h8 at each point, for array and Wavevector paths alike
+    # build_h8 at each point, for array and list paths alike
     for _ in range(5):
         strain = random_strain(scale=0.005)
         path = rng.uniform(-0.5, 0.5, size=(9, 3))
@@ -563,10 +579,13 @@ def test_dispersion_single_point_matches_eigensolve(gaas, rng,
                   for k in path]
         assert np.array_equal(dispersion(path, strain, gaas), single)
         assert np.array_equal(
-            dispersion([Wavevector(*k) for k in path], strain, gaas), single)
+            dispersion(path.tolist(), strain, gaas), single)
     assert dispersion([], ZERO, gaas).shape == (0, 8)
-    with pytest.raises(ValueError, match="three components"):
-        dispersion([(0.1, 0.2)], ZERO, gaas)
+    # each point has three components: not two, not one number, and not
+    # two in a ragged path
+    for path in ([(0.1, 0.2)], (0.1, 0.2, 0.3), [K0, (0.1, 0.2)]):
+        with pytest.raises(ValueError, match="three components"):
+            dispersion(path, ZERO, gaas)
 
 
 def test_dispersion_isotropic_masses_spherical_variant(gaas):
@@ -574,7 +593,8 @@ def test_dispersion_isotropic_masses_spherical_variant(gaas):
     p = dataclasses.replace(gaas, gamma3=gaas.gamma2)
     ks = np.linspace(-0.05, 0.05, 11)
     for direction in ("x", "y"):
-        path = [Wavevector(**{f"k{direction}": float(k)}) for k in ks]
+        path = np.zeros((ks.size, 3))
+        path[:, "xy".index(direction)] = ks
         energies = dispersion(path, ZERO, p)
         hh_fit = np.polyfit(ks, energies[:, 2], 2)[0]
         lh_fit = np.polyfit(ks, energies[:, 4], 2)[0]
@@ -590,7 +610,8 @@ def test_dispersion_anisotropic_mass_under_uniaxial_tension(gaas):
     ks = np.linspace(-0.03, 0.03, 9)
     curv = {}
     for direction in ("x", "y"):
-        path = [Wavevector(**{f"k{direction}": float(k)}) for k in ks]
+        path = np.zeros((ks.size, 3))
+        path[:, "xy".index(direction)] = ks
         energies = dispersion(path, strain, gaas)
         assert np.all(np.diff(energies, axis=1) <= 0)  # descending rows
         curv[direction] = np.polyfit(ks, energies[:, 2], 2)[0]

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from strainkp.materials import (_FIELD_KEYS, AlloyComposition,
-                                ParameterLoadError, algaas,
+from strainkp.materials import (_FIELD_KEYS, ParameterLoadError, algaas,
                                 default_parameter_table, dump_parameter_table,
                                 load_parameter_table, parse_parameter_table,
                                 vegard)
@@ -145,11 +144,26 @@ def test_vegard_linearity(gaas, alas, rng):
                 == pytest.approx(a + x * (b - a), rel=1e-14, abs=1e-14)
 
 
-def test_vegard_out_of_range():
-    # the first floats outside [0, 1] too, not only far ones
-    for x in (1.2, -0.1, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)):
-        with pytest.raises(ValueError):
-            AlloyComposition(x)
+def test_vegard_out_of_range(table, gaas, alas):
+    # the first floats outside [0, 1] too, not only far ones, and NaN
+    for x in (1.2, -0.1, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0),
+              float("nan")):
+        for mix in (lambda: vegard(x, gaas, alas), lambda: algaas(x, table)):
+            with pytest.raises(ValueError, match=r"alloy fraction must lie "
+                                                 r"in \[0, 1\], got "):
+                mix()
+
+
+def _field_bits(material):
+    return np.array([getattr(material, field) for field in _FIELD_KEYS]) \
+        .view(np.uint64)
+
+
+def test_algaas_endpoints_are_the_binaries_bit_for_bit(table, gaas, alas):
+    # x = 0 is GaAs and x = 1 is AlAs in every field, signs of zero
+    # included: a flat-band well is algaas(0.0, table) barriers around GaAs
+    assert np.array_equal(_field_bits(algaas(0.0, table)), _field_bits(gaas))
+    assert np.array_equal(_field_bits(algaas(1.0, table)), _field_bits(alas))
 
 
 def test_algaas_barrier_name(table):

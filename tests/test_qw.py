@@ -124,13 +124,13 @@ def test_vb_edge_profile_steps_by_vegard_offset(table, gaas):
 
 
 def test_uniform_material_reduces_to_particle_in_a_box(table, gaas):
-    # barrier == well: Dirichlet box over the whole domain.  Every band
-    # block shares the same sine modes, so the problem splits into exact
-    # per-mode levels: a decoupled HH ladder and an LH ladder pushed up
-    # by the kinetic coupling to the split-off band (closed-form 2x2).
-    geometry = QwGeometry(12.0, barrier_thickness_nm=20.0, grid_points=151)
-    ham = build_qw_hamiltonian(geometry, ZERO, table,
-                               well=gaas, barrier=gaas)
+    # barrier == well (no Al): Dirichlet box over the whole domain.  Every
+    # band block shares the same sine modes, so the problem splits into
+    # exact per-mode levels: a decoupled HH ladder and an LH ladder pushed
+    # up by the kinetic coupling to the split-off band (closed-form 2x2).
+    geometry = QwGeometry(12.0, barrier_thickness_nm=20.0,
+                          barrier_al_fraction=0.0, grid_points=151)
+    ham = build_qw_hamiltonian(geometry, ZERO, table)
     numeric = np.sort(np.linalg.eigvalsh(ham))[::-1][:6]
     n_pts = geometry.grid_points
     h = geometry.spacing()
@@ -151,19 +151,19 @@ def test_uniform_material_reduces_to_particle_in_a_box(table, gaas):
 
 def test_uniform_sheared_well_splits_into_bulk_modes(table, gaas,
                                                      random_strain):
-    # barrier == well under a sheared strain: every band shares the box
-    # sine modes, so mode n is exactly the bulk 6x6 at kz^2 = lambda_n.
-    # Any sign or ordering difference between the well's R/S entries and
-    # the bulk ones breaks the match.
-    geometry = QwGeometry(12.0, barrier_thickness_nm=20.0, grid_points=61)
+    # barrier == well (no Al) under a sheared strain: every band shares
+    # the box sine modes, so mode n is exactly the bulk 6x6 at
+    # kz^2 = lambda_n.  Any sign or ordering difference between the well's
+    # R/S entries and the bulk ones breaks the match.
+    geometry = QwGeometry(12.0, barrier_thickness_nm=20.0,
+                          barrier_al_fraction=0.0, grid_points=61)
     n_pts = geometry.grid_points
     h = geometry.spacing()
     lam = (2.0 / h ** 2) * (1.0 - np.cos(np.arange(1, n_pts + 1) * math.pi
                                          / (n_pts + 1)))
     for _ in range(3):
         strain = random_strain(scale=0.005)
-        ham = build_qw_hamiltonian(geometry, strain, table,
-                                   well=gaas, barrier=gaas)
+        ham = build_qw_hamiltonian(geometry, strain, table)
         expected = np.concatenate([
             np.linalg.eigvalsh(h6_vb((0.0, 0.0, math.sqrt(l)), strain, gaas))
             for l in lam])
@@ -320,8 +320,7 @@ def test_solve_qw_solves_the_smallest_exact_block(table, gaas,
                               k)
 
 
-def _solved_and_assembled(geometry, strain, table, monkeypatch,
-                          well=None):
+def _solved_and_assembled(geometry, strain, table, monkeypatch):
     """The blocks ``solve_qw`` hands its eigensolver, and their oracle:
     the assembled 6N blocks, restricted to the kept bands if no entry
     couples them to their partners, and real if their imaginary part is
@@ -337,10 +336,10 @@ def _solved_and_assembled(geometry, strain, table, monkeypatch,
 
     with monkeypatch.context() as m:
         m.setattr(qw, "_top_eigenvectors", record)
-        solve_qw(geometry, strain, table, 2, well=well)
+        solve_qw(geometry, strain, table, 2)
     (solved,) = seen
     oracle = np.concatenate(qw._assemble(
-        *qw._node_blocks(geometry, strain, table, well, None)))
+        *qw._node_blocks(geometry, strain, table)))
     if not oracle[..., kp_bulk._COUPLINGS].any():
         oracle = oracle[..., kp_bulk._KEPT_BANDS[:, None],
                         kp_bulk._KEPT_BANDS]
@@ -397,14 +396,16 @@ def test_split_is_decided_on_the_materials_on_the_grid(table, gaas,
     # a well material with d = 0 does not couple the two band sets under
     # e_xz, the barrier does: the well splits exactly when no barrier node
     # lies on the grid, as the assembled blocks do
-    well = dataclasses.replace(gaas, d=0.0)
+    d_free = {**table, "GaAs": dataclasses.replace(gaas, d=0.0)}
     strain = StrainState(0.001, 0.001, -0.002, exz=0.003)
+    # the barrier, vegard(0.4, d-free GaAs, AlAs), keeps a d of its own
+    assert algaas(0.4, d_free).d != 0.0
     thin = QwGeometry(12.0, barrier_thickness_nm=0.1, grid_points=51)
     assert np.all(np.abs(thin.grid()) <= 6.0)
     thick = QwGeometry(12.0, barrier_thickness_nm=4.0, grid_points=51)
     for geometry, bands in ((thin, 3), (thick, 6)):
-        solved, oracle = _solved_and_assembled(geometry, strain, table,
-                                               monkeypatch, well)
+        solved, oracle = _solved_and_assembled(geometry, strain, d_free,
+                                               monkeypatch)
         assert solved.shape == oracle.shape == (101, bands, bands)
         assert np.array_equal(_bits(solved), _bits(oracle))
 
@@ -570,8 +571,7 @@ def test_well_couplings_are_real_symmetric(table, gaas, rng):
             assert not a.imag.any()
             assert np.array_equal(a.real, a.real.T)
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
-    _, couplings = qw._assemble(*qw._node_blocks(geometry, strain, table,
-                                                 None, None))
+    _, couplings = qw._assemble(*qw._node_blocks(geometry, strain, table))
     assert couplings.dtype == np.float64
     assert np.array_equal(couplings, np.swapaxes(couplings, 1, 2))
 
@@ -595,11 +595,11 @@ def test_solve_qw_rejects_state_count_out_of_range(table):
 def test_solve_qw_rejects_positive_kinetic_matrix(table, gaas):
     # gamma1 < 2 gamma2: the HH kz^2 term turns upward, so no shift is
     # known to lie above the spectrum
-    inverted = dataclasses.replace(gaas, gamma2=gaas.gamma1 / 2.0 + 0.5,
-                                   name="inverted")
+    inverted = {**table, "GaAs": dataclasses.replace(
+        gaas, gamma2=gaas.gamma1 / 2.0 + 0.5, name="inverted")}
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     with pytest.raises(NumericalError, match="negative semidefinite"):
-        solve_qw(geometry, ZERO, table, 2, well=inverted)
+        solve_qw(geometry, ZERO, inverted, 2)
 
 
 def _missing_partner(top):
@@ -901,9 +901,12 @@ def test_zero_strain_pure_hh_any_thickness(table):
 def test_bulk_limit_as_barrier_offset_vanishes(table, gaas):
     # wide well, thin barriers, 1 meV edge offset: the ground state must
     # approach the bulk band edge
-    near = dataclasses.replace(gaas, ev_av=gaas.ev_av - 1e-3, name="near")
-    geometry = QwGeometry(50.0, barrier_thickness_nm=8.0, grid_points=301)
-    hgs = solve_qw(geometry, ZERO, table, 2, well=gaas, barrier=near)[0]
+    # the barrier is the table's "AlAs", replaced by a near-GaAs, at x = 1
+    near = {**table, "AlAs": dataclasses.replace(gaas, ev_av=gaas.ev_av - 1e-3,
+                                                 name="near")}
+    geometry = QwGeometry(50.0, barrier_thickness_nm=8.0,
+                          barrier_al_fraction=1.0, grid_points=301)
+    hgs = solve_qw(geometry, ZERO, near, 2)[0]
     assert abs(hgs.energy - gaas.vb_edge) < 5e-4
 
 
@@ -1083,6 +1086,18 @@ def test_an_envelope_doublet_joins_its_envelopes(table):
     assert Doublet(doublet) is doublet
     assert envelope_projection(doublet, Z_AXIS) \
         == envelope_projection(states, Z_AXIS)
+
+
+def test_envelope_states_and_doublets_compare_by_identity(table):
+    # two identical solves give equal-looking states and doublets, which
+    # compare by identity, never raising, and hash into a set
+    geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=61)
+    first, second = (solve_qw(geometry, ZERO, table, 2) for _ in range(2))
+    assert first[0] == first[0] and first[0] != second[0]
+    assert len({*first, *second, first[0]}) == 4
+    pairs = Doublet(first), Doublet(second)
+    assert pairs[0] == pairs[0] and pairs[0] != pairs[1]
+    assert len(set(pairs)) == 2 and hash(pairs[0]) == hash(Doublet(first))
 
 
 def test_envelope_projection_requires_degeneracy(table):
