@@ -532,14 +532,5 @@ def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:
     tracked through crossings: inside a Kramers pair no overlap
     criterion could tell them apart.
     """
-    try:
-        k = np.asarray(path, dtype=float)
-    except ValueError:
-        # a ragged path: the first point without three components raises
-        for point in path:
-            _kvec(point)
-        raise
-    if k.ndim == 1:
-        # no point (an empty path), or points without three components
-        k = k.reshape(-1, 1) if k.size else k.reshape(0, 3)
-    return _eigh_descending(build_h8(_kvec(k).reshape(-1, 3), strain, p))[0]
+    k = np.array([_kvec(q) for q in path]).reshape(-1, 3)
+    return _eigh_descending(build_h8(k, strain, p))[0]

@@ -571,7 +571,7 @@ def test_dispersion_single_point_matches_eigensolve(gaas, rng,
     expected = [s.energy for s in eigensolve(build_h8(K0, ZERO, gaas))]
     assert energies[0] == pytest.approx(expected, abs=1e-12)
     # a path is solved as one stack, bit for bit the eigenvalues of
-    # build_h8 at each point, for array and list paths alike
+    # build_h8 at each point, for array, list and generator paths alike
     for _ in range(5):
         strain = random_strain(scale=0.005)
         path = rng.uniform(-0.5, 0.5, size=(9, 3))
@@ -580,6 +580,8 @@ def test_dispersion_single_point_matches_eigensolve(gaas, rng,
         assert np.array_equal(dispersion(path, strain, gaas), single)
         assert np.array_equal(
             dispersion(path.tolist(), strain, gaas), single)
+        assert np.array_equal(
+            dispersion((k for k in path), strain, gaas), single)
     assert dispersion([], ZERO, gaas).shape == (0, 8)
     # each point has three components: not two, not one number, and not
     # two in a ragged path
