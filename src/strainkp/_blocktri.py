@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .kp_bulk import NumericalError
+from .states import NumericalError
 
 # the seed of the solver's fixed start block
 _START_SEED = 20240817
@@ -38,8 +38,7 @@ _MAX_ITERATIONS = 200
 _DENSE_NODES = 8
 
 
-# kp_bulk has the same helper, but the solver takes nothing from the
-# physics modules except NumericalError
+# kp_bulk has the same helper, but the solver imports no physics module
 def _herm(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import StrainState, uniaxial_sweep
-from .kp_bulk import Doublet, _doublet_stack, _valence
+from .kp_bulk import _doublet_stack
 from .materials import MaterialParams
+from .states import Doublet, _valence
 
 __all__ = [
     "MIXING_CURVE_COLUMNS",

@@ -1,22 +1,12 @@
-"""8x8 (2 CB + 6 VB) k.p Hamiltonian with strain for zincblende crystals.
-
-Basis ordering, fixed everywhere in this package::
-
-    0  CB +1/2   iS(up)
-    1  CB -1/2   iS(dn)
-    2  HH +3/2   -(X + iY)(up)/sqrt(2)
-    3  LH +1/2   -[(X + iY)(dn) - 2 Z(up)]/sqrt(6)
-    4  LH -1/2   +[(X - iY)(up) + 2 Z(dn)]/sqrt(6)
-    5  HH -3/2   +(X - iY)(dn)/sqrt(2)
-    6  SO +1/2   +[(X + iY)(dn) + Z(up)]/sqrt(3)
-    7  SO -1/2   +[(X - iY)(up) - Z(dn)]/sqrt(3)
+"""8x8 (2 CB + 6 VB) k.p Hamiltonian with strain for zincblende crystals,
+and its bulk eigensolves, in the basis of ``states``.
 
 Everything is stored in the electron-energy picture: the topmost valence
 state is the largest eigenvalue among the six VB states, the CB block is
 diagonal with the hydrostatic shift ``ac * tr(strain)``, and CB-VB
-coupling is neglected, so the CB block is exactly decoupled: a hole state
-is its six VB coefficients (rows 2-7), as solved, and only ``build_h8``,
-``eigensolve`` of it and ``dispersion`` carry the CB, for its edge.
+coupling is neglected, so the CB block is exactly decoupled: only
+``build_h8``, ``eigensolve`` of it and ``dispersion`` carry the CB, for
+its edge.
 
 The valence block is the standard Luttinger-Kohn + Bir-Pikus 6x6 written
 in the hole picture and negated.  Scalar ingredients, with ``K`` the
@@ -43,7 +33,7 @@ builds the pairs, for the bulk doublets and the well of ``qw`` alike: it
 reads the matrices the operator is built from, never an option.  An
 operator that splits is solved on the first set alone, one vector per
 pair, and each partner is taken by time reversal, T psi = U conj(psi)
-with the one ``_TIME_REVERSAL`` U, an exact signed permutation; any
+with the one ``states._TIME_REVERSAL`` U, an exact signed permutation; any
 other is solved on all six bands.  Either way a restricted matrix whose
 imaginary part is exactly zero is solved real.  The doublet sweep
 decides once per stack, which is the decision of each of its matrices
@@ -54,24 +44,19 @@ doublet has the same bits in any batch as alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ._doublet import Doublet, NumericalError, _check_doublets, _first_failure
 from .elasticity import StrainState
 from .materials import MaterialParams
+from .states import (VB_SLICE, Doublet, NumericalError, SpinorState,
+                     _check_doublets, _check_norms, _first_failure,
+                     _fix_phases, _time_reverse)
 
 __all__ = [
-    "BLOCH_LABELS",
-    "Doublet",
     "HBAR2_OVER_2M0",
     "NonHermitianError",
-    "NumericalError",
-    "ORBITAL_SPIN_LABELS",
-    "SpinorState",
-    "bloch_orbital_matrix",
     "build_h8",
     "dispersion",
     "eigensolve",
@@ -81,13 +66,6 @@ __all__ = [
 ]
 
 HBAR2_OVER_2M0 = 0.0380998  # eV nm^2; single source of unit truth
-
-BLOCH_LABELS = ("CB+1/2", "CB-1/2", "HH+3/2", "LH+1/2",
-                "LH-1/2", "HH-3/2", "SO+1/2", "SO-1/2")
-ORBITAL_SPIN_LABELS = ("S_up", "X_up", "Y_up", "Z_up",
-                       "S_dn", "X_dn", "Y_dn", "Z_dn")
-
-VB_SLICE = slice(2, 8)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -132,47 +110,6 @@ _HERMITIAN_ATOL = 1e-12
 
 class NonHermitianError(NumericalError):
     """Input matrix is not Hermitian within the requested tolerance."""
-
-
-@dataclass(frozen=True, eq=False)
-class SpinorState:
-    """Complex coefficient vector over the Bloch basis, with its energy.
-
-    A hole state has 6 entries, the VB rows in basis order HH+3/2,
-    LH+1/2, LH-1/2, HH-3/2, SO+1/2, SO-1/2; ``eigensolve`` of an 8x8
-    gives 8 (full basis).  The state keeps a read-only copy of the
-    coefficients, so no later write to the caller's array changes it.
-    States compare and hash by identity.
-    """
-
-    coefficients: np.ndarray
-    energy: float | None = None
-
-    def __post_init__(self):
-        coeff = self._own(np.array(self.coefficients, dtype=complex))
-        # np.linalg.norm of a complex vector, without its wrapper
-        re, im = coeff.real, coeff.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-        # not a > comparison, which a NaN norm passes
-        if not abs(norm - 1.0) <= 1e-10:
-            raise NumericalError(f"spinor norm {norm} deviates from 1")
-
-    def _own(self, coeff: np.ndarray) -> np.ndarray:
-        """Keep the complex array coeff, one vector, read-only."""
-        if coeff.ndim != 1 or coeff.size < 2:
-            raise ValueError(f"unsupported spinor shape {coeff.shape}")
-        coeff.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeff)
-        return coeff
-
-    @classmethod
-    def _checked(cls, coeff: np.ndarray, energy: float) -> SpinorState:
-        """The state of the complex array coeff, whose norm has passed
-        ``_check_norms``; it keeps coeff itself, without the norm check."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "energy", energy)
-        state._own(coeff)
-        return state
 
 
 def _kvec(k) -> np.ndarray:
@@ -301,21 +238,6 @@ def h4_topmost(k, strain: StrainState, p: MaterialParams) -> np.ndarray:
     return h6_vb(k, strain, p)[..., :4, :4]
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Unit columns of (..., m, j) with the first coefficient above 1e-10
-    of each (a unit column always has one) made real and positive, so
-    degenerate subspaces come out reproducibly for identical inputs."""
-    pivot = (np.abs(vectors) > 1e-10).argmax(axis=-2)
-    # the pivot entries by plain integer indexing over the stack: the
-    # gather of np.take_along_axis, without its Python-level index setup
-    stack = vectors.reshape((-1,) + vectors.shape[-2:])
-    rows = np.arange(len(stack))[:, None]
-    columns = np.arange(vectors.shape[-1])
-    lead = stack[rows, pivot.reshape(rows.size, columns.size), columns]
-    lead = lead.reshape(pivot.shape)[..., None, :]
-    return vectors / (lead / np.abs(lead))
-
-
 def _check_hermitian(h: np.ndarray) -> None:
     """Raise NonHermitianError for the first matrix of (..., m, m), in
     stack order, with ``max|h - h^dagger|`` above ``_HERMITIAN_ATOL``."""
@@ -332,16 +254,6 @@ def _check_hermitian(h: np.ndarray) -> None:
 
 def _herm(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conjugate()
-
-
-def _check_norms(vectors: np.ndarray) -> None:
-    """Raise SpinorState's error for the first column of (..., m, j) whose
-    norm drifts from 1 by more than 1e-10."""
-    squares = (vectors.conjugate() * vectors).real.sum(axis=-2)
-    first = _first_failure(np.abs(np.sqrt(squares) - 1.0) <= 1e-10)
-    if first is not None:
-        columns = np.moveaxis(vectors, -1, -2).reshape(-1, vectors.shape[-2])
-        SpinorState(columns[first])
 
 
 def _eigh_descending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,14 +283,6 @@ def eigensolve(h: np.ndarray) -> list[SpinorState]:
     energies, vectors = _eigh_descending(h)
     return [SpinorState(vectors[:, i], energy=float(energies[i]))
             for i in range(energies.size)]
-
-
-def _time_reverse(psi: np.ndarray) -> np.ndarray:
-    """T psi = U conj(psi) of VB coefficients (..., 6, j), bands second to
-    last, as a gather, not a product, whose BLAS call would grow with the
-    stack: U is a signed permutation, so the values are the product's,
-    and + 0.0 turns every -0.0 into 0.0."""
-    return _TR_SIGNS[:, None] * psi[..., _TR_COLUMNS, :].conj() + 0.0
 
 
 def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
@@ -470,57 +374,6 @@ def top_valence_doublet(strain: StrainState, p: MaterialParams,
     a, b = energies.tolist()
     return Doublet._checked((SpinorState._checked(pair[0], a),
                              SpinorState._checked(pair[1], b)), pair)
-
-
-def _valence(psi: np.ndarray) -> np.ndarray:
-    """The VB coefficients (..., 6, j) of hole states psi (..., m, j): six
-    rows as they are, or eight (the full basis of ``eigensolve``) without
-    the CB rows, which must hold no weight; any other psi raises
-    ValueError."""
-    if psi.shape[-2] == 8 and np.sum(np.abs(psi[..., :2, :]) ** 2) <= 1e-9:
-        return psi[..., VB_SLICE, :]
-    if psi.shape[-2] != 6:
-        raise ValueError(f"hole states need 6 VB components, or 8 with no "
-                         f"CB weight; got {psi.shape[-2]}")
-    return psi
-
-
-def bloch_orbital_matrix() -> np.ndarray:
-    """Unitary mapping Bloch coefficients to (S,X,Y,Z) x (up,dn) products.
-
-    Columns follow BLOCH_LABELS, rows follow ORBITAL_SPIN_LABELS; the
-    product coefficients of a state are ``U @ state.coefficients``.
-    """
-    s2, s3, s6 = 1 / _SQ2, 1 / _SQ3, 1 / math.sqrt(6.0)
-    u = np.zeros((8, 8), dtype=complex)
-    u[0, 0] = 1j                                   # CB+1/2 = iS up
-    u[4, 1] = 1j                                   # CB-1/2 = iS dn
-    u[1, 2], u[2, 2] = -s2, -1j * s2               # HH+3/2
-    u[5, 3], u[6, 3], u[3, 3] = -s6, -1j * s6, 2 * s6   # LH+1/2
-    u[1, 4], u[2, 4], u[7, 4] = s6, -1j * s6, 2 * s6    # LH-1/2
-    u[5, 5], u[6, 5] = s2, -1j * s2                # HH-3/2
-    u[5, 6], u[6, 6], u[3, 6] = s3, 1j * s3, s3    # SO+1/2
-    u[1, 7], u[2, 7], u[7, 7] = s3, -1j * s3, -s3  # SO-1/2
-    return u
-
-
-# the package's one Bloch-orbital table, and time reversal T psi = U conj(psi)
-# on the six VB coefficients: i sigma_y K on the table's spin (real orbitals).
-# U is a real signed permutation; the product is off from it by round-off
-# (entries 1 +- 2.2e-16, cross terms 2.8e-17), so it is rounded to the
-# exact matrix (+ 0.0 clears the negative zeros); row i holds its one
-# nonzero, _TR_SIGNS[i], in column _TR_COLUMNS[i], so a partner T psi is a
-# gather with the same bits whatever stack psi is solved in.
-_BLOCH_ORBITALS = bloch_orbital_matrix()
-_TIME_REVERSAL = (np.conj(_BLOCH_ORBITALS.T)
-                  @ np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(4))
-                  @ np.conj(_BLOCH_ORBITALS))[VB_SLICE, VB_SLICE]
-_TIME_REVERSAL = np.round(_TIME_REVERSAL.real) + 0.0
-_TR_COLUMNS = np.abs(_TIME_REVERSAL).argmax(axis=1)
-_TR_SIGNS = _TIME_REVERSAL[np.arange(6), _TR_COLUMNS]
-_BLOCH_ORBITALS.flags.writeable = False
-_TIME_REVERSAL.flags.writeable = False
-_TR_COLUMNS.flags.writeable = _TR_SIGNS.flags.writeable = False
 
 
 def dispersion(path, strain: StrainState, p: MaterialParams) -> np.ndarray:

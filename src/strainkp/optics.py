@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .elasticity import StrainState, _require_integer, uniaxial_sweep
-from .kp_bulk import (_BLOCH_ORBITALS, Doublet, SpinorState, _doublet_stack,
-                      _valence)
+from .kp_bulk import _doublet_stack
 from .materials import MaterialParams
+from .states import _BLOCH_ORBITALS, Doublet, SpinorState, _valence
 
 __all__ = [
     "AngularDensity",

@@ -77,11 +77,11 @@ from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project, project_hgs
 from .elasticity import StrainState, _require_integer, uniaxial_sweep
 from .materials import MaterialParams, algaas
+from .states import EnvelopeState, NumericalError, _check_doublets, _fix_phases
 
 __all__ = [
     "DEFAULT_EMULATION_OFFSETS",
     "EmulationOffsets",
-    "EnvelopeState",
     "QwGeometry",
     "build_qw_hamiltonian",
     "emulated_transition_energies",
@@ -141,36 +141,6 @@ class QwGeometry:
         """Mask of the grid nodes in the well, |z| <= w/2; a well holds at
         least three, the centre node and both neighbours."""
         return np.abs(self.grid()) <= self.well_thickness_nm / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeState:
-    """One hole state: energy plus band-resolved envelope coefficients
-    of shape (6, N) over the grid z, unit-normalized; the state keeps
-    read-only copies of the coefficients and of z.  States compare and
-    hash by identity."""
-
-    energy: float
-    coefficients: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != 6:
-            raise ValueError("envelope coefficients must have shape (6, N)")
-        norm = np.linalg.norm(c)
-        # not a > comparison, which a NaN norm passes
-        if not abs(norm - 1.0) <= 1e-8:
-            raise kp_bulk.NumericalError(
-                f"envelope norm {norm} deviates from 1")
-        z = np.array(self.z, dtype=float)
-        for name, value in (("coefficients", c), ("z", z)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def density(self) -> np.ndarray:
-        """|envelope|^2 summed over bands (length N)."""
-        return np.sum(np.abs(self.coefficients) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -284,7 +254,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     returned pair (states 2j and 2j + 1) is checked to be a degenerate
     orthogonal doublet; a failed check, an eigensolve that does not
     converge or a shifted matrix that is not positive definite raises
-    ``kp_bulk.NumericalError``.
+    ``NumericalError``.
 
     The blocks of ``build_qw_hamiltonian`` are taken site-major (index
     node * 6 + band), where H is block tridiagonal, and the topmost
@@ -297,7 +267,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     of H exceeds the largest eigenvalue of the on-site blocks, and sigma
     is that plus a margin, so the states nearest sigma are the topmost
     ones.  A material whose A is not negative semidefinite (e.g.
-    gamma1 < 2 gamma2) raises ``kp_bulk.NumericalError``.
+    gamma1 < 2 gamma2) raises ``NumericalError``.
 
     So sigma I - H is Hermitian positive definite, and
     ``_blocktri._top_eigenvectors`` factors it by block cyclic reduction,
@@ -338,7 +308,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
 
     onsite, a, node = _node_blocks(geometry, strain, table)
     if np.linalg.eigvalsh(a).max() > 1e-12 * np.abs(a).max():
-        raise kp_bulk.NumericalError(
+        raise NumericalError(
             "the kz^2 matrix of the well or barrier material is not "
             "negative semidefinite (e.g. gamma1 < 2 gamma2), so no shift "
             "above the QW spectrum is known")
@@ -357,10 +327,10 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
         (n_states + 1) // 2)
     energies = energies[:n_states]
     # (node, band, state) -> band-major (6N, state)
-    vectors = kp_bulk._fix_phases(
+    vectors = _fix_phases(
         vectors[..., :n_states].transpose(1, 0, 2).reshape(dim, n_states))
     pairs = n_states // 2
-    kp_bulk._check_doublets(
+    _check_doublets(
         energies[:2 * pairs].reshape(pairs, 2),
         vectors[:, :2 * pairs].reshape(dim, pairs, 2).transpose(1, 0, 2))
     z = geometry.grid()

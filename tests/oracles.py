@@ -7,8 +7,8 @@ import numpy as np
 
 from strainkp.axis import QuantizationAxis
 from strainkp.elasticity import StrainState, stiffness_matrix
-from strainkp.kp_bulk import (HBAR2_OVER_2M0, SpinorState,
-                              bloch_orbital_matrix)
+from strainkp.kp_bulk import HBAR2_OVER_2M0
+from strainkp.states import SpinorState, bloch_orbital_matrix
 
 
 def rotated_basis(axis) -> list[SpinorState]:

@@ -12,10 +12,10 @@ from strainkp.axis import (QuantizationAxis, _hgs_tensor, commutator_norm,
                            mixing_map, project_hgs)
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain, uniaxial_sweep)
-from strainkp.kp_bulk import (SpinorState, _doublet_stack,
-                              bloch_orbital_matrix, dispersion, h4_topmost,
+from strainkp.kp_bulk import (_doublet_stack, dispersion, h4_topmost,
                               top_valence_doublet)
 from strainkp.qw import QwGeometry, envelope_projection, solve_qw
+from strainkp.states import SpinorState, bloch_orbital_matrix
 
 X_AXIS = QuantizationAxis(math.pi / 2.0)
 Z_AXIS = QuantizationAxis(0.0)
@@ -266,6 +266,17 @@ def test_mixing_map_ridge_migrates(gaas):
                                 thetas=default_theta_grid(31))
     assert np.argmax(phh[:, 0]) == 0                  # z axis at no stress
     assert np.argmax(phh[:, -1]) == len(thetas) - 1   # x axis at max tension
+
+
+@pytest.mark.parametrize("call", [
+    lambda gaas: QuantizationAxis(math.nan),
+    lambda gaas: QuantizationAxis(0.0, math.inf),
+    lambda gaas: mixing_map([0.5], StrainState(), gaas, thetas=[math.inf]),
+    lambda gaas: mixing_map([0.5], StrainState(), gaas, phi=math.nan),
+], ids=["theta", "phi", "map_theta", "map_phi"])
+def test_axis_angles_must_be_finite(gaas, call):
+    with pytest.raises(ValueError, match="axis angles must be finite"):
+        call(gaas)
 
 
 def test_mixing_map_rejects_empty_grid(gaas):

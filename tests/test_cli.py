@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import strainkp
-from strainkp import _blocktri, _doublet, axis, kp_bulk, optics, qw
-from strainkp.cli import (_CHUNK_CELLS, RunConfig, _Grid, _write_table,
-                          main)
+from strainkp import _blocktri, axis, kp_bulk, optics, qw
+from strainkp import states as states_mod
+from strainkp.cli import main
+from strainkp.config import RunConfig
 from strainkp.elasticity import StrainState, biaxial_strain, uniaxial_sweep
 from strainkp.materials import default_parameter_table
+from strainkp.tables import _CHUNK_CELLS, Grid, write_table
 
 SMALL_CONFIG = """
 [sweep]
@@ -98,7 +100,7 @@ def chunked_grid(n_first, n_second):
         values[i, :len(SPECIALS)] = SPECIALS
         values[min(i + rows_per_piece, n_first) - 1, -len(SPECIALS):] \
             = SPECIALS
-    return _Grid(first, second, values)
+    return Grid(first, second, values)
 
 
 WRITER_TABLES = {
@@ -117,18 +119,18 @@ WRITER_TABLES = {
     * np.logspace(-30, 30, 6)[:, None],
     "empty": [],
     # grid tables: the same specials on both axes and in the values
-    "grid_special": _Grid(
+    "grid_special": Grid(
         np.array([float("nan"), -0.0, 5e-324, 1e21]),
         np.array([float("inf"), -float("inf"), 1e21, -0.0, 5e-324]),
         np.array([[float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
                   [1e21, 0.1, -2.5, 1e-29, 123456789.5],
                   [-0.0, float("nan"), 2.0 / 3.0, 1e21, -1e-300],
                   [5e-324, -float("inf"), 7.0, float("inf"), -0.0]])),
-    "grid_1x1": _Grid(np.array([0.5]), np.array([-0.0]),
-                      np.array([[float("nan")]])),
-    "grid_1xn": _Grid(np.array([1e21]),
-                      np.array([5e-324, -float("inf"), 2.0 / 3.0]),
-                      np.array([[float("inf"), -0.0, 1e-29]])),
+    "grid_1x1": Grid(np.array([0.5]), np.array([-0.0]),
+                     np.array([[float("nan")]])),
+    "grid_1xn": Grid(np.array([1e21]),
+                     np.array([5e-324, -float("inf"), 2.0 / 3.0]),
+                     np.array([[float("inf"), -0.0, 1e-29]])),
     # around the writer's piece boundary, and grids over several pieces
     "chunk_minus_row": chunked_table(PIECE_ROWS - 1),
     "chunk": chunked_table(PIECE_ROWS),
@@ -145,8 +147,8 @@ def test_write_table_matches_per_value_oracle(tmp_path, name,
     columns = ("a", "b", "c")
     rows = WRITER_TABLES[name]
     path = tmp_path / "sub" / f"t.{output_format}"
-    _write_table(path, columns, rows, output_format)
-    if isinstance(rows, _Grid):
+    write_table(path, columns, rows, output_format)
+    if isinstance(rows, Grid):
         rows = [(a, b, rows.values[i, j])
                 for i, a in enumerate(rows.first)
                 for j, b in enumerate(rows.second)]
@@ -162,13 +164,13 @@ def test_write_table_memory_is_bounded(tmp_path, output_format):
     # 46 MB), and the file is over three times that, so a writer that held
     # the whole text would fail
     rng = np.random.default_rng(3)
-    grid = _Grid(np.linspace(0.0, np.pi / 2.0, 361),
-                 np.linspace(-0.02, 0.02, 1001), rng.random((361, 1001)))
+    grid = Grid(np.linspace(0.0, np.pi / 2.0, 361),
+                np.linspace(-0.02, 0.02, 1001), rng.random((361, 1001)))
     path = tmp_path / f"map.{output_format}"
     tracemalloc.start()
     try:
-        _write_table(path, ("theta_rad", "strain_xx", "p_hh"), grid,
-                     output_format)
+        write_table(path, ("theta_rad", "strain_xx", "p_hh"), grid,
+                    output_format)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -525,24 +527,35 @@ def test_each_table_is_one_public_call(tmp_path, config):
          for j, f in enumerate(d.phi.tolist())], "csv")
 
 
+# the modules of the command-line front end: commands, config schema and
+# table writer
+CLI_FILES = [Path(module.__file__)
+             for module in (strainkp.cli, strainkp.config, strainkp.tables)]
+
+
 def test_cli_reads_no_private_library_name():
     # the CLI runs the public library: no `module._name` read of a
-    # strainkp module, and no private name imported from one
-    tree = ast.parse(Path(strainkp.cli.__file__).read_text("utf-8"))
+    # strainkp module, and no private name imported from one, in any of
+    # its modules
     modules, private = set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").startswith("strainkp")):
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    private.append(alias.name)
-                if node.module in (None, "strainkp"):
-                    modules.add(alias.asname or alias.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in modules and node.attr.startswith("_"):
-            private.append(f"{node.value.id}.{node.attr}")
+    for path in CLI_FILES:
+        tree = ast.parse(path.read_text("utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("strainkp")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{path.name}: {alias.name}")
+                    if node.module in (None, "strainkp"):
+                        imported.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in imported \
+                    and node.attr.startswith("_"):
+                private.append(f"{path.name}: {node.value.id}.{node.attr}")
+        modules |= imported
     assert modules >= {"axis_mod", "kp_bulk", "optics", "qw"}
     assert private == []
 
@@ -553,8 +566,7 @@ def test_every_exported_name_has_a_user():
     # worker, or named in the README
     root = Path(__file__).resolve().parents[1]
     used = set()
-    for path in (Path(strainkp.cli.__file__),
-                 root / "tests" / "test_acceptance.py",
+    for path in (*CLI_FILES, root / "tests" / "test_acceptance.py",
                  root / "bench" / "worker.py"):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.Name):
@@ -595,34 +607,61 @@ def test_invalid_threads_exit_2(tmp_path, threads, message, capsys):
     assert f"--threads: {message}" in capsys.readouterr().err
 
 
-def test_threads_do_not_change_output(tmp_path, config):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["dipoles", "--config", str(config), "--out", str(out_a)]) \
-        == 0
-    assert main(["dipoles", "--config", str(config), "--out", str(out_b),
-                 "--threads", "4"]) == 0
-    assert (out_a / "dipole_sweep.csv").read_bytes() \
-        == (out_b / "dipole_sweep.csv").read_bytes()
+def test_threads_do_not_change_output(tmp_path):
+    # qw is the one command that reads --threads: its sweep points run on
+    # the thread pool and every file keeps its bytes
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[qw]\nthicknesses_nm = 6, 4\nbarrier_thickness_nm = 10\n"
+                   "grid_points = 51\nsweep_steps = 5\n", encoding="utf-8")
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["qw", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        written[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(written["1"]) == ["qw_mixing_4nm.csv", "qw_mixing_6nm.csv",
+                                    "qw_transition_energy.csv"]
+    assert written["2"] == written["1"]
 
 
-@pytest.mark.parametrize("body", [
-    "[sweep]\nsteps = 1\n",
-    "[sweep]\nstress_min_gpa = 2.0\nstress_max_gpa = -2.0\n",
-    "[run]\nmaterial = Unobtainium\n",
-    "[bogus]\nkey = 1\n",
-    "[sweep]\nstress_min_gpa = fast\n",
-    "[qw]\ngrid_points = 50\n",
-    "not an ini file",
-])
-def test_invalid_configs_exit_2(tmp_path, body, capsys):
+# (config text, message); {tmp} is the test's directory, which holds a
+# parameter file without a section header
+INVALID_CONFIGS = [
+    ("[sweep]\nsteps = 1\n", "sweep steps must be at least 2, got 1"),
+    ("[sweep]\nstress_min_gpa = 2.0\nstress_max_gpa = -2.0\n",
+     "sweep needs stress_min_gpa < stress_max_gpa"),
+    ("[run]\nmaterial = Unobtainium\n",
+     "material 'Unobtainium' not in parameter table"),
+    ("[bogus]\nkey = 1\n", "unknown config section [bogus]"),
+    ("[sweep]\nstress_min_gpa = fast\n",
+     "[sweep] stress_min_gpa: not a number: 'fast'"),
+    ("[qw]\ngrid_points = 50\n",
+     "invalid qw geometry: grid must have at least 51 points"),
+    ("not an ini file", "cannot parse config"),
+    ("[sweep]\nsteps = 2.5\n", "[sweep] steps: not an integer: '2.5'"),
+    ("[sweep]\nstress_min_gpa = inf\n",
+     "[sweep] stress_min_gpa: must be finite"),
+    ("[sweep]\nstress_steps = 5\n",
+     "unknown config key 'stress_steps' in [sweep]"),
+    ("[run]\nparameter_file = {tmp}/missing.ini\n",
+     "cannot load parameter table: [Errno 2]"),
+    ("[run]\nparameter_file = {tmp}/headerless.ini\n",
+     "cannot load parameter table: cannot parse parameter table"),
+]
+
+
+@pytest.mark.parametrize("body, message", INVALID_CONFIGS,
+                         ids=[body for body, _ in INVALID_CONFIGS])
+def test_invalid_configs_exit_2(tmp_path, body, message, capsys):
+    (tmp_path / "headerless.ini").write_text("eg_ev = 1.5\n",
+                                             encoding="utf-8")
     bad = tmp_path / "bad.ini"
-    bad.write_text(body, encoding="utf-8")
+    bad.write_text(body.replace("{tmp}", str(tmp_path)), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["mixing-curve", "--config", str(bad),
                  "--out", str(out)]) == 2
     assert not out.exists()  # no partial outputs
-    assert "configuration error" in capsys.readouterr().err
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -819,7 +858,7 @@ def test_every_work_size_is_bounded_and_its_bounds_validate():
 def test_numerical_failure_exit_3(tmp_path, config, monkeypatch, capsys):
     # a doublet check that no pair can pass stands in for a crossing or
     # split doublet: a numerical failure, not a configuration error
-    monkeypatch.setattr(_doublet, "_DEGENERACY_ATOL", -1)
+    monkeypatch.setattr(states_mod, "_DEGENERACY_ATOL", -1)
     assert main(["mixing-curve", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,15 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import vb_hole_complex
-from strainkp import _doublet, kp_bulk
+from strainkp import kp_bulk, qw
+from strainkp import states as states_mod
 from strainkp.axis import QuantizationAxis, _project, project_hgs
 from strainkp.elasticity import (StrainState, biaxial_strain, uniaxial_strain,
                                  uniaxial_sweep)
-from strainkp.kp_bulk import (HBAR2_OVER_2M0, Doublet, NonHermitianError,
-                              NumericalError, SpinorState,
-                              build_h8, dispersion, eigensolve, h4_topmost,
-                              h6_vb, top_valence_doublet)
+from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, build_h8,
+                              dispersion, eigensolve, h4_topmost, h6_vb,
+                              top_valence_doublet)
 from strainkp.optics import _orbital_weights, dipole_strengths
+from strainkp.states import (Doublet, EnvelopeState, NumericalError,
+                             SpinorState)
 
 K0 = (0.0, 0.0, 0.0)
 ZERO = StrainState()
@@ -234,13 +237,13 @@ def test_each_chain_checks_its_pair_once(gaas, monkeypatch):
     # the pair is checked where it is made; project_hgs and
     # dipole_strengths read a Doublet as it is, and check any other pair
     calls = []
-    check = _doublet._check_doublets
+    check = states_mod._check_doublets
 
     def counted(*args):
         calls.append(args)
         return check(*args)
 
-    for module in (kp_bulk, _doublet):
+    for module in (kp_bulk, qw, states_mod):
         monkeypatch.setattr(module, "_check_doublets", counted)
     monkeypatch.setattr(SpinorState, "__post_init__",
                         lambda self: calls.append(self))
@@ -296,22 +299,22 @@ def test_a_bad_pair_raises_where_it_is_read(gaas, case, call):
 
 def test_bloch_orbital_table_is_built_once_and_read_only():
     # one shared read-only table; the public function returns a fresh copy
-    table = kp_bulk._BLOCH_ORBITALS
+    table = states_mod._BLOCH_ORBITALS
     assert not table.flags.writeable
-    fresh = kp_bulk.bloch_orbital_matrix()
+    fresh = states_mod.bloch_orbital_matrix()
     assert np.array_equal(fresh, table) and fresh.flags.writeable
     fresh[:] = 0.0
-    assert np.array_equal(kp_bulk.bloch_orbital_matrix(), table)
+    assert np.array_equal(states_mod.bloch_orbital_matrix(), table)
     assert np.allclose(table.conj().T @ table, np.eye(8), atol=1e-15)
 
 
 def test_time_reversal_is_an_exact_signed_permutation():
     # U is the rounded product of the Bloch table, so T psi is exact
-    u = kp_bulk._TIME_REVERSAL
-    bloch = kp_bulk.bloch_orbital_matrix()
+    u = states_mod._TIME_REVERSAL
+    bloch = states_mod.bloch_orbital_matrix()
     product = (np.conj(bloch.T) @ np.kron([[0.0, 1.0], [-1.0, 0.0]],
                                           np.eye(4))
-               @ np.conj(bloch))[kp_bulk.VB_SLICE, kp_bulk.VB_SLICE]
+               @ np.conj(bloch))[states_mod.VB_SLICE, states_mod.VB_SLICE]
     assert u.dtype == np.float64 and not u.flags.writeable
     assert np.abs(u - product).max() <= 1e-15
     assert set(np.unique(u)) <= {-1.0, 0.0, 1.0}
@@ -338,10 +341,10 @@ def test_kramers_partner_is_the_exact_time_reversal(rng, shape, dtype):
     assert pairs.shape == shape[:-2] + (6, 2 * shape[-1])
     assert np.array_equal(psi[..., kp_bulk._KEPT_BANDS, :], kept)
     assert not psi[..., kp_bulk._PARTNER_BANDS, :].any()
-    assert np.array_equal(partner, kp_bulk._TIME_REVERSAL @ psi.conj())
+    assert np.array_equal(partner, states_mod._TIME_REVERSAL @ psi.conj())
     assert not np.signbit(partner.real[partner.real == 0.0]).any()
     assert not np.signbit(partner.imag[partner.imag == 0.0]).any()
-    assert np.array_equal(kp_bulk._time_reverse(partner), -psi)
+    assert np.array_equal(states_mod._time_reverse(partner), -psi)
 
 
 def _sweep_voigt(gaas, kind):
@@ -527,9 +530,20 @@ def test_spinor_norm_enforced():
         SpinorState(np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpinorState(np.eye(2) / math.sqrt(2.0)),
+     "unsupported spinor shape (2, 2)"),
+    (lambda: EnvelopeState(0.0, np.eye(6)[0], np.zeros(1)),
+     "envelope coefficients must have shape (6, N)"),
+], ids=["spinor", "envelope"])
+def test_state_types_reject_other_shapes(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 def test_spinor_state_rejects_nan_coefficients():
     # the norm check passes only a norm within 1e-10 of 1, which NaN is not
-    with pytest.raises(kp_bulk.NumericalError, match="spinor norm nan"):
+    with pytest.raises(NumericalError, match="spinor norm nan"):
         SpinorState([math.nan, 1.0, 0, 0, 0, 0], energy=0.0)
 
 
@@ -537,22 +551,22 @@ def test_check_norms_rejects_nan():
     vectors = np.zeros((3, 6, 2), dtype=complex)
     vectors[..., 0, :] = 1.0
     vectors[1, 4, 1] = math.nan
-    with pytest.raises(kp_bulk.NumericalError, match="spinor norm nan"):
-        kp_bulk._check_norms(vectors)
+    with pytest.raises(NumericalError, match="spinor norm nan"):
+        states_mod._check_norms(vectors)
 
 
 def test_check_doublets_rejects_nan():
     # a NaN gap fails the degeneracy check, a NaN overlap the orthogonality
     energies, states = _basis_pairs(3)
     energies[1, 0] = math.nan
-    with pytest.raises(kp_bulk.NumericalError,
+    with pytest.raises(NumericalError,
                        match=r"not degenerate: \|dE\| = nan"):
-        kp_bulk._check_doublets(energies, states)
+        states_mod._check_doublets(energies, states)
     energies, states = _basis_pairs(3)
     states[2, 5, 1] = math.nan
-    with pytest.raises(kp_bulk.NumericalError,
+    with pytest.raises(NumericalError,
                        match=r"not orthogonal \(\|overlap\| = nan\)"):
-        kp_bulk._check_doublets(energies, states)
+        states_mod._check_doublets(energies, states)
 
 
 def test_check_hermitian_rejects_nan():
@@ -697,7 +711,7 @@ def test_fix_phases_matches_take_along_axis_bit_for_bit(
     vectors = np.where(below, small, vectors)
     if reversed_columns:
         vectors = vectors[..., ::-1]
-    fixed = kp_bulk._fix_phases(vectors)
+    fixed = states_mod._fix_phases(vectors)
     expected = _take_along_phases(vectors)
     # the integer views tell -0.0 from +0.0
     assert fixed.shape == expected.shape
@@ -727,7 +741,7 @@ def test_check_doublets_reports_the_first_failing_pair(n, data):
         a = 2.0 ** -(i + 10)
         states[i, :2, 1] = a, math.sqrt(1.0 - a * a)
     if not gaps | overlaps:
-        kp_bulk._check_doublets(energies, states)
+        states_mod._check_doublets(energies, states)
         return
     first = min(gaps | overlaps)
     if first in gaps:
@@ -737,13 +751,13 @@ def test_check_doublets_reports_the_first_failing_pair(n, data):
     else:
         message = (f"doublet states are not orthogonal "
                    f"(|overlap| = {2.0 ** -(first + 10):g})")
-    with pytest.raises(kp_bulk.NumericalError) as info:
-        kp_bulk._check_doublets(energies, states)
+    with pytest.raises(NumericalError) as info:
+        states_mod._check_doublets(energies, states)
     assert str(info.value) == message
     # the same stack as (a, b) batch axes reports the same pair
     if n % 3 == 0:
-        with pytest.raises(kp_bulk.NumericalError) as info:
-            kp_bulk._check_doublets(energies.reshape(3, -1, 2),
+        with pytest.raises(NumericalError) as info:
+            states_mod._check_doublets(energies.reshape(3, -1, 2),
                                     states.reshape(3, -1, 8, 2))
         assert str(info.value) == message
 
@@ -754,11 +768,11 @@ def test_check_doublets_passes_tolerances_and_single_pairs():
     energies[:] = 0.0
     energies[:, 1] = 1e-6
     states[:, 0, 1] = 1e-8
-    kp_bulk._check_doublets(energies, states)
-    kp_bulk._check_doublets(energies[0], states[0])
+    states_mod._check_doublets(energies, states)
+    states_mod._check_doublets(energies[0], states[0])
     energies[0, 1] += 1e-6
-    with pytest.raises(kp_bulk.NumericalError, match="not degenerate"):
-        kp_bulk._check_doublets(energies[0], states[0])
+    with pytest.raises(NumericalError, match="not degenerate"):
+        states_mod._check_doublets(energies[0], states[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -807,9 +821,9 @@ def test_check_norms_reports_the_first_drifting_column(batch, j, data):
     vectors = np.moveaxis(columns.reshape(batch + (j, 8)), -1, -2)
     vectors[..., 3, 0] = 9e-6   # norm 1 + 4e-11: within the tolerance
     if not planted:
-        kp_bulk._check_norms(vectors)
+        states_mod._check_norms(vectors)
         return
     norm = np.linalg.norm(columns[min(planted)])
-    with pytest.raises(kp_bulk.NumericalError) as info:
-        kp_bulk._check_norms(vectors)
+    with pytest.raises(NumericalError) as info:
+        states_mod._check_norms(vectors)
     assert str(info.value) == f"spinor norm {norm} deviates from 1"

@@ -8,14 +8,14 @@ from oracles import rotated_basis
 from strainkp.axis import QuantizationAxis, mixing_curve, project_hgs
 from strainkp.elasticity import (StrainState, biaxial_strain, superpose,
                                  uniaxial_strain)
-from strainkp.kp_bulk import (ORBITAL_SPIN_LABELS, SpinorState,
-                              bloch_orbital_matrix, build_h8, eigensolve,
-                              top_valence_doublet)
+from strainkp.kp_bulk import build_h8, eigensolve, top_valence_doublet
 from strainkp.optics import (DIPOLE_SWEEP_COLUMNS, DipoleStrengths,
                              RateCalibration, angular_density,
                              dipole_strengths, dipole_sweep, dlp_and_angle,
                              rates)
 from strainkp.qw import QwGeometry, qw_mixing_vs_strain
+from strainkp.states import (ORBITAL_SPIN_LABELS, SpinorState,
+                             bloch_orbital_matrix)
 
 
 def basis_state(index):

@@ -14,18 +14,20 @@ from hypothesis import strategies as st
 
 import strainkp
 from oracles import CUBIC_GROUP, axis_of, strain_of
-from strainkp import _blocktri, _doublet, cli, kp_bulk, qw
+from strainkp import _blocktri, cli, kp_bulk, qw
+from strainkp import states as states_mod
 from strainkp.axis import QuantizationAxis, project_hgs
 from strainkp.elasticity import (StrainState, StressTensor, biaxial_strain,
                                  strain_from_stress, uniaxial_strain,
                                  uniaxial_sweep)
-from strainkp.kp_bulk import HBAR2_OVER_2M0, Doublet, NumericalError, h6_vb
+from strainkp.kp_bulk import HBAR2_OVER_2M0, h6_vb
 from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
-                         EnvelopeState, QwGeometry, build_qw_hamiltonian,
+                         QwGeometry, build_qw_hamiltonian,
                          emulated_transition_energies, envelope_projection,
                          qw_mixing_vs_strain, solve_qw, transition_energy,
                          vb_edge_profile)
+from strainkp.states import Doublet, EnvelopeState, NumericalError
 
 ZERO = StrainState()
 Z_AXIS = QuantizationAxis(0.0)
@@ -41,6 +43,8 @@ def test_geometry_validation():
         QwGeometry(12.0, grid_points=31)  # too coarse
     with pytest.raises(ValueError):
         QwGeometry(12.0, barrier_al_fraction=1.4)
+    with pytest.raises(ValueError, match="barrier thickness must be positive"):
+        QwGeometry(8.0, barrier_thickness_nm=0.0)
     # a total w + 2b that is not finite, also from two finite lengths
     for well, barrier in ((12.0, 1e308), (1e308, 1e308), (math.inf, 20.0)):
         with pytest.raises(ValueError, match="finite"):
@@ -617,7 +621,7 @@ def test_time_reversal_commutes_with_well_hamiltonian(table,
                                                       random_strain):
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
     # T maps the bands of the split 3N block onto their partners
-    t = kp_bulk._TIME_REVERSAL
+    t = states_mod._TIME_REVERSAL
     kept, partners = kp_bulk._KEPT_BANDS, kp_bulk._PARTNER_BANDS
     assert not t[np.ix_(kept, kept)].any()
     assert not t[np.ix_(partners, partners)].any()
@@ -935,13 +939,13 @@ def test_qw_mixing_vs_strain_checks_each_pair_once(table, monkeypatch):
     # solve_qw checks the pair it returns; the sweep projects it without
     # the second check of envelope_projection, which Doublet would run
     calls = []
-    check = _doublet._check_doublets
+    check = states_mod._check_doublets
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    for module in (kp_bulk, _doublet):
+    for module in (kp_bulk, qw, states_mod):
         monkeypatch.setattr(module, "_check_doublets", counted)
     geometry = QwGeometry(6.0, barrier_thickness_nm=8.0, grid_points=51)
     (rows, _), = qw_mixing_vs_strain([geometry], [-1.0, 0.0, 1.0],
@@ -1129,7 +1133,7 @@ def test_envelope_state_rejects_nan_coefficients():
     c = np.zeros((6, 5), dtype=complex)
     c[0, 2] = 1.0
     c[3, 1] = math.nan
-    with pytest.raises(kp_bulk.NumericalError, match="envelope norm nan"):
+    with pytest.raises(NumericalError, match="envelope norm nan"):
         EnvelopeState(-0.1, c, np.linspace(-1.0, 1.0, 5))
 
 

@@ -7,7 +7,7 @@ import io
 import re
 from pathlib import Path
 
-from strainkp.cli import RunConfig
+from strainkp.config import RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
