@@ -183,17 +183,18 @@ def _scalars(k, voigt, p: MaterialParams):
     return pp, qq, rr, ss
 
 
-def _vb_hole(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
-    """Hole-picture VB matrices of shape (..., 6, 6) for Voigt strains of
-    shape (..., 6); shifts are hole-picture diagonal adds.
+def _vb_hole(k, voigt, p) -> np.ndarray:
+    """Hole-picture Luttinger-Kohn + Bir-Pikus VB matrices of shape
+    (..., 6, 6) for Voigt strains of shape (..., 6), nothing else: the
+    emulated confinement of ``qw`` is applied by ``_doublet_stack``.
 
     The lower triangle mirrors the upper one exactly (a conjugate, and a
     real entry's mirror keeps a +0 imaginary part), so every matrix is
     exactly Hermitian and reads the same from either triangle."""
     pp, qq, rr, ss = _scalars(k, voigt, p)
     dso = p.delta
-    real = (pp + qq + hh_shift, pp - qq + lh_shift, pp - qq + lh_shift,
-            pp + qq + hh_shift, pp + dso, pp + dso, -_SQ2 * qq, _SQ2 * qq)
+    real = (pp + qq, pp - qq, pp - qq, pp + qq, pp + dso, pp + dso,
+            -_SQ2 * qq, _SQ2 * qq)
     # -S, R, -S/sqrt(2), sqrt(2) R, R, sqrt(3/2) S, S, sqrt(3/2) S*,
     # -sqrt(2) R* and -S*/sqrt(2), with numpy's signed zeros
     (r0, r1), (s0, s1) = rr, ss
@@ -281,8 +282,11 @@ def eigensolve(h: np.ndarray) -> list[SpinorState]:
     Raises NonHermitianError if ``max|h - h^dagger|`` exceeds 1e-12 eV.
     """
     energies, vectors = _eigh_descending(h)
-    return [SpinorState(vectors[:, i], energy=float(energies[i]))
-            for i in range(energies.size)]
+    # the norms are checked: the states share one read-only copy's rows
+    rows = vectors.T.copy()
+    rows.flags.writeable = False
+    return [SpinorState._checked(row, energy)
+            for row, energy in zip(rows, energies.tolist())]
 
 
 def _kramers_pairs(kept: np.ndarray) -> np.ndarray:
@@ -339,9 +343,10 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
                    hh_shift: float = 0.0, lh_shift: float = 0.0) \
         -> tuple[np.ndarray, np.ndarray]:
     """Topmost VB doublets of Voigt strains (..., 6) from one batched
-    eigensolve: energies (..., 2) and VB states (..., 6, 2);
-    the shifts add to the electron-picture HH and LH diagonal entries
-    (the emulated confinement of ``qw``).
+    eigensolve: energies (..., 2) and VB states (..., 6, 2).  The
+    emulated confinement of ``qw``, ``hh_shift`` and ``lh_shift`` in the
+    sign of ``EmulationOffsets`` (>= 0, edges down), is subtracted from
+    the HH (0, 3) and LH (1, 2) diagonal of the electron-picture stack.
 
     ``_kramers_solve`` decides the split once for the whole stack, and
     for a uniaxial sweep (``uniaxial_sweep``) at one k, one prestress and
@@ -353,7 +358,10 @@ def _doublet_stack(voigt, p: MaterialParams, k=(0, 0, 0), *,
     the Hermitian check of ``eigensolve``, and every doublet the norm
     check of ``SpinorState`` and the pair checks of ``Doublet``.
     """
-    h = -_vb_hole(k, voigt, p, -hh_shift, -lh_shift)
+    h = -_vb_hole(k, voigt, p)
+    if hh_shift or lh_shift:
+        h[..., (0, 3), (0, 3)] -= hh_shift
+        h[..., (1, 2), (1, 2)] -= lh_shift
     _check_hermitian(h)
     energies, vectors = _kramers_solve(h, partial(_top_eigh, h), 1)
     states = _fix_phases(vectors)

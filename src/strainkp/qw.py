@@ -149,7 +149,10 @@ class EmulationOffsets:
 
     All three values are confinement energies, zero or positive:
     cb_shift moves the CB up, hh_shift and lh_shift move the HH and LH
-    band edges down (electron picture).
+    band edges down (electron picture).  They keep this sign all the way:
+    ``_emulated`` adds cb_shift to the CB edge, and
+    ``kp_bulk._doublet_stack`` subtracts hh_shift and lh_shift from the
+    HH and LH diagonal of the bulk 6x6 before its solve.
     """
 
     cb_shift: float
@@ -389,8 +392,8 @@ def _emulated(offsets: EmulationOffsets, voigt: np.ndarray,
     cb = gaas.cb_edge + gaas.ac * (voigt[..., 0] + voigt[..., 1]
                                    + voigt[..., 2])
     energies, _ = kp_bulk._doublet_stack(voigt, gaas,
-                                         hh_shift=-offsets.hh_shift,
-                                         lh_shift=-offsets.lh_shift)
+                                         hh_shift=offsets.hh_shift,
+                                         lh_shift=offsets.lh_shift)
     return cb + offsets.cb_shift - energies[..., 0]
 
 

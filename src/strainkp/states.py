@@ -75,10 +75,8 @@ class SpinorState:
     energy: float | None = None
 
     def __post_init__(self):
-        coeff = self._own(np.array(self.coefficients, dtype=complex))
-        # np.linalg.norm of a complex vector, without its wrapper
-        re, im = coeff.real, coeff.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))
+        norm = np.linalg.norm(
+            self._own(np.array(self.coefficients, dtype=complex)))
         # not a > comparison, which a NaN norm passes
         if not abs(norm - 1.0) <= 1e-10:
             raise NumericalError(f"spinor norm {norm} deviates from 1")

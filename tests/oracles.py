@@ -35,7 +35,7 @@ def rotated_basis(axis) -> list[SpinorState]:
     return [SpinorState(w[:, j]) for j in range(8)]
 
 
-def vb_hole_complex(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
+def vb_hole_complex(k, voigt, p) -> np.ndarray:
     """``kp_bulk._vb_hole`` of wavevectors (n, 3) and Voigt strains (n, 6)
     as written in complex numpy arithmetic, entry by entry: the
     reference for the bits, signed zeros included, that the library
@@ -60,8 +60,7 @@ def vb_hole_complex(k, voigt, p, hh_shift=0.0, lh_shift=0.0) -> np.ndarray:
     sc, rc = np.conj(ss), np.conj(rr)
     dso = p.delta
     entries = {
-        (0, 0): pp + qq + hh_shift, (1, 1): pp - qq + lh_shift,
-        (2, 2): pp - qq + lh_shift, (3, 3): pp + qq + hh_shift,
+        (0, 0): pp + qq, (1, 1): pp - qq, (2, 2): pp - qq, (3, 3): pp + qq,
         (4, 4): pp + dso, (5, 5): pp + dso,
         (0, 1): -ss, (0, 2): rr, (0, 4): -ss / sq2, (0, 5): sq2 * rr,
         (1, 3): rr, (1, 4): -sq2 * qq, (1, 5): sq32 * ss,

@@ -158,6 +158,37 @@ def test_eigensolve_rejects_non_hermitian():
         eigensolve(bad)
 
 
+def test_eigensolve_checks_each_state_once(gaas, rng, monkeypatch):
+    # _eigh_descending checks every norm; the states skip SpinorState's
+    # own check and share the read-only rows of one copy of the vectors,
+    # with the coefficients and energies a per-state SpinorState gives
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    sheared = StrainState(0.002, -0.001, 0.0005, 0.001, -0.0007, 0.0012)
+    matrices = ((a + a.conj().T) / 2, build_h8((0.1, -0.2, 0.3), sheared,
+                                               gaas),
+                h6_vb(K0, sheared, gaas))
+    for h in matrices:
+        energies, vectors = kp_bulk._eigh_descending(h)
+        expected = [SpinorState(vectors[:, i], energy=float(energies[i]))
+                    for i in range(energies.size)]
+        post_init, norms = [], []
+        check = kp_bulk._check_norms
+        with monkeypatch.context() as m:
+            m.setattr(kp_bulk, "_check_norms",
+                      lambda v: norms.append(v) or check(v))
+            m.setattr(SpinorState, "__post_init__",
+                      lambda self: post_init.append(self))
+            states = eigensolve(h)
+        assert (len(post_init), len(norms)) == (0, 1)
+        assert len(states) == len(expected) == h.shape[0]
+        for state, ref in zip(states, expected):
+            c = state.coefficients
+            assert c.dtype == np.complex128 and not c.flags.writeable
+            assert c.tobytes() == ref.coefficients.tobytes()
+            assert type(state.energy) is float
+            assert state.energy == ref.energy
+
+
 def test_vb_trace_identity(gaas, random_strain):
     for _ in range(20):
         h6 = h6_vb((0.1, 0.0, -0.2), random_strain(), gaas)
@@ -442,13 +473,13 @@ def test_split_doublets_match_the_6x6_path(gaas, rng, monkeypatch,
     # without e_xz and e_yz the doublet sweep solves the kept 3x3 block
     # (real, or complex with e_xy) and takes each partner by time reversal;
     # the 6x6 eigh of the same stack is its oracle, also at k along z and
-    # with the emulation shifts
+    # with the emulation shifts, confinement energies >= 0
     axes = (QuantizationAxis(0.0), QuantizationAxis(math.pi / 2.0),
             QuantizationAxis(rng.uniform(0.0, math.pi),
                              rng.uniform(0.0, 2.0 * math.pi)))
     voigt = _shear_free_voigt(rng, 200, xy)
     for k, shifts in ((K0, {}), ((0.0, 0.0, 0.4), {}),
-                      (K0, {"hh_shift": -0.0091, "lh_shift": -0.01})):
+                      (K0, {"hh_shift": 0.0091, "lh_shift": 0.01})):
         with kramers_solves() as seen:
             energies, states = kp_bulk._doublet_stack(voigt, gaas, k,
                                                       **shifts)
@@ -655,35 +686,71 @@ def test_spinor_state_copies_the_callers_array():
 
 
 @settings(max_examples=200, deadline=None)
-@example(points=[([-1e-3, -1e-3, 9e-4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])],
-         shifts=(0.01, -0.02))   # biaxial at k = 0: entries with zeros
+# biaxial at k = 0: entries with zeros
+@example(points=[([-1e-3, -1e-3, 9e-4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])])
 @given(points=st.lists(st.tuples(st.lists(_SMALL, min_size=6, max_size=6),
                                  st.lists(_SMALL.map(lambda x: 60.0 * x),
                                           min_size=3, max_size=3)),
-                       min_size=1, max_size=6),
-       shifts=st.tuples(_SMALL, _SMALL))
-def test_single_point_assembly_matches_the_stack_bit_for_bit(gaas, points,
-                                                             shifts):
+                       min_size=1, max_size=6))
+def test_single_point_assembly_matches_the_stack_bit_for_bit(gaas, points):
     # one point is assembled from Python floats, a stack from arrays; the
     # integer views tell signed zeros apart (a real entry's mirror keeps a
     # +0 imaginary part), so zero components of either sign are drawn
     voigt = np.array([v for v, _ in points])
     k = np.array([q for _, q in points])
-    hh, lh = shifts
-    stack = kp_bulk._vb_hole(k, voigt, gaas, hh, lh)
-    assert np.array_equal(
-        stack.view(np.uint64),
-        vb_hole_complex(k, voigt, gaas, hh, lh).view(np.uint64))
-    one_k = kp_bulk._vb_hole(k[0], voigt, gaas, hh, lh)
+    stack = kp_bulk._vb_hole(k, voigt, gaas)
+    assert np.array_equal(stack.view(np.uint64),
+                          vb_hole_complex(k, voigt, gaas).view(np.uint64))
+    one_k = kp_bulk._vb_hole(k[0], voigt, gaas)
     for i in range(len(points)):
-        single = kp_bulk._vb_hole(k[i], voigt[i], gaas, hh, lh)
+        single = kp_bulk._vb_hole(k[i], voigt[i], gaas)
         assert single.shape == (6, 6)
         assert np.array_equal(single.view(np.uint64),
                               stack[i].view(np.uint64))
         # one wavevector over a stack of strains, as the well's blocks
         assert np.array_equal(
-            kp_bulk._vb_hole(k[0], voigt[i], gaas, hh, lh).view(np.uint64),
+            kp_bulk._vb_hole(k[0], voigt[i], gaas).view(np.uint64),
             one_k[i].view(np.uint64))
+
+
+_SHIFT = st.sampled_from([0.0, 0.0091, 0.01]) | st.floats(0.0, 0.2)
+
+
+@settings(max_examples=100, deadline=None)
+@example(voigt=[-1e-3, -1e-3, 9e-4, 0.0, 0.0, 0.0], k=[0.0, 0.0, 0.0],
+         shifts=(0.0091, 0.01))   # the default offsets on a biaxial strain
+@given(voigt=st.lists(st.lists(_SMALL, min_size=6, max_size=6),
+                      min_size=1, max_size=4)
+       | st.lists(_SMALL, min_size=6, max_size=6),
+       k=st.lists(_SMALL.map(lambda x: 60.0 * x), min_size=3, max_size=3),
+       shifts=st.tuples(_SHIFT, _SHIFT))
+def test_emulated_doublet_matrix_is_the_oracle_minus_its_offsets(
+        gaas, voigt, k, shifts):
+    # the confinement energies (>= 0, as EmulationOffsets holds them) are
+    # subtracted from the electron-picture HH (0, 3) and LH (1, 2)
+    # diagonal, bit for bit, and that has the bits of the hole-picture
+    # add it replaces: fl(-a - s) = -fl(a + s), signed zeros included
+    voigt = np.array(voigt)
+    hh, lh = shifts
+    seen = []
+    check = kp_bulk._check_hermitian
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kp_bulk, "_check_hermitian",
+                  lambda h: seen.append(h.copy()) or check(h))
+        kp_bulk._doublet_stack(voigt, gaas, k, hh_shift=hh, lh_shift=lh)
+    (h,) = seen
+    points = voigt.reshape(-1, 6)
+    oracle = vb_hole_complex(np.broadcast_to(k, (len(points), 3)), points,
+                             gaas).reshape(voigt.shape[:-1] + (6, 6))
+    electron = -oracle
+    electron[..., (0, 3), (0, 3)] -= hh
+    electron[..., (1, 2), (1, 2)] -= lh
+    hole = oracle.copy()
+    hole[..., (0, 3), (0, 3)] += hh
+    hole[..., (1, 2), (1, 2)] += lh
+    for expected in (electron, -hole):
+        assert h.shape == expected.shape
+        assert np.array_equal(h.view(np.uint64), expected.view(np.uint64))
 
 
 def _take_along_phases(vectors):

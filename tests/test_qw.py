@@ -1009,8 +1009,8 @@ def test_emulated_transitions_batch_matches_single_points(table, gaas):
     for voigt in strains:
         strain = StrainState(*voigt)
         energies, _ = kp_bulk._doublet_stack(
-            voigt, gaas, hh_shift=-DEFAULT_EMULATION_OFFSETS.hh_shift,
-            lh_shift=-DEFAULT_EMULATION_OFFSETS.lh_shift)
+            voigt, gaas, hh_shift=DEFAULT_EMULATION_OFFSETS.hh_shift,
+            lh_shift=DEFAULT_EMULATION_OFFSETS.lh_shift)
         single.append(gaas.cb_edge + gaas.ac * strain.trace()
                       + DEFAULT_EMULATION_OFFSETS.cb_shift - energies[0])
         assert transition_energy(DEFAULT_EMULATION_OFFSETS, strain,

@@ -7,7 +7,10 @@ import io
 import re
 from pathlib import Path
 
+from strainkp import (RateCalibration, biaxial_strain, default_parameter_table,
+                      dipole_sweep)
 from strainkp.config import RunConfig
+from strainkp.optics import DIPOLE_SWEEP_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +48,34 @@ def test_documented_config_is_the_default(tmp_path):
     assert {(section, key) for section in cp.sections()
             for key in cp[section]} \
         == {f.metadata["ini"] for f in dataclasses.fields(RunConfig)}
+
+
+def _quoted(pattern: str, text: str) -> tuple[float, int]:
+    """The number the README writes where ``pattern`` has its group, and
+    its count of decimals."""
+    number = re.search(pattern, text).group(1)
+    return float(number), len(number.partition(".")[2])
+
+
+def test_documented_dipole_numbers_are_the_codes():
+    # the compression-endpoint dipole of the criterion 06 paragraph, and
+    # the shear deformation potential that would drive s_x to its target
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    s_x, s_digits = _quoted(r"gives s_x ≈ (\d+\.\d+)", text)
+    r_x, r_digits = _quoted(r"r_x ≈ (\d+\.\d+) GHz", text)
+    lifetime, _ = _quoted(r"at the (\d+(?:\.\d+)?) ps calibration", text)
+    target, _ = _quoted(r"Driving s_x to (\d+\.\d+)", text)
+    b, b_digits = _quoted(r"\|b\| ≳ (\d+\.\d+) eV", text)
+    s_col, r_col = (DIPOLE_SWEEP_COLUMNS.index(name)
+                    for name in ("s_x", "rate_x_ghz"))
+    gaas = default_parameter_table()["GaAs"]
+    prestress = biaxial_strain(-0.12, gaas)
+    (row,) = dipole_sweep([-2.0], prestress, gaas, RateCalibration(lifetime))
+    assert round(row[s_col], s_digits) == s_x
+    assert round(row[r_col], r_digits) == r_x
+    # s_x crosses the target between one step of b's last digit below
+    # the quoted |b| and |b| itself (b is negative)
+    below, at = (dipole_sweep([-2.0], prestress, dataclasses.replace(
+        gaas, b=-size))[0, s_col]
+        for size in (round(b - 10.0 ** -b_digits, b_digits), b))
+    assert below < target <= at
