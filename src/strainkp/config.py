@@ -2,8 +2,8 @@
 
 Each ``RunConfig`` field is declared once, with its ``[section] key``, its
 default and its bounds.  ``RunConfig.load`` rejects unknown sections and
-keys, and ``validate`` rejects values the commands cannot run, before any
-solve; both raise ``ConfigError``.
+keys, and any key under ``[DEFAULT]``, and ``validate`` rejects values the
+commands cannot run, before any solve; both raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ class RunConfig:
             except configparser.Error as exc:
                 raise ConfigError(f"cannot parse config {path}: {exc}") \
                     from exc
+            # configparser copies [DEFAULT] keys into every section
+            if cp.defaults():
+                raise ConfigError("[DEFAULT] keys are not supported; set "
+                                  "each key in its own section")
             for section in cp.sections():
                 if section not in {s for s, _ in declared}:
                     raise ConfigError(f"unknown config section [{section}]")

@@ -59,8 +59,7 @@ class StressTensor:
 
 @dataclass(frozen=True)
 class StrainState:
-    """Symmetric strain tensor (tensor shears), optionally with the
-    stress it was derived from."""
+    """Symmetric strain tensor (tensor shears)."""
 
     exx: float = 0.0
     eyy: float = 0.0
@@ -68,7 +67,6 @@ class StrainState:
     eyz: float = 0.0
     exz: float = 0.0
     exy: float = 0.0
-    stress: StressTensor | None = None
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
@@ -168,14 +166,12 @@ def strain_from_stress(stress: StressTensor, p: MaterialParams) \
     shear = 2.0 * p.c44
     return StrainState(ux - nu * (uy + uz), uy - nu * (ux + uz),
                        uz - nu * (ux + uy), stress.syz / shear,
-                       stress.sxz / shear, stress.sxy / shear,
-                       stress=stress)
+                       stress.sxz / shear, stress.sxy / shear)
 
 
 def uniaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
     """Strain for uniaxial stress along [100] (see ``uniaxial_sweep``)."""
-    stress = StressTensor(sxx=sxx_gpa)
-    return StrainState(*uniaxial_sweep([sxx_gpa], p)[0], stress=stress)
+    return StrainState(*uniaxial_sweep([sxx_gpa], p)[0])
 
 
 def uniaxial_sweep(stresses_gpa, p: MaterialParams,
@@ -217,16 +213,12 @@ def biaxial_strain(sxx_gpa: float, p: MaterialParams) -> StrainState:
     _check_stability(p)
     exx = sxx_gpa * p.c11 / ((p.c11 - p.c12) * (p.c11 + 2.0 * p.c12))
     ezz = -2.0 * p.c12 / p.c11 * exx
-    return StrainState(exx, exx, ezz,
-                       stress=StressTensor(sxx=sxx_gpa, syy=sxx_gpa))
+    return StrainState(exx, exx, ezz)
 
 
 def superpose(a: StrainState, b: StrainState) -> StrainState:
-    """Componentwise sum (linear elasticity); stresses add when both known."""
-    stress = None
-    if a.stress is not None and b.stress is not None:
-        stress = StressTensor(*(a.stress.as_voigt() + b.stress.as_voigt()))
-    return StrainState(*(a.as_voigt() + b.as_voigt()), stress=stress)
+    """Componentwise sum (linear elasticity)."""
+    return StrainState(*(a.as_voigt() + b.as_voigt()))
 
 
 def actuator_strain(geometry: ActuatorGeometry, piezo_strain: float) -> float:

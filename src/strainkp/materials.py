@@ -143,7 +143,9 @@ def parse_parameter_table(text: str) -> dict[str, MaterialParams]:
     """Parse a parameter document (INI, one section per material).
 
     Either every entry loads and validates or a ParameterLoadError is
-    raised; no partial table is ever returned.
+    raised; no partial table is ever returned.  A ``[DEFAULT]`` section
+    that holds a key is rejected, as configparser would copy it into every
+    material.
     """
     cp = configparser.ConfigParser()
     try:
@@ -151,6 +153,9 @@ def parse_parameter_table(text: str) -> dict[str, MaterialParams]:
     except configparser.Error as exc:
         raise ParameterLoadError(f"cannot parse parameter table: {exc}") \
             from exc
+    if cp.defaults():
+        raise ParameterLoadError("[DEFAULT] keys are not supported; set "
+                                 "each field in its material's section")
     if not cp.sections():
         raise ParameterLoadError("parameter table contains no materials")
     table = {name: _parse_section(name, cp[name]) for name in cp.sections()}

@@ -245,6 +245,15 @@ def dlp_and_angle(strengths: DipoleStrengths,
     z dipole is not collected at all; otherwise it contributes an
     unpolarized pedestal s_z/2 that only dilutes the degree.  Ties
     (s_x = s_y) report 0 degrees by convention and are flagged.
+
+    Only s_x and s_y are read, so only polarization along the two
+    in-plane axes of the ``frame`` the strengths were taken in is seen.
+    A shear e_xy turns the pattern to [110] and [1-10], where cubic axes
+    see none of it: at the default -0.12 GPa biaxial prestress plus
+    s_xy = 0.3 GPa, s_x = s_y = 0.398 reads degree 0, angle 0 and a tie,
+    while ``dipole_strengths`` with ``frame`` rows along [110] and [1-10]
+    gives 0.094 and 0.703, about 77 % linear along [1-10].  At s_xy =
+    1 GPa round-off splits the tie (degree 7e-17, ``tie`` False).
     """
     pedestal = 0.0 if in_plane_only else 0.5 * strengths.s_z
     i_x = strengths.s_x + pedestal

@@ -89,7 +89,6 @@ __all__ = [
     "qw_mixing_vs_strain",
     "solve_qw",
     "transition_energy",
-    "vb_edge_profile",
 ]
 
 
@@ -177,18 +176,6 @@ DEFAULT_EMULATION_OFFSETS = EmulationOffsets(0.0528, 0.0091, 0.010)
 _SHIFT_MARGIN_EV = 1e-3
 
 
-def _materials(geometry: QwGeometry, table):
-    """The well material, GaAs, and the AlGaAs barrier material."""
-    return table["GaAs"], algaas(geometry.barrier_al_fraction, table)
-
-
-def vb_edge_profile(geometry: QwGeometry, table):
-    """(z, E_v(z)): the unstrained HH/LH band edge along the growth axis."""
-    well, barrier = _materials(geometry, table)
-    ev = np.where(geometry.inside(), well.vb_edge, barrier.vb_edge)
-    return geometry.grid(), ev
-
-
 def _node_blocks(geometry: QwGeometry, strain: StrainState, table):
     """Material blocks of the well Hamiltonian, shared by the dense
     assembly and the solver.
@@ -201,7 +188,8 @@ def _node_blocks(geometry: QwGeometry, strain: StrainState, table):
     decided on them first, so a shear-free well never assembles its 6x6
     node blocks.
     """
-    materials = _materials(geometry, table)
+    # the well material, GaAs, and the AlGaAs barrier material
+    materials = table["GaAs"], algaas(geometry.barrier_al_fraction, table)
     kz = (0.0, 0.0, 1.0 / geometry.spacing())
     onsite = np.array([kp_bulk.h6_vb((0.0, 0.0, 0.0), strain, m)
                        for m in materials])
@@ -336,8 +324,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     _check_doublets(
         energies[:2 * pairs].reshape(pairs, 2),
         vectors[:, :2 * pairs].reshape(dim, pairs, 2).transpose(1, 0, 2))
-    z = geometry.grid()
-    return [EnvelopeState(energy=float(e), coefficients=v.reshape(6, -1), z=z)
+    return [EnvelopeState(energy=float(e), coefficients=v.reshape(6, -1))
             for e, v in zip(energies, vectors.T)]
 
 

@@ -102,13 +102,12 @@ class SpinorState:
 @dataclass(frozen=True, eq=False)
 class EnvelopeState:
     """One hole state: energy plus band-resolved envelope coefficients
-    of shape (6, N) over the grid z, unit-normalized; the state keeps
-    read-only copies of the coefficients and of z.  States compare and
-    hash by identity."""
+    of shape (6, N) over the nodes of ``QwGeometry.grid``, unit-normalized;
+    the state keeps a read-only copy of the coefficients.  States compare
+    and hash by identity."""
 
     energy: float
     coefficients: np.ndarray
-    z: np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coefficients, dtype=complex)
@@ -119,10 +118,8 @@ class EnvelopeState:
         if not abs(norm - 1.0) <= 1e-8:
             raise NumericalError(
                 f"envelope norm {norm} deviates from 1")
-        z = np.array(self.z, dtype=float)
-        for name, value in (("coefficients", c), ("z", z)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
 
     def density(self) -> np.ndarray:
         """|envelope|^2 summed over bands (length N)."""

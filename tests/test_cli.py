@@ -647,6 +647,11 @@ INVALID_CONFIGS = [
      "cannot load parameter table: [Errno 2]"),
     ("[run]\nparameter_file = {tmp}/headerless.ini\n",
      "cannot load parameter table: cannot parse parameter table"),
+    # configparser copies [DEFAULT] keys into every section: alone they
+    # were dropped, beside [sweep] honoured and beside [run] misreported
+    ("[DEFAULT]\nsteps = 5\n", "[DEFAULT] keys are not supported"),
+    ("[DEFAULT]\nsteps = 5\n[sweep]\n", "[DEFAULT] keys are not supported"),
+    ("[DEFAULT]\nsteps = 5\n[run]\n", "[DEFAULT] keys are not supported"),
 ]
 
 
@@ -828,6 +833,18 @@ def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
     assert "Traceback" not in err
+
+
+def test_config_defaults_are_the_library_defaults():
+    # RunConfig writes the library's defaults a second time: the barrier,
+    # Al fraction and grid of a well, the emulation offsets, the lifetime
+    # and the theta grid; neither copy may drift from the other
+    config = RunConfig()
+    assert config.qw_geometries()[0] == qw.QwGeometry(12.0)
+    assert config.emulation_offsets() == qw.DEFAULT_EMULATION_OFFSETS
+    assert optics.RateCalibration(config.lifetime_ps) \
+        == optics.RateCalibration()
+    assert len(axis.default_theta_grid()) == config.theta_steps
 
 
 def test_every_work_size_is_bounded_and_its_bounds_validate():

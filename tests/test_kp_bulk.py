@@ -564,7 +564,7 @@ def test_spinor_norm_enforced():
 @pytest.mark.parametrize("make, message", [
     (lambda: SpinorState(np.eye(2) / math.sqrt(2.0)),
      "unsupported spinor shape (2, 2)"),
-    (lambda: EnvelopeState(0.0, np.eye(6)[0], np.zeros(1)),
+    (lambda: EnvelopeState(0.0, np.eye(6)[0]),
      "envelope coefficients must have shape (6, N)"),
 ], ids=["spinor", "envelope"])
 def test_state_types_reject_other_shapes(make, message):

@@ -108,6 +108,16 @@ def test_missing_field_errors():
         parse_parameter_table(doc)
 
 
+def test_default_section_is_rejected():
+    # configparser would copy it into every material, so a section that
+    # lacks a field would load without the missing-field error
+    doc = "[DEFAULT]\ndeform_d_ev = 1.0\n" + MINIMAL_DOC.replace(
+        "deform_d_ev = -3.4\n", "")
+    with pytest.raises(ParameterLoadError,
+                       match=r"\[DEFAULT\] keys are not supported"):
+        parse_parameter_table(doc)
+
+
 def test_load_from_path(tmp_path):
     f = tmp_path / "params.ini"
     f.write_text(MINIMAL_DOC, encoding="utf-8")

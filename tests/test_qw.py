@@ -25,8 +25,7 @@ from strainkp.materials import algaas
 from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
                          QwGeometry, build_qw_hamiltonian,
                          emulated_transition_energies, envelope_projection,
-                         qw_mixing_vs_strain, solve_qw, transition_energy,
-                         vb_edge_profile)
+                         qw_mixing_vs_strain, solve_qw, transition_energy)
 from strainkp.states import Doublet, EnvelopeState, NumericalError
 
 ZERO = StrainState()
@@ -68,8 +67,9 @@ def test_geometry_rejects_wells_of_fewer_than_three_nodes(table,
                           grid_points=grid_points)
     assert np.flatnonzero(geometry.inside()).tolist() == [
         grid_points // 2 - 1, grid_points // 2, grid_points // 2 + 1]
-    z, ev = vb_edge_profile(geometry, table)
-    assert np.count_nonzero(ev == table["GaAs"].vb_edge) == 3
+    onsite, _, node = qw._node_blocks(geometry, ZERO, table)
+    assert onsite[0, 0, 0] == table["GaAs"].vb_edge
+    assert np.count_nonzero(node == 0) == 3
 
 
 @pytest.mark.parametrize("grid_points", [301.0, np.float64(301.0), True],
@@ -112,18 +112,20 @@ def test_hamiltonian_hermitian(table, random_strain):
         assert np.max(np.abs(ham - ham.conj().T)) < 1e-12
 
 
-def test_vb_edge_profile_steps_by_vegard_offset(table, gaas):
+def test_node_blocks_step_by_vegard_offset(table, gaas):
+    # at zero strain each material's electron-picture HH diagonal is its
+    # unstrained VB edge, and each node takes the well's by |z| <= w/2
     geometry = QwGeometry(12.0, barrier_thickness_nm=10.0, grid_points=101)
-    z, ev = vb_edge_profile(geometry, table)
+    onsite, _, node = qw._node_blocks(geometry, ZERO, table)
     barrier = algaas(0.4, table)
-    inside = np.abs(z) <= 6.0
-    assert np.all(ev[inside] == gaas.vb_edge)
-    assert np.all(ev[~inside] == barrier.vb_edge)
+    assert onsite[:, 0, 0].tolist() == [gaas.vb_edge, barrier.vb_edge]
+    assert np.array_equal(node == 0, np.abs(geometry.grid()) <= 6.0)
     # the interface step is the interpolated average-edge offset plus the
     # spin-orbit third
     offset = (gaas.ev_av + gaas.delta / 3) \
         - (barrier.ev_av + barrier.delta / 3)
-    assert ev[inside][0] - ev[~inside][0] == pytest.approx(offset, abs=1e-14)
+    step = (onsite[0, 0, 0] - onsite[1, 0, 0]).real
+    assert step == pytest.approx(offset, abs=1e-14)
     assert offset == pytest.approx(0.236, abs=0.01)
 
 
@@ -195,7 +197,7 @@ def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
         dim = ham.shape[0]
         energies, vectors = scipy.linalg.eigh(
             ham, subset_by_index=[dim - 4, dim - 1])
-        dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
+        dense = [EnvelopeState(e, v.reshape(6, -1))
                  for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
         for n_states in (1, 2, 3, 4):
             states = solve_qw(geometry, strain, table, n_states)
@@ -248,7 +250,7 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
                           grid_points=grid_points)
     energies, vectors = np.linalg.eigh(
         build_qw_hamiltonian(geometry, strain, table))
-    dense = [EnvelopeState(e, v.reshape(6, -1), geometry.grid())
+    dense = [EnvelopeState(e, v.reshape(6, -1))
              for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
     dim = 6 * grid_points
     for n_states in (1, 3, 4, dim):
@@ -863,7 +865,7 @@ def test_hole_ground_state_unstrained(table):
     assert proj.p_hh >= 1.0 - 1e-9
     # localization: nearly all weight within the well plus 2 nm margins
     hgs = states[0]
-    inside = np.abs(hgs.z) <= 6.0 + 2.0
+    inside = np.abs(geometry.grid()) <= 6.0 + 2.0
     assert hgs.density()[inside].sum() >= 0.95
 
 
@@ -1114,16 +1116,15 @@ def test_envelope_projection_requires_degeneracy(table):
 def test_envelope_state_copies_the_callers_array():
     # as SpinorState: the state keeps its own read-only copy, whether it
     # gets a complex (6, N) array or a view into a larger one
-    z = np.linspace(-1.0, 1.0, 5)
     c = np.zeros((6, 5), dtype=complex)
     c[0, 2] = 1.0
-    state = EnvelopeState(-0.1, c, z)
+    state = EnvelopeState(-0.1, c)
     assert c.flags.writeable and not state.coefficients.flags.writeable
     c[0, 2], c[1, 1] = 0.0, 1.0
     assert state.density().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
     base = np.zeros((2, 6, 5), dtype=complex)
     base[1, 3, 4] = 1.0
-    state = EnvelopeState(-0.1, base[1], z)
+    state = EnvelopeState(-0.1, base[1])
     assert base.flags.writeable
     base[1, 3, 4], base[1, 3, 0] = 0.0, 1.0
     assert state.coefficients[3].tolist() == [0j, 0j, 0j, 0j, 1 + 0j]
@@ -1134,25 +1135,22 @@ def test_envelope_state_rejects_nan_coefficients():
     c[0, 2] = 1.0
     c[3, 1] = math.nan
     with pytest.raises(NumericalError, match="envelope norm nan"):
-        EnvelopeState(-0.1, c, np.linspace(-1.0, 1.0, 5))
+        EnvelopeState(-0.1, c)
 
 
-def test_envelope_state_keeps_its_own_read_only_z(table):
-    # z as the coefficients: a read-only float copy, so neither the
-    # caller's array nor another state's z reaches it
-    c = np.zeros((6, 5), dtype=complex)
-    c[0, 2] = 1.0
-    z = np.linspace(-1.0, 1.0, 5)
-    state = EnvelopeState(-0.1, c, z)
-    assert not state.z.flags.writeable
-    z[0] = 99.0
-    assert state.z.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert EnvelopeState(-0.1, c, range(5)).z.dtype == np.float64
+def test_solved_states_keep_their_own_read_only_coefficients(table):
+    # a well state is its energy and envelope; the states of one solve are
+    # cut from one array of vectors, and each keeps its own read-only
+    # copy, so no write to one reaches another
+    assert [f.name for f in dataclasses.fields(EnvelopeState)] == [
+        "energy", "coefficients"]
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     first, second = solve_qw(geometry, ZERO, table, 2)
-    assert not first.z.flags.writeable and not second.z.flags.writeable
+    assert not first.coefficients.flags.writeable
+    assert not second.coefficients.flags.writeable
     with pytest.raises(ValueError):
-        second.z[0] = 99.0
-    second.z.flags.writeable = True     # the state owns its copy
-    second.z[0] = 99.0
-    assert first.z.tolist() == geometry.grid().tolist()
+        second.coefficients[0, 0] = 99.0
+    kept = first.coefficients.copy()
+    second.coefficients.flags.writeable = True     # the state owns its copy
+    second.coefficients[...] = 99.0
+    assert np.array_equal(first.coefficients, kept)
