@@ -19,6 +19,6 @@ from .qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets, QwGeometry,
                  build_qw_hamiltonian, emulated_transition_energies,
                  envelope_projection, qw_mixing_vs_strain, solve_qw,
                  transition_energy)
-from .states import BLOCH_LABELS, Doublet, EnvelopeState, SpinorState
+from .states import BLOCH_LABELS, Doublet, SpinorState
 
 __version__ = "0.1.0"

@@ -122,17 +122,14 @@ def cmd_amplify(args) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, RunConfig field that --steps overrides, help)
+# subcommand -> (handler, help)
 _COMMANDS = {
-    "mixing-curve": (cmd_mixing_curve, "steps",
+    "mixing-curve": (cmd_mixing_curve,
                      "HH/LH/SO character of the hole ground state vs "
                      "uniaxial stress, for the z and x axes"),
-    "mixing-map": (cmd_mixing_map, "steps",
-                   "p_hh over a (theta, strain) grid"),
-    "qw": (cmd_qw, "qw_sweep_steps",
-           "quantum-well mixing curves and transition energies"),
-    "dipoles": (cmd_dipoles, "steps",
-                "dipole strengths/rates vs uniaxial stress"),
+    "mixing-map": (cmd_mixing_map, "p_hh over a (theta, strain) grid"),
+    "qw": (cmd_qw, "quantum-well mixing curves and transition energies"),
+    "dipoles": (cmd_dipoles, "dipole strengths/rates vs uniaxial stress"),
 }
 
 
@@ -153,20 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run configuration file (INI)")
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: ./out)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (overrides [run] output_format)")
     common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for the qw sweep points")
-    common.add_argument("--steps", type=int, default=None,
-                        help="sweep length (overrides [sweep] steps, or "
-                             "[qw] sweep_steps for qw)")
 
     parser = argparse.ArgumentParser(
         prog="strainkp",
         description="Strain-driven valence-band mixing, quantum-well hole "
                     "states and optical selection rules for GaAs/AlGaAs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     amp = sub.add_parser("amplify", help="geometric strain amplification of "
                                          "the two-finger actuator")
@@ -183,11 +175,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "amplify":
             return cmd_amplify(args)
-        handler, steps_field, _ = _COMMANDS[args.command]
-        # flags override config fields before the one validation
-        overrides = {"output_format": args.format, steps_field: args.steps}
-        cfg = replace(RunConfig.load(args.config),
-                      **{k: v for k, v in overrides.items() if v is not None})
+        handler, _ = _COMMANDS[args.command]
+        cfg = RunConfig.load(args.config)
         cfg.validate()
         for stem, columns, rows in handler(cfg, args.threads):
             write_table(args.out / f"{stem}.{cfg.output_format}", columns,

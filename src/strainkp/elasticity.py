@@ -225,4 +225,8 @@ def actuator_strain(geometry: ActuatorGeometry, piezo_strain: float) -> float:
     """Membrane strain delivered by the actuator: (2l/d) * piezo strain."""
     if not math.isfinite(piezo_strain):
         raise ValueError(f"piezo strain must be finite, got {piezo_strain}")
-    return geometry.amplification * piezo_strain
+    strain = geometry.amplification * piezo_strain
+    if not math.isfinite(strain):
+        raise ValueError(
+            f"membrane strain (2l/d) * {piezo_strain:g} overflows")
+    return strain

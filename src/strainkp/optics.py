@@ -159,7 +159,8 @@ def _orbital_weights(psi: np.ndarray,
 def angular_density(state, n_theta: int = 90,
                     n_phi: int = 180) -> AngularDensity:
     """Angular probability density of the Bloch part of a valence state,
-    or of a doublet (a sequence of states), whose states' densities add.
+    bulk or well (summed over its nodes), or of a doublet (a sequence of
+    states), whose states' densities add.
 
     Uses the p-orbital angular forms X, Y, Z ~ (cos(phi) sin(theta),
     sin(phi) sin(theta), cos(theta)); spin channels add incoherently.
@@ -176,7 +177,8 @@ def angular_density(state, n_theta: int = 90,
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     states = (state,) if isinstance(state, SpinorState) else tuple(state)
-    psi = _valence(np.stack([s.coefficients for s in states], -1))
+    psi = _valence(np.hstack([s.coefficients.reshape(len(s.coefficients), -1)
+                              for s in states]))
     th, ph, orbitals, weights = _sphere_grid(n_theta, n_phi)
     density = _orbital_weights(psi, orbitals.T).reshape(weights.shape)
     return AngularDensity(theta=th, phi=ph, density=density, weights=weights)
@@ -222,14 +224,13 @@ def rates(strengths: DipoleStrengths, calibration: RateCalibration) \
 
 def dipole_sweep(stresses_gpa, prestress: StrainState | None,
                  p: MaterialParams,
-                 calibration: RateCalibration | None = None) -> np.ndarray:
+                 calibration: RateCalibration = RateCalibration()) \
+        -> np.ndarray:
     """Dipole strengths and rates of the prestressed-bulk hole ground
     state along a uniaxial stress sweep.
 
-    Rows follow DIPOLE_SWEEP_COLUMNS; without a calibration the rates
-    use the default ``RateCalibration()``.
+    Rows follow DIPOLE_SWEEP_COLUMNS; the rates use ``calibration``.
     """
-    calibration = calibration or RateCalibration()
     total = uniaxial_sweep(stresses_gpa, p, prestress)
     _, psi = _doublet_stack(total, p)
     s = 0.5 * _orbital_weights(psi)

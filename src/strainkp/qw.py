@@ -77,7 +77,7 @@ from ._parallel import map_ordered
 from .axis import ProjectionResult, QuantizationAxis, _project, project_hgs
 from .elasticity import StrainState, _require_integer, uniaxial_sweep
 from .materials import MaterialParams, algaas
-from .states import EnvelopeState, NumericalError, _check_doublets, _fix_phases
+from .states import NumericalError, SpinorState, _check_doublets, _fix_phases
 
 __all__ = [
     "DEFAULT_EMULATION_OFFSETS",
@@ -236,8 +236,9 @@ def build_qw_hamiltonian(geometry: QwGeometry, strain: StrainState,
 
 
 def solve_qw(geometry: QwGeometry, strain: StrainState, table,
-             n_states: int = 4) -> list[EnvelopeState]:
-    """Topmost hole states, descending in energy (Kramers pairs).
+             n_states: int = 4) -> list[SpinorState]:
+    """Topmost hole states, descending in energy (Kramers pairs), each a
+    ``SpinorState`` of (6, N) envelopes on ``geometry.grid()``.
 
     The hole ground state is the first returned doublet.  Phases follow
     ``kp_bulk.eigensolve``: the first significant coefficient is real and
@@ -324,7 +325,7 @@ def solve_qw(geometry: QwGeometry, strain: StrainState, table,
     _check_doublets(
         energies[:2 * pairs].reshape(pairs, 2),
         vectors[:, :2 * pairs].reshape(dim, pairs, 2).transpose(1, 0, 2))
-    return [EnvelopeState(energy=float(e), coefficients=v.reshape(6, -1))
+    return [SpinorState(v.reshape(6, -1), float(e))
             for e, v in zip(energies, vectors.T)]
 
 

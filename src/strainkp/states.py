@@ -11,8 +11,8 @@ Basis ordering, fixed everywhere in this package::
     6  SO +1/2   +[(X + iY)(dn) + Z(up)]/sqrt(3)
     7  SO -1/2   +[(X - iY)(up) - Z(dn)]/sqrt(3)
 
-The CB is decoupled, so a hole state is its six VB coefficients (rows
-2-7): a bulk ``SpinorState`` (6,) or a well ``EnvelopeState`` (6, N).
+The CB is decoupled, so a hole state is a ``SpinorState`` of its six VB
+coefficients (rows 2-7): (6,) in bulk, or (6, N) envelopes in a well.
 A ``Doublet`` is a degenerate orthonormal pair of them, checked once
 where it is made: a solve that has checked its whole stack hands its
 pair on through ``Doublet._checked``, and a call that takes a pair
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "BLOCH_LABELS",
     "Doublet",
-    "EnvelopeState",
     "NumericalError",
     "ORBITAL_SPIN_LABELS",
     "SpinorState",
@@ -62,13 +61,15 @@ def _first_failure(ok: np.ndarray) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class SpinorState:
-    """Complex coefficient vector over the Bloch basis, with its energy.
+    """Complex coefficients over the Bloch basis, with their energy.
 
-    A hole state has 6 entries, the VB rows in basis order HH+3/2,
+    A bulk hole state has 6 entries, the VB rows in basis order HH+3/2,
     LH+1/2, LH-1/2, HH-3/2, SO+1/2, SO-1/2; ``eigensolve`` of an 8x8
-    gives 8 (full basis).  The state keeps a read-only copy of the
-    coefficients, so no later write to the caller's array changes it.
-    States compare and hash by identity.
+    gives 8 (full basis); a well state has (6, N), one envelope per VB
+    row over the nodes of ``QwGeometry.grid``.  The coefficients are unit
+    normalized, and the state keeps a read-only copy of them, so no later
+    write to the caller's array changes it.  States compare and hash by
+    identity.
     """
 
     coefficients: np.ndarray
@@ -82,8 +83,10 @@ class SpinorState:
             raise NumericalError(f"spinor norm {norm} deviates from 1")
 
     def _own(self, coeff: np.ndarray) -> np.ndarray:
-        """Keep the complex array coeff, one vector, read-only."""
-        if coeff.ndim != 1 or coeff.size < 2:
+        """Keep the complex array coeff, one vector or (6, N) envelopes,
+        read-only."""
+        if not (coeff.ndim == 1 and coeff.size >= 2
+                or coeff.ndim == 2 and coeff.shape[0] == 6):
             raise ValueError(f"unsupported spinor shape {coeff.shape}")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
@@ -97,33 +100,6 @@ class SpinorState:
         object.__setattr__(state, "energy", energy)
         state._own(coeff)
         return state
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeState:
-    """One hole state: energy plus band-resolved envelope coefficients
-    of shape (6, N) over the nodes of ``QwGeometry.grid``, unit-normalized;
-    the state keeps a read-only copy of the coefficients.  States compare
-    and hash by identity."""
-
-    energy: float
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != 6:
-            raise ValueError("envelope coefficients must have shape (6, N)")
-        norm = np.linalg.norm(c)
-        # not a > comparison, which a NaN norm passes
-        if not abs(norm - 1.0) <= 1e-8:
-            raise NumericalError(
-                f"envelope norm {norm} deviates from 1")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-    def density(self) -> np.ndarray:
-        """|envelope|^2 summed over bands (length N)."""
-        return np.sum(np.abs(self.coefficients) ** 2, axis=0)
 
 
 # largest energy gap (eV) inside a pair that still counts as a doublet
@@ -153,10 +129,10 @@ class Doublet(tuple):
     """A degenerate orthonormal pair of hole states: a tuple of the two.
 
     ``Doublet((a, b))`` checks that both states carry energies, that
-    their coefficients, ``SpinorState`` (m,) or well envelope (6, N),
-    have one shape, and that the pair passes ``_check_doublets``; a
-    Doublet is returned as it is.  ``coefficients`` holds the two side by
-    side, read-only: (m, 2), or (6, 2N) as np.hstack joins envelopes.
+    their coefficients, (m,) or well envelopes (6, N), have one shape,
+    and that the pair passes ``_check_doublets``; a Doublet is returned
+    as it is.  ``coefficients`` holds the two side by side, read-only:
+    (m, 2), or (6, 2N) as np.hstack joins envelopes.
     """
 
     def __new__(cls, states):

@@ -201,6 +201,8 @@ def test_bulk_commands_wake_no_blas_thread(tmp_path):
     # command.  It prints one "command seconds" line per command, so a
     # failure names the command that woke a thread
     src = os.path.dirname(os.path.dirname(strainkp.__file__))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sweep]\nsteps = 4001\n", encoding="utf-8")
     code = (
         "import sys, time\n"
         "from strainkp.cli import main\n"
@@ -212,13 +214,14 @@ def test_bulk_commands_wake_no_blas_thread(tmp_path):
         "        break\n"
         "for cmd in ('mixing-curve', 'mixing-map', 'dipoles'):\n"
         "    start = time.process_time() - time.thread_time()\n"
-        "    assert main([cmd, '--steps', '4001', '--out', sys.argv[1]]) "
-        "== 0\n"
+        "    assert main([cmd, '--config', sys.argv[2], '--out', sys.argv[1]])"
+        " == 0\n"
         "    print(cmd, time.process_time() - time.thread_time() - start)\n")
     threads = {name: "2" for name in ("OPENBLAS_NUM_THREADS",
                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     printed = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], check=True,
+        [sys.executable, "-c", code, str(tmp_path / "out"), str(cfg)],
+        check=True,
         capture_output=True, text=True,
         env={**os.environ, **threads, "PYTHONPATH": src}).stdout
     other = {cmd: float(s) for cmd, s in map(str.split, printed.splitlines())}
@@ -247,16 +250,18 @@ def test_grid_outputs_are_theta_major(tmp_path):
     # public recipe: two angular_density calls, their mean, normalized on
     # the grid
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[sweep]\nsteps = 3\n[axis]\ntheta_steps = 4\n"
-                   "phi_deg = 30\n[dipoles]\nsnapshot_stresses_gpa = "
-                   + ", ".join(map(str, SNAPSHOTS_GPA)) + "\n",
-                   encoding="utf-8")
+    body = ("[sweep]\nsteps = 3\n[axis]\ntheta_steps = 4\nphi_deg = 30\n"
+            "[dipoles]\nsnapshot_stresses_gpa = "
+            + ", ".join(map(str, SNAPSHOTS_GPA)) + "\n")
+    cfg.write_text(body, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["mixing-map", "--config", str(cfg), "--out", str(out)]) \
         == 0
     for output_format in ("csv", "json"):
-        assert main(["dipoles", "--config", str(cfg), "--out", str(out),
-                     "--format", output_format]) == 0
+        cfg.write_text(f"{body}[run]\noutput_format = {output_format}\n",
+                       encoding="utf-8")
+        assert main(["dipoles", "--config", str(cfg), "--out", str(out)]) \
+            == 0
 
     p = default_parameter_table()["GaAs"]
     pre = biaxial_strain(-0.12, p)
@@ -283,8 +288,9 @@ def test_grid_outputs_are_theta_major(tmp_path):
                 ("theta_rad", "phi_rad", "density"), rows, output_format)
 
     # the default empty snapshot list writes the sweep alone
-    cfg.write_text("[dipoles]\nsnapshot_stresses_gpa =\n", encoding="utf-8")
-    assert main(["dipoles", "--config", str(cfg), "--steps", "3",
+    cfg.write_text("[sweep]\nsteps = 3\n[dipoles]\nsnapshot_stresses_gpa =\n",
+                   encoding="utf-8")
+    assert main(["dipoles", "--config", str(cfg),
                  "--out", str(tmp_path / "none")]) == 0
     assert [f.name for f in (tmp_path / "none").iterdir()] \
         == ["dipole_sweep.csv"]
@@ -303,14 +309,17 @@ def test_amplify_membrane_strain(capsys):
 
 
 def test_amplify_invalid_geometry(capsys):
-    # a negative or infinite length and a piezo strain that is not finite
-    # are rejected, never printed as inf or nan
+    # a negative or infinite length, a piezo strain that is not finite and
+    # one whose amplified strain overflows are rejected, never printed as
+    # inf or nan
     for args in (["--finger-length-mm", "-1", "--gap-um", "20"],
                  ["--finger-length-mm", "inf", "--gap-um", "10"],
                  ["--finger-length-mm", "1.5", "--gap-um", "20",
                   "--piezo-strain", "nan"],
                  ["--finger-length-mm", "1.5", "--gap-um", "20",
-                  "--piezo-strain", "inf"]):
+                  "--piezo-strain", "inf"],
+                 ["--finger-length-mm", "1.5", "--gap-um", "20",
+                  "--piezo-strain", "1e307"]):
         assert main(["amplify", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -334,6 +343,32 @@ def test_amplify_rejects_sweep_flags(flag, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", [["--steps", "5"], ["--format", "json"]])
+@pytest.mark.parametrize("command", ["mixing-curve", "mixing-map", "qw",
+                                     "dipoles"])
+def test_sweep_commands_take_run_values_from_the_config_alone(
+        tmp_path, command, flag, capsys):
+    # a run's values have one input, its config file: a flag that would
+    # set one is an error, and nothing is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"unrecognized arguments: {' '.join(flag)}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mixing-curve", "mixing-map", "qw",
+                                     "dipoles"])
+def test_sweep_command_help_lists_config_out_and_threads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) \
+        == {"--help", "--config", "--out", "--threads"}
+
+
 def test_mixing_curve_default_row_count(tmp_path):
     out = tmp_path / "out"
     assert main(["mixing-curve", "--out", str(out)]) == 0
@@ -341,13 +376,6 @@ def test_mixing_curve_default_row_count(tmp_path):
         columns, rows = read_rows(out / name)
         assert columns == ["strain_xx", "p_hh", "p_lh", "p_so"]
         assert len(rows) == 201
-
-
-def test_mixing_curve_steps_override(tmp_path):
-    out = tmp_path / "out"
-    assert main(["mixing-curve", "--out", str(out), "--steps", "2"]) == 0
-    _, rows = read_rows(out / "mixing_curve_z.csv")
-    assert len(rows) == 2
 
 
 def counting(monkeypatch, module, name):
@@ -378,9 +406,12 @@ def test_mixing_curve_solves_the_sweep_once(tmp_path, monkeypatch):
     # on the base grid
     (True, 4 + 2),
 ])
-def test_qw_solve_count(tmp_path, config, monkeypatch, small, solves):
+def test_qw_solve_count(tmp_path, monkeypatch, small, solves):
     calls = counting(monkeypatch, qw, "solve_qw")
-    args = ["--config", str(config), "--steps", "4"] if small else []
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_CONFIG.replace("sweep_steps = 3", "sweep_steps = 4"),
+                   encoding="utf-8")
+    args = ["--config", str(cfg)] if small else []
     assert main(["qw", "--out", str(tmp_path / "out")] + args) == 0
     assert len(calls) == solves
 
@@ -389,37 +420,27 @@ def test_qw_solve_count(tmp_path, config, monkeypatch, small, solves):
     ("mixing-curve", "sweep steps"),
     ("qw", "qw sweep_steps"),
 ])
-def test_steps_flag_below_two_exit_2(tmp_path, config, command, field,
-                                     capsys):
+def test_steps_flag_below_two_exit_2(tmp_path, command, field, capsys):
+    # the sweep length of each command, [sweep] steps or [qw] sweep_steps,
+    # from the config file
+    section, key = field.split()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out),
-                 "--steps", "1"]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert f"{field} must be at least 2, got 1" in err
 
 
-def test_flags_override_config_before_validation(tmp_path):
-    # the config alone is invalid; the flags replace the invalid values
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL_CONFIG.replace("sweep_steps = 3", "sweep_steps = 1")
-                   + "[run]\noutput_format = xml\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["qw", "--config", str(cfg), "--out", str(out)]) == 2
-    assert main(["qw", "--config", str(cfg), "--out", str(out),
-                 "--steps", "3", "--format", "json"]) == 0
-    payload = json.loads((out / "qw_mixing_6nm.json").read_text())
-    assert len(payload["rows"]) == 3
-    # --steps of qw sets the well sweep only
-    payload = json.loads((out / "qw_transition_energy.json").read_text())
-    assert len(payload["rows"]) == 5
-
-
 def test_mixing_curve_json_mirror(tmp_path, config):
     out = tmp_path / "out"
-    assert main(["mixing-curve", "--config", str(config), "--out", str(out),
-                 "--format", "json"]) == 0
+    json_config = tmp_path / "json.ini"
+    json_config.write_text(SMALL_CONFIG + "[run]\noutput_format = json\n",
+                           encoding="utf-8")
+    assert main(["mixing-curve", "--config", str(json_config),
+                 "--out", str(out)]) == 0
     payload = json.loads((out / "mixing_curve_z.json").read_text())
     assert payload["columns"] == ["strain_xx", "p_hh", "p_lh", "p_so"]
     assert len(payload["rows"]) == 5
@@ -600,8 +621,7 @@ def test_determinism_byte_identical(tmp_path, config):
 def test_invalid_threads_exit_2(tmp_path, threads, message, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["mixing-curve", "--steps", "3", "--out", str(out),
-              "--threads", threads])
+        main(["mixing-curve", "--out", str(out), "--threads", threads])
     assert exc.value.code == 2
     assert not out.exists()
     assert f"--threads: {message}" in capsys.readouterr().err
@@ -686,10 +706,10 @@ def test_overflowing_inputs_exit_2_before_any_solve(
     monkeypatch.setattr(qw, "solve_qw", no_solve)
     monkeypatch.setattr(optics, "dipole_sweep", no_solve)
     bad = tmp_path / "bad.ini"
-    bad.write_text(body, encoding="utf-8")
+    bad.write_text(f"{body}[run]\noutput_format = {output_format}\n",
+                   encoding="utf-8")
     out = tmp_path / "out"
-    assert main([command, "--config", str(bad), "--format", output_format,
-                 "--out", str(out)]) == 2
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
@@ -784,33 +804,33 @@ def test_colliding_output_names_exit_2(tmp_path, command, old, new, clash,
     assert "configuration error" in err and clash in err
 
 
-@pytest.mark.parametrize("command, body, args, message", [
+@pytest.mark.parametrize("command, body, message", [
     # 745 GiB of mixing map: numpy's allocation error and a traceback
-    ("mixing-map", "[sweep]\nsteps = 100000000000\n", [],
+    ("mixing-map", "[sweep]\nsteps = 100000000000\n",
      "sweep steps must be at most 100001, got 100000000000"),
-    ("dipoles", "", ["--steps", "100002"],
+    ("dipoles", "[sweep]\nsteps = 100002\n",
      "sweep steps must be at most 100001, got 100002"),
-    ("mixing-map", "[axis]\ntheta_steps = 362\n", [],
+    ("mixing-map", "[axis]\ntheta_steps = 362\n",
      "axis theta_steps must be at most 361, got 362"),
-    ("qw", "[qw]\ngrid_points = 10003\n", [],
+    ("qw", "[qw]\ngrid_points = 10003\n",
      "qw grid_points must be at most 10001, got 10003"),
-    ("qw", "", ["--steps", "10002"],
+    ("qw", "[qw]\nsweep_steps = 10002\n",
      "qw sweep_steps must be at most 10001, got 10002"),
-    ("qw", "[emulation]\ntransition_steps = 100002\n", [],
+    ("qw", "[emulation]\ntransition_steps = 100002\n",
      "emulation transition_steps must be at most 100001, got 100002"),
     # the lists: one table, or one 90 x 180 density, held per value
     ("qw", "[qw]\nthicknesses_nm = "
-     + ", ".join(str(t) for t in range(1, 1003)) + "\n", [],
+     + ", ".join(str(t) for t in range(1, 1003)) + "\n",
      "the number of qw thicknesses_nm values must be at most 1001, got 1002"),
-    ("qw", "[qw]\nthicknesses_nm =\n", [],
+    ("qw", "[qw]\nthicknesses_nm =\n",
      "the number of qw thicknesses_nm values must be at least 1, got 0"),
     ("dipoles", "[dipoles]\nsnapshot_stresses_gpa = "
-     + ", ".join(str(s / 1000) for s in range(1002)) + "\n", [],
+     + ", ".join(str(s / 1000) for s in range(1002)) + "\n",
      "the number of dipoles snapshot_stresses_gpa values must be at most "
      "1001, got 1002"),
 ], ids=["steps", "steps-flag", "theta", "grid", "qw-steps", "transition",
         "thicknesses", "no-thickness", "snapshots"])
-def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
+def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body,
                                            message, capsys, monkeypatch):
     # every size that sets the work of a run has an upper bound, checked
     # when the config is validated, before any array of that size
@@ -827,8 +847,7 @@ def test_work_sizes_over_their_bound_exit_2(tmp_path, command, body, args,
     cfg = tmp_path / "run.ini"
     cfg.write_text(body, encoding="utf-8")
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out),
-                 *args]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err

@@ -20,8 +20,7 @@ from strainkp.kp_bulk import (HBAR2_OVER_2M0, NonHermitianError, build_h8,
                               dispersion, eigensolve, h4_topmost, h6_vb,
                               top_valence_doublet)
 from strainkp.optics import _orbital_weights, dipole_strengths
-from strainkp.states import (Doublet, EnvelopeState, NumericalError,
-                             SpinorState)
+from strainkp.states import Doublet, NumericalError, SpinorState
 
 K0 = (0.0, 0.0, 0.0)
 ZERO = StrainState()
@@ -564,8 +563,8 @@ def test_spinor_norm_enforced():
 @pytest.mark.parametrize("make, message", [
     (lambda: SpinorState(np.eye(2) / math.sqrt(2.0)),
      "unsupported spinor shape (2, 2)"),
-    (lambda: EnvelopeState(0.0, np.eye(6)[0]),
-     "envelope coefficients must have shape (6, N)"),
+    (lambda: SpinorState(np.ones((5, 4)) / math.sqrt(20.0)),
+     "unsupported spinor shape (5, 4)"),
 ], ids=["spinor", "envelope"])
 def test_state_types_reject_other_shapes(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):

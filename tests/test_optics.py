@@ -13,8 +13,8 @@ from strainkp.optics import (DIPOLE_SWEEP_COLUMNS, DipoleStrengths,
                              RateCalibration, angular_density,
                              dipole_strengths, dipole_sweep, dlp_and_angle,
                              rates)
-from strainkp.qw import QwGeometry, qw_mixing_vs_strain
-from strainkp.states import (ORBITAL_SPIN_LABELS, SpinorState,
+from strainkp.qw import QwGeometry, qw_mixing_vs_strain, solve_qw
+from strainkp.states import (ORBITAL_SPIN_LABELS, Doublet, SpinorState,
                              bloch_orbital_matrix)
 
 
@@ -331,6 +331,24 @@ def test_angular_density_of_a_doublet_adds_its_states(gaas, rng):
     remixed = angular_density([SpinorState(c) for c in mixed.T])
     assert np.abs(remixed.density - pair.density).max() \
         <= 1e-14 * pair.density.max()
+
+
+def test_angular_density_of_a_well_doublet(table):
+    # a well state's density sums over its nodes: the ground pair of an
+    # unstrained well is pure HH at k_parallel = 0, so its density is the
+    # bulk HH pair's, and each state's is one HH donut
+    states = solve_qw(QwGeometry(12.0, grid_points=151), StrainState(),
+                      table, 2)
+    well = angular_density(states)
+    bulk = angular_density([SpinorState(np.eye(6)[0]),
+                            SpinorState(np.eye(6)[3])])
+    assert np.abs(well.density - bulk.density).max() <= 1e-12
+    assert well.integrate() == pytest.approx(2.0, abs=2e-3)
+    assert np.array_equal(angular_density(Doublet(states)).density,
+                          well.density)
+    single = angular_density(states[0])
+    assert np.abs(single.density - 0.5 * bulk.density).max() <= 1e-12
+    assert single.integrate() == pytest.approx(1.0, abs=1e-3)
 
 
 def test_angular_density_rejects_cb_state():

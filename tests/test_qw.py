@@ -26,7 +26,7 @@ from strainkp.qw import (DEFAULT_EMULATION_OFFSETS, EmulationOffsets,
                          QwGeometry, build_qw_hamiltonian,
                          emulated_transition_energies, envelope_projection,
                          qw_mixing_vs_strain, solve_qw, transition_energy)
-from strainkp.states import Doublet, EnvelopeState, NumericalError
+from strainkp.states import Doublet, NumericalError, SpinorState
 
 ZERO = StrainState()
 Z_AXIS = QuantizationAxis(0.0)
@@ -197,7 +197,7 @@ def test_sparse_solve_matches_dense_eigh(table, rng, random_strain,
         dim = ham.shape[0]
         energies, vectors = scipy.linalg.eigh(
             ham, subset_by_index=[dim - 4, dim - 1])
-        dense = [EnvelopeState(e, v.reshape(6, -1))
+        dense = [SpinorState(v.reshape(6, -1), e)
                  for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
         for n_states in (1, 2, 3, 4):
             states = solve_qw(geometry, strain, table, n_states)
@@ -250,7 +250,7 @@ def test_split_solve_matches_dense_and_6n_path(table, rng, monkeypatch,
                           grid_points=grid_points)
     energies, vectors = np.linalg.eigh(
         build_qw_hamiltonian(geometry, strain, table))
-    dense = [EnvelopeState(e, v.reshape(6, -1))
+    dense = [SpinorState(v.reshape(6, -1), e)
              for e, v in zip(energies[::-1], vectors[:, ::-1].T)]
     dim = 6 * grid_points
     for n_states in (1, 3, 4, dim):
@@ -866,7 +866,8 @@ def test_hole_ground_state_unstrained(table):
     # localization: nearly all weight within the well plus 2 nm margins
     hgs = states[0]
     inside = np.abs(geometry.grid()) <= 6.0 + 2.0
-    assert hgs.density()[inside].sum() >= 0.95
+    density = np.sum(np.abs(hgs.coefficients) ** 2, axis=0)
+    assert density[inside].sum() >= 0.95
 
 
 def test_confinement_monotone_in_thickness(table):
@@ -1114,17 +1115,18 @@ def test_envelope_projection_requires_degeneracy(table):
 
 
 def test_envelope_state_copies_the_callers_array():
-    # as SpinorState: the state keeps its own read-only copy, whether it
-    # gets a complex (6, N) array or a view into a larger one
+    # a well state keeps its own read-only copy, whether it gets a
+    # complex (6, N) array or a view into a larger one
     c = np.zeros((6, 5), dtype=complex)
     c[0, 2] = 1.0
-    state = EnvelopeState(-0.1, c)
+    state = SpinorState(c, -0.1)
     assert c.flags.writeable and not state.coefficients.flags.writeable
     c[0, 2], c[1, 1] = 0.0, 1.0
-    assert state.density().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    assert np.sum(np.abs(state.coefficients) ** 2, axis=0).tolist() \
+        == [0.0, 0.0, 1.0, 0.0, 0.0]
     base = np.zeros((2, 6, 5), dtype=complex)
     base[1, 3, 4] = 1.0
-    state = EnvelopeState(-0.1, base[1])
+    state = SpinorState(base[1], -0.1)
     assert base.flags.writeable
     base[1, 3, 4], base[1, 3, 0] = 0.0, 1.0
     assert state.coefficients[3].tolist() == [0j, 0j, 0j, 0j, 1 + 0j]
@@ -1134,16 +1136,17 @@ def test_envelope_state_rejects_nan_coefficients():
     c = np.zeros((6, 5), dtype=complex)
     c[0, 2] = 1.0
     c[3, 1] = math.nan
-    with pytest.raises(NumericalError, match="envelope norm nan"):
-        EnvelopeState(-0.1, c)
+    with pytest.raises(NumericalError, match="spinor norm nan"):
+        SpinorState(c, -0.1)
 
 
 def test_solved_states_keep_their_own_read_only_coefficients(table):
-    # a well state is its energy and envelope; the states of one solve are
-    # cut from one array of vectors, and each keeps its own read-only
-    # copy, so no write to one reaches another
-    assert [f.name for f in dataclasses.fields(EnvelopeState)] == [
-        "energy", "coefficients"]
+    # a well state is its envelopes and energy, as a bulk state is its
+    # coefficients and energy; the states of one solve are cut from one
+    # array of vectors, and each keeps its own read-only copy, so no write
+    # to one reaches another
+    assert [f.name for f in dataclasses.fields(SpinorState)] == [
+        "coefficients", "energy"]
     geometry = QwGeometry(8.0, barrier_thickness_nm=8.0, grid_points=51)
     first, second = solve_qw(geometry, ZERO, table, 2)
     assert not first.coefficients.flags.writeable
